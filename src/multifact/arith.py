@@ -7,7 +7,7 @@ Counting values are plain Python ints, arbitrary precision from the start
 positive denominator by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
@@ -24,6 +24,7 @@ __all__ = [
     "divisor_power_pairs",
     "divisor_power_reductions",
     "factorize",
+    "first_primes",
     "kappa",
     "prime_power",
     "prime_signature",
@@ -46,10 +47,15 @@ class FactoredInt:
 
     ``factors`` is a tuple of (prime, exponent) pairs with primes strictly
     increasing and every exponent >= 1; the unit 1 has an empty tuple.
+    ``signature`` (the exponents sorted nonincreasing) and ``big_omega``
+    (their sum) are computed once here, since the counting core reads them on
+    every call.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
+    signature: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    big_omega: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.value < 1:
@@ -65,16 +71,14 @@ class FactoredInt:
             prod_check *= p**e
         if prod_check != self.value:
             raise ValueError(f"factors {self.factors} do not multiply to {self.value}")
+        exponents = [e for _, e in self.factors]
+        object.__setattr__(self, "signature", tuple(sorted(exponents, reverse=True)))
+        object.__setattr__(self, "big_omega", sum(exponents))
 
     @property
     def omega(self) -> int:
         """Number of distinct prime factors."""
         return len(self.factors)
-
-    @property
-    def big_omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -144,18 +148,23 @@ def prime_signature(fi: FactoredInt) -> tuple[int, ...]:
     Every counting function in this package depends on n only through this
     signature, which is why it serves as the memoization key everywhere.
     """
-    return tuple(sorted(fi.exponents, reverse=True))
+    return fi.signature
+
+
+def first_primes(count: int) -> list[int]:
+    """The `count` smallest primes, from the shared sieve."""
+    limit = 1 << 10
+    while len(_primes) < count:
+        _ensure_sieve(limit)
+        limit *= 2
+    return _primes[:count]
 
 
 def primorial(n: int) -> FactoredInt:
     """Product of the first n primes, each with exponent 1."""
     if n < 0:
         raise ValueError(f"primorial requires n >= 0, got {n}")
-    limit = 1 << 10
-    while len(_primes) < n:
-        _ensure_sieve(limit)
-        limit *= 2
-    chosen = _primes[:n]
+    chosen = first_primes(n)
     value = 1
     for p in chosen:
         value *= p

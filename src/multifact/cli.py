@@ -211,11 +211,13 @@ def evaluate(function: str, method: str, n: int, k=None, l=None, j=None) -> int:
 
 def _validate_query(function: str, n: int, k, l, j, method) -> None:
     needs = NEEDS[function]
-    for flag, value in (("k", k), ("l", l), ("j", j)):
+    for flag, value, least in (("k", k, 0), ("l", l, 0), ("j", j, 1)):
         if flag in needs and value is None:
             raise UsageError(f"{function} requires --{flag}")
         if flag not in needs and value is not None:
             raise UsageError(f"{function} does not take --{flag}")
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be >= {least}")
     if method is not None and method not in METHODS_FOR[function]:
         raise UsageError(
             f"{function} supports methods {', '.join(METHODS_FOR[function])}"
@@ -231,8 +233,6 @@ def _validate_query(function: str, n: int, k, l, j, method) -> None:
     else:
         if n < 0:
             raise UsageError(f"{function} requires n >= 0")
-    if j is not None and j < 1:
-        raise UsageError("--j must be >= 1")
 
 
 def _clear_all_caches() -> None:
@@ -466,7 +466,13 @@ def _run_suite(suite: str, max_n: int, k_max: int, threads: int):
 
 
 def cmd_verify(args) -> int:
-    threads = int(os.environ.get("MULTIFACT_THREADS", args.threads))
+    env_threads = os.environ.get("MULTIFACT_THREADS")
+    if env_threads is not None:
+        source, threads = "MULTIFACT_THREADS", int(env_threads)
+    else:
+        source, threads = "--threads", args.threads
+    if threads < 1:
+        raise UsageError(f"{source} must be >= 1, got {threads}")
     selected = ("routes", "identities", "oracle") if args.suite == "all" else (args.suite,)
     first_failure = None
     failed = 0
@@ -503,27 +509,32 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
 
-    rows = []
+    rows = []  # (method, value or None if skipped, the rest of its line)
     for method in methods:
         times = []
-        value = None
-        for _ in range(args.repeat):
-            _clear_all_caches()
-            t0 = time.perf_counter()
-            value = evaluate(function, method, args.n, args.k, args.l, args.j)
-            times.append(time.perf_counter() - t0)
-        rows.append((method, value, min(times), sum(times) / len(times)))
+        try:
+            for _ in range(args.repeat):
+                _clear_all_caches()
+                t0 = time.perf_counter()
+                value = evaluate(function, method, args.n, args.k, args.l, args.j)
+                times.append(time.perf_counter() - t0)
+        except OracleLimitError as exc:
+            rows.append((method, None, f"skipped: {exc}"))
+            continue
+        best, mean = min(times), sum(times) / len(times)
+        rows.append((method, value, f"{value!s:<16} {best:>12.6f} {mean:>12.6f}"))
 
-    values = {value for _, value, _, _ in rows}
+    values = {value for _, value, _ in rows if value is not None}
     if len(values) > 1:
         print("MISMATCH: methods disagree before timing is meaningful",
               file=sys.stderr)
-        for method, value, _, _ in rows:
-            print(f"  {method} = {value}", file=sys.stderr)
+        for method, value, _ in rows:
+            if value is not None:
+                print(f"  {method} = {value}", file=sys.stderr)
         return 1
     print(f"{'method':<18} {'value':<16} {'best_s':>12} {'mean_s':>12}")
-    for method, value, best, mean in rows:
-        print(f"{method:<18} {value!s:<16} {best:>12.6f} {mean:>12.6f}")
+    for method, _, rest in rows:
+        print(f"{method:<18} {rest}")
     return 0
 
 

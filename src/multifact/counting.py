@@ -4,23 +4,35 @@ prime-exponent (kappa) recursions, and composition sums.
 
 All results are exact nonnegative integers.  Every function depends on n only
 through its prime signature, so every cache here is keyed on
-(prime_signature(n), indices); that collapse is the main performance lever.
+(n.signature, indices); that collapse is the main performance lever.
 Cache writes are idempotent (values are deterministic), so concurrent queries
 are safe and scheduling-independent.
+
+The divisor and kappa recursions share one piece of plumbing, the reduction
+table of a signature (:func:`reduction_table`): every divisor power d**i of n,
+grouped by i and the signature of n / d**i, with the group's size and its
+per-prime sums of kappa_p(d).  Each group's n / d**i is passed on as the
+canonical representative of its signature (:func:`canonical`: the first
+primes, largest exponent on 2), so the recursions never build or factor the
+integer n / d**i.  The kappa routes anchor at the prime `pi` passed to the
+top-level call (default: the smallest prime of n); each recursive call
+anchors at its own smallest prime.  The routes share no formula: each applies
+its own weights and its own exact division.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .arith import (
     BigCount,
     FactoredInt,
     IntegrityError,
     binomial,
-    divisor_power_reductions,
+    first_primes,
     kappa,
-    prime_signature,
 )
 from .partitions import (
     compositions_of,
@@ -46,6 +58,7 @@ __all__ = [
     "CountQuery",
     "big_F",
     "big_G",
+    "canonical",
     "clear_caches",
     "f_from_F",
     "f_k_kappa",
@@ -63,6 +76,7 @@ __all__ = [
     "g_total_kappa",
     "g_total_rec",
     "h_l",
+    "reduction_table",
 ]
 
 
@@ -93,6 +107,8 @@ _FK_KAP: dict = {}
 _GK_KAP: dict = {}
 _FKL: dict = {}
 _HL: dict = {}
+_CANONICAL: dict = {}
+_TABLES: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -101,8 +117,9 @@ def _betas(k: int) -> tuple:
 
 
 def clear_caches() -> None:
-    """Drop all memo tables (benchmarks time cold runs)."""
-    for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL):
+    """Drop all memo, reduction and canonical tables (benchmarks time cold runs)."""
+    for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL,
+                  _CANONICAL, _TABLES):
         cache.clear()
     _betas.cache_clear()
 
@@ -119,7 +136,7 @@ def big_F(n: FactoredInt, k: int) -> BigCount:
     """
     if k < 0:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _F_SUM.get(key)
     if hit is not None:
         return hit
@@ -144,7 +161,7 @@ def big_G(n: FactoredInt, k: int) -> BigCount:
     """Factorizations of n into exactly k distinct parts >= 1; signed partition sum."""
     if k < 0:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _G_SUM.get(key)
     if hit is not None:
         return hit
@@ -172,7 +189,7 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
         return 0
     if k == 0:
         return 1 if n.value == 1 else 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _FED.get(key)
     if hit is not None:
         return hit
@@ -189,6 +206,52 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 
 
 # --------------------------------------------------------------------------
+# reduction tables
+
+def canonical(sig: tuple[int, ...]) -> FactoredInt:
+    """The representative of a prime signature: the first primes, with the
+    largest exponent on 2.  Built and validated once per signature."""
+    fi = _CANONICAL.get(sig)
+    if fi is None:
+        factors = tuple(zip(first_primes(len(sig)), sig))
+        fi = _CANONICAL[sig] = FactoredInt(prod(p**e for p, e in factors), factors)
+    return fi
+
+
+def reduction_table(sig: tuple[int, ...]) -> tuple:
+    """The divisor powers d**i of any n with prime signature `sig`, grouped.
+
+    Each nonzero divisor exponent vector c and power i with i * c <= sig is one
+    pair (d, i) of the divisor recursions.  Pairs are grouped by i and the
+    signature of n / d**i; an entry is (i, rest, Omega(rest), count,
+    anchor_weights), with rest the canonical representative, count the number
+    of pairs in the group and anchor_weights[j] the sum of c[j] over them,
+    which is the group's total of kappa_pi(d) when pi carries sig[j].
+    Entries are sorted by i; the unit's table is empty.
+    """
+    table = _TABLES.get(sig)
+    if table is not None:
+        return table
+    groups: dict = {}
+    for i in range(1, max(sig, default=0) + 1):
+        # the exponent vectors sig - i * c; the first has c = 0
+        rests = product(*(range(e, -1, -i) for e in sig))
+        next(rests)
+        for r in rests:
+            groups.setdefault((i, tuple(sorted(r, reverse=True))), []).append(r)
+    entries = []
+    for (i, rest), members in sorted(groups.items()):
+        count = len(members)
+        rest = rest[:len(rest) - rest.count(0)]
+        # sum of c[j] = sum of (sig[j] - r[j]) / i over the group
+        weights = tuple((count * e - total) // i
+                        for e, total in zip(sig, map(sum, zip(*members))))
+        entries.append((i, canonical(rest), sum(rest), count, weights))
+    table = _TABLES[sig] = tuple(entries)
+    return table
+
+
+# --------------------------------------------------------------------------
 # divisor recursions
 
 def f_k_rec(n: FactoredInt, k: int) -> BigCount:
@@ -200,14 +263,16 @@ def f_k_rec(n: FactoredInt, k: int) -> BigCount:
         return 1 if k == 0 else 0
     if k == 0 or k > n.big_omega:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _FK_REC.get(key)
     if hit is not None:
         return hit
     total = 0
-    for _, i, rest in divisor_power_reductions(n):
-        if i <= k:
-            total += f_k_rec(rest, k - i)
+    for i, rest, rest_omega, count, _ in reduction_table(n.signature):
+        if i > k:
+            break
+        if k - i <= rest_omega:
+            total += count * f_k_rec(rest, k - i)
     q, r = divmod(total, k)
     if r:
         raise IntegrityError(f"f_{k}({n.value}) recursion sum {total} not divisible by {k}")
@@ -224,14 +289,16 @@ def g_k_rec(n: FactoredInt, k: int) -> BigCount:
         return 1 if k == 0 else 0
     if k == 0 or k > n.big_omega:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _GK_REC.get(key)
     if hit is not None:
         return hit
     total = 0
-    for _, i, rest in divisor_power_reductions(n):
-        if i <= k:
-            sub = g_k_rec(rest, k - i)
+    for i, rest, rest_omega, count, _ in reduction_table(n.signature):
+        if i > k:
+            break
+        if k - i <= rest_omega:
+            sub = count * g_k_rec(rest, k - i)
             total += sub if i & 1 else -sub
     q, r = divmod(total, k)
     if r:
@@ -244,18 +311,24 @@ def g_k_rec(n: FactoredInt, k: int) -> BigCount:
 # prime-exponent (kappa) recursions
 #
 # These replace the 1/k division by a division by kappa_pi(n), the exponent of
-# a chosen prime pi in n.  Any prime dividing n is valid; pi is fixed at the
-# top-level n and passed down, and a recursive argument coprime to pi picks a
-# fresh pi of its own (its smallest prime factor).  The resulting values are
-# pi-independent, which the route-agreement tests enforce.
+# a prime pi in n.  Any prime dividing n is valid, and each call may pick its
+# own: pi anchors only the call it is passed to (default: the smallest prime
+# of n), and the recursive calls, on canonical representatives, anchor at
+# their own smallest prime, which carries their largest exponent.  The
+# resulting values are pi-independent, which the route-agreement tests
+# enforce.
 
-def _pi_and_exponent(n: FactoredInt, pi: int | None) -> tuple[int, int]:
-    if pi is not None:
-        for p, e in n.factors:
-            if p == pi:
-                return pi, e
-    p, e = n.factors[0]
-    return p, e
+def _anchor(n: FactoredInt, pi: int | None) -> tuple[int, int]:
+    """The reduction-table weight column of the anchor prime, and kappa_pi(n).
+
+    The column is the first coordinate of the signature equal to kappa_pi(n);
+    coordinates of equal exponent have equal weights, by symmetry."""
+    if pi is None:
+        pi = n.factors[0][0]
+    kap_n = kappa(pi, n.value)
+    if not kap_n:
+        raise ValueError(f"anchor prime {pi} does not divide {n.value}")
+    return n.signature.index(kap_n), kap_n
 
 
 def f_k_kappa(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
@@ -266,18 +339,18 @@ def f_k_kappa(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
         return 1 if k == 0 else 0
     if k == 0 or k > n.big_omega:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _FK_KAP.get(key)
     if hit is not None:
         return hit
-    pi, kap_n = _pi_and_exponent(n, pi)
+    col, kap_n = _anchor(n, pi)
     total = 0
-    for d, i, rest in divisor_power_reductions(n):
+    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
         if i > k:
-            continue
-        kap_d = kappa(pi, d)
-        if kap_d:
-            total += kap_d * f_k_kappa(rest, k - i, pi)
+            break
+        kap_d = weights[col]
+        if kap_d and k - i <= rest_omega:
+            total += kap_d * f_k_kappa(rest, k - i)
     q, r = divmod(total, kap_n)
     if r:
         raise IntegrityError(
@@ -295,18 +368,18 @@ def g_k_kappa(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
         return 1 if k == 0 else 0
     if k == 0 or k > n.big_omega:
         return 0
-    key = (prime_signature(n), k)
+    key = (n.signature, k)
     hit = _GK_KAP.get(key)
     if hit is not None:
         return hit
-    pi, kap_n = _pi_and_exponent(n, pi)
+    col, kap_n = _anchor(n, pi)
     total = 0
-    for d, i, rest in divisor_power_reductions(n):
+    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
         if i > k:
-            continue
-        kap_d = kappa(pi, d)
-        if kap_d:
-            sub = kap_d * g_k_kappa(rest, k - i, pi)
+            break
+        kap_d = weights[col]
+        if kap_d and k - i <= rest_omega:
+            sub = kap_d * g_k_kappa(rest, k - i)
             total += sub if i & 1 else -sub
     q, r = divmod(total, kap_n)
     if r:
@@ -333,20 +406,20 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
         return 1 if k == 0 and l == 0 else 0
     if k == 0 or l == 0 or l > k or k > n.big_omega:
         return 0
-    key = (prime_signature(n), k, l)
+    key = (n.signature, k, l)
     hit = _FKL.get(key)
     if hit is not None:
         return hit
-    pi, kap_n = _pi_and_exponent(n, pi)
+    col, kap_n = _anchor(n, pi)
     total = 0
-    for d, i, rest in divisor_power_reductions(n):
+    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
         if i > k:
-            continue
-        kap_d = kappa(pi, d)
-        if not kap_d:
+            break
+        kap_d = weights[col]
+        if not kap_d or k - i > rest_omega:
             continue
         for j in range(1, min(l, i) + 1):
-            sub = f_kl(rest, k - i, l - j, pi)
+            sub = f_kl(rest, k - i, l - j)
             if sub:
                 term = binomial(i, j) * sub * kap_d
                 total += term if j & 1 else -term
@@ -368,18 +441,19 @@ def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
         return 1 if l == 0 else 0
     if l == 0 or l > n.big_omega:
         return 0
-    key = (prime_signature(n), l)
+    key = (n.signature, l)
     hit = _HL.get(key)
     if hit is not None:
         return hit
-    pi, kap_n = _pi_and_exponent(n, pi)
+    col, kap_n = _anchor(n, pi)
     total = 0
-    for d, i, rest in divisor_power_reductions(n):
-        kap_d = kappa(pi, d)
+    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
+        kap_d = weights[col]
         if not kap_d:
             continue
-        for j in range(1, min(l, i) + 1):
-            sub = h_l(rest, l - j, pi)
+        # h_{l-j}(rest) is 0 once l - j > Omega(rest)
+        for j in range(max(1, l - rest_omega), min(l, i) + 1):
+            sub = h_l(rest, l - j)
             if sub:
                 term = binomial(i, j) * sub * kap_d
                 total += term if j & 1 else -term

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from multifact import cli
+from multifact import cli, oracle
 
 
 def run(capsys, *argv):
@@ -185,6 +185,59 @@ def test_bench_selected_methods(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("partition-sum")
     assert lines[2].startswith("fedorov")
+
+
+def test_bench_skips_a_method_over_its_budget(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError(f"more than 1 factorizations of {n}")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    code, out, _ = run(capsys, "bench", "f_k", "36", "--k", "2", "--repeat", "1")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in out.strip().splitlines()[1:]}
+    assert list(rows) == list(cli.METHODS_FOR["f_k"])
+    assert rows["oracle"] == ["skipped:", "more", "than", "1", "factorizations", "of", "36"]
+    assert all(rows[m][0] == "4" for m in rows if m != "oracle")
+
+
+def test_bench_still_refuses_disagreeing_methods_that_ran(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError("over budget")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    monkeypatch.setitem(
+        cli._FACTOR_ROUTES, ("f_k", "kappa-recursion"), lambda fi, k, l: 999
+    )
+    code, out, err = run(capsys, "bench", "f_k", "36", "--k", "2", "--repeat", "1")
+    assert code == 1
+    assert out == "" and "MISMATCH" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "f_k", "36", "--k", "-3"),
+    ("compute", "h_l", "36", "--l", "-1"),
+    ("compute", "f_kl", "36", "--k", "3", "--l", "-2"),
+    ("compute", "stirling2", "4", "--k", "-1"),
+    ("bfile", "g_k", "--k", "-1", "--max", "10"),
+    ("bench", "F_k", "36", "--k", "-1", "--repeat", "1"),
+])
+def test_negative_indices_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "must be >= 0" in err
+
+
+def test_zero_indices_are_accepted(capsys):
+    assert run(capsys, "compute", "f_k", "36", "--k", "0")[:2] == (0, "0\n")
+    assert run(capsys, "compute", "h_l", "1", "--l", "0")[:2] == (0, "1\n")
+
+
+def test_verify_rejects_nonpositive_threads(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--max", "5", "--threads", "0")
+    assert code == 2 and out == "" and "--threads must be >= 1" in err
+    monkeypatch.setenv("MULTIFACT_THREADS", "-2")
+    code, out, err = run(capsys, "verify", "--max", "5")
+    assert code == 2 and out == "" and "MULTIFACT_THREADS must be >= 1" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,13 +1,23 @@
 """Tests for the factorization-counting routes and their agreement."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from multifact import counting, oracle
-from multifact.arith import factorize, prime_power
+from multifact import cli, counting, oracle
+from multifact.arith import (
+    FactoredInt,
+    divisor_power_reductions,
+    factorize,
+    first_primes,
+    kappa,
+    prime_power,
+    prime_signature,
+)
 from multifact.counting import (
     CountQuery,
     big_F,
     big_G,
+    canonical,
     f_from_F,
     f_k_kappa,
     f_k_rec,
@@ -24,6 +34,7 @@ from multifact.counting import (
     g_total_kappa,
     g_total_rec,
     h_l,
+    reduction_table,
 )
 
 FI36 = factorize(36)
@@ -89,6 +100,100 @@ def test_kappa_recursion_prime_choice_is_value_irrelevant():
     via_3 = f_kl(FI36, 3, 2, pi=3)
     assert via_2 == via_3 == 2
     counting.clear_caches()
+
+
+def test_kappa_anchor_changes_the_weights_not_the_values():
+    # 600 = 2^3 * 3 * 5^2: each anchor prime carries a different exponent, so
+    # each picks a different weight column of the reduction table
+    fi = factorize(600)
+    assert [kappa(pi, 600) for pi in (2, 3, 5)] == [3, 1, 2]
+    table = reduction_table(fi.signature)
+    columns = {tuple(entry[4][c] for entry in table) for c in range(3)}
+    assert len(columns) == 3
+    prof = oracle.profile(600)
+    om = fi.big_omega
+    expected = (
+        [prof.f_k.get(k, 0) for k in range(om + 2)],
+        [prof.g_k.get(k, 0) for k in range(om + 2)],
+        [prof.f_kl.get((k, l), 0) for k in range(om + 2) for l in range(k + 1)],
+        [prof.h_l.get(l, 0) for l in range(om + 2)],
+    )
+    for pi in (2, 3, 5):
+        counting.clear_caches()
+        values = (
+            [f_k_kappa(fi, k, pi) for k in range(om + 2)],
+            [g_k_kappa(fi, k, pi) for k in range(om + 2)],
+            [f_kl(fi, k, l, pi) for k in range(om + 2) for l in range(k + 1)],
+            [h_l(fi, l, pi) for l in range(om + 2)],
+        )
+        assert values == expected, pi
+    counting.clear_caches()
+
+
+def test_kappa_anchor_must_divide_n():
+    counting.clear_caches()
+    with pytest.raises(ValueError):
+        f_k_kappa(FI36, 2, pi=5)
+
+
+# ---------------------------------------------------------------- reduction tables
+
+DEEP_SIGNATURES = [
+    (20, 10), (4, 3, 2, 1, 1), (1,) * 8, (30,), (24,), (12, 12), (10, 10),
+    (20, 4), (8, 8), (6, 6, 6), (5, 5, 5), (4, 4, 4), (3, 3, 2, 2, 2),
+    (8, 6, 4, 3, 1, 1), (16, 8), (10, 10, 4), (2, 2, 1, 1), (1,) * 6,
+    (7, 1), (9, 3, 3), (6, 1, 1, 1), (5, 4, 3, 2, 1), (2, 2, 2, 2, 2, 2),
+    (12, 1), (3, 3, 3, 3), (15, 5, 1), (11, 7, 2), (4, 4, 1, 1, 1),
+    (2,) * 5, (9, 9, 9),
+]
+
+
+def reference_groups(fi):
+    """divisor_power_reductions(fi) summed by (i, signature of n / d**i):
+    the number of pairs, and for each prime p of fi the total kappa_p(d)."""
+    groups = {}
+    for d, i, rest in divisor_power_reductions(fi):
+        group = groups.setdefault((i, prime_signature(rest)),
+                                  [0, {p: 0 for p, _ in fi.factors}])
+        group[0] += 1
+        for p in group[1]:
+            group[1][p] += kappa(p, d)
+    return groups
+
+
+def check_table(fi):
+    sig = fi.signature
+    table = reduction_table(sig)
+    assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
+    groups = reference_groups(fi)
+    assert len(table) == len(groups)
+    for i, rest, rest_omega, count, weights in table:
+        assert rest is canonical(rest.signature) and rest_omega == rest.big_omega
+        ref_count, ref_weights = groups[(i, rest.signature)]
+        assert count == ref_count, (sig, i, rest.signature)
+        for p, e in fi.factors:
+            # primes of one exponent share a column: their sums are equal
+            assert weights[sig.index(e)] == ref_weights[p], (sig, i, rest.signature, p)
+
+
+def test_reduction_table_matches_the_reference_up_to_2000():
+    counting.clear_caches()
+    for n in range(2, 2001):
+        check_table(factorize(n))
+
+
+@pytest.mark.parametrize("sig", DEEP_SIGNATURES)
+def test_reduction_table_matches_the_reference_on_deep_signatures(sig):
+    fi = canonical(sig)
+    assert fi.signature == sig
+    assert [p for p, _ in fi.factors] == first_primes(len(sig))
+    check_table(fi)
+
+
+def test_clear_caches_drops_the_tables():
+    reduction_table((3, 1))
+    counting.clear_caches()
+    assert not counting._TABLES and not counting._CANONICAL
 
 
 # ---------------------------------------------------------------- conversions
@@ -238,3 +343,58 @@ def test_count_query_validation():
         CountQuery("h_l", FI36, k=1, l=1)
     with pytest.raises(ValueError):
         CountQuery("nope", FI36)
+
+
+# ---------------------------------------------------------------- signature sweep
+
+SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+SWEEP_FUNCTIONS = ("f_k", "g_k", "F_k", "G_k")
+
+
+@st.composite
+def signature_assignments(draw):
+    """A prime signature with 1-5 primes, exponents 1-8 and Omega <= 14, put
+    on two different sets of primes: the factored n are built directly."""
+    count = draw(st.integers(1, 5))
+    budget = 14
+    exponents = []
+    for left in range(count - 1, -1, -1):
+        e = draw(st.integers(1, min(8, budget - left)))
+        exponents.append(e)
+        budget -= e
+    assignments = []
+    for _ in range(2):
+        primes = draw(st.permutations(SWEEP_PRIMES))[:count]
+        factors = tuple(sorted(zip(primes, exponents)))
+        value = 1
+        for p, e in factors:
+            value *= p**e
+        assignments.append(FactoredInt(value, factors))
+    assume(assignments[0].value != assignments[1].value)
+    return assignments
+
+
+def route_values(fi):
+    """Every route but the oracle of f_k, g_k, F_k and G_k at k = 0..Omega+1,
+    from cold caches; fedorov only while its 2**(k-1) compositions stay few.
+    Returns the agreed value per (function, k)."""
+    cli._clear_all_caches()
+    values = {}
+    for function in SWEEP_FUNCTIONS:
+        for k in range(fi.big_omega + 2):
+            got = {
+                method: cli._FACTOR_ROUTES[(function, method)](fi, k, None)
+                for method in cli.METHODS_FOR[function]
+                if method != "oracle" and not (method == "fedorov" and k > 10)
+            }
+            assert len(set(got.values())) == 1, (function, fi.factors, k, got)
+            values[(function, k)] = got.popitem()[1]
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(signature_assignments())
+def test_routes_agree_on_signatures_built_directly(assignments):
+    first, second = assignments
+    assert first.signature == second.signature
+    assert route_values(first) == route_values(second)
