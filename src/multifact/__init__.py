@@ -4,7 +4,8 @@ Every counting function is available by several independent routes (partition
 sums over the part-count index, divisor recursions, prime-exponent recursions,
 composition sums, and brute-force enumeration) and the routes are
 cross-verified against each other.  All arithmetic is exact: counts are
-arbitrary-precision ints, intermediate weights exact rationals.
+arbitrary-precision ints, and the weighted sums run in ints scaled by k!,
+with one checked division at the end.
 """
 
 from .arith import (

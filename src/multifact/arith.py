@@ -2,14 +2,16 @@
 scalar types shared by every counting routine.
 
 Counting values are plain Python ints, arbitrary precision from the start
-(Bell-number growth overflows 64 bits near n = 25).  Partition-sum weights are
-``fractions.Fraction``, which keeps gcd(numerator, denominator) == 1 and a
-positive denominator by construction.
+(Bell-number growth overflows 64 bits near n = 25).  The partition-sum and
+composition-sum routes also run in ints: each weight is scaled by k! and the
+total is divided by k! once, at the end.  ``ExactRational``
+(``fractions.Fraction``, always in lowest terms with a positive denominator)
+is the type of the unscaled weights that the partitions module exposes.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import comb, isqrt
 
 BigCount = int
@@ -107,7 +109,7 @@ def _ensure_sieve(limit: int) -> None:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    _primes = [i for i, flag in enumerate(sieve) if flag]
+    _primes = list(compress(range(limit + 1), sieve))
     _sieve_limit = limit
 
 

@@ -197,19 +197,24 @@ _PARTITION_ROUTES = {
 }
 
 
+def _factor_value(function: str, method: str, fi: FactoredInt, k, l) -> int:
+    if method == "oracle":
+        return _oracle_factor_value(function, fi, k, l)
+    return _FACTOR_ROUTES[(function, method)](fi, k, l)
+
+
 def evaluate(function: str, method: str, n: int, k=None, l=None, j=None) -> int:
     """Compute one value of one function by one method; n is a plain int."""
     if function in FACTOR_FUNCTIONS:
-        fi = factorize(n)
-        if method == "oracle":
-            return _oracle_factor_value(function, fi, k, l)
-        return _FACTOR_ROUTES[(function, method)](fi, k, l)
+        return _factor_value(function, method, factorize(n), k, l)
     if method == "oracle":
         return _oracle_partition_value(function, n, k, l, j)
     return _PARTITION_ROUTES[(function, method)](n, k, l, j)
 
 
-def _validate_query(function: str, n: int, k, l, j, method) -> None:
+def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | None:
+    """Check one query's arguments; return n factored for a factorization
+    function (None for a partition function)."""
     needs = NEEDS[function]
     for flag, value, least in (("k", k, 0), ("l", l, 0), ("j", j, 1)):
         if flag in needs and value is None:
@@ -222,17 +227,19 @@ def _validate_query(function: str, n: int, k, l, j, method) -> None:
         raise UsageError(
             f"{function} supports methods {', '.join(METHODS_FOR[function])}"
         )
-    if function in FACTOR_FUNCTIONS:
-        if n < 1:
-            raise UsageError(f"{function} requires n >= 1")
-        if k is not None and k > factorize(n).big_omega + K_QUERY_CAP_MARGIN:
-            raise UsageError(
-                f"k={k} exceeds the query cap (number of prime factors + "
-                f"{K_QUERY_CAP_MARGIN}); the value equals that of f at any such k"
-            )
-    else:
+    if function not in FACTOR_FUNCTIONS:
         if n < 0:
             raise UsageError(f"{function} requires n >= 0")
+        return None
+    if n < 1:
+        raise UsageError(f"{function} requires n >= 1")
+    fi = factorize(n)
+    if k is not None and k > fi.big_omega + K_QUERY_CAP_MARGIN:
+        raise UsageError(
+            f"k={k} exceeds the query cap (number of prime factors + "
+            f"{K_QUERY_CAP_MARGIN}); the value equals that of f at any such k"
+        )
+    return fi
 
 
 def _clear_all_caches() -> None:
@@ -246,22 +253,35 @@ def _clear_all_caches() -> None:
 
 def cmd_compute(args) -> int:
     function = args.function
-    _validate_query(function, args.n, args.k, args.l, args.j, args.method)
+    fi = _validate_query(function, args.n, args.k, args.l, args.j, args.method)
     if args.all_methods:
         methods = METHODS_FOR[function]
     else:
         methods = (args.method or DEFAULT_METHOD[function],)
-    records = [
-        OutputRecord(function, args.n, args.k, args.l, args.j,
-                     evaluate(function, m, args.n, args.k, args.l, args.j), m)
-        for m in methods
-    ]
+    records = []
+    skipped = []  # one "<method> skipped: <reason>" line per method over its budget
+    for m in methods:
+        try:
+            if fi is None:
+                value = evaluate(function, m, args.n, args.k, args.l, args.j)
+            else:
+                value = _factor_value(function, m, fi, args.k, args.l)
+        except OracleLimitError as exc:
+            if not args.all_methods:
+                raise
+            skipped.append(f"{m} skipped: {exc}")
+            continue
+        records.append(OutputRecord(function, args.n, args.k, args.l, args.j, value, m))
     if args.format == "json":
         for rec in records:
             print(rec.to_json())
+        for line in skipped:
+            print(line, file=sys.stderr)
     elif args.all_methods:
         for rec in records:
             print(f"{rec.method} {rec.value}")
+        for line in skipped:
+            print(line)
     else:
         print(records[0].value)
     if args.all_methods:

@@ -20,11 +20,11 @@ anchors at its own smallest prime.  The routes share no formula: each applies
 its own weights and its own exact division.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 from .arith import (
     BigCount,
@@ -35,13 +35,13 @@ from .arith import (
     kappa,
 )
 from .partitions import (
+    centralizer_order,
     compositions_of,
-    fedorov_weight,
-    h_weight,
     mu_beta,
     multiplicity_vector,
     nu_beta,
     partitions_of,
+    prefix_product,
     theta_sign,
 )
 
@@ -112,8 +112,20 @@ _TABLES: dict = {}
 
 
 @lru_cache(maxsize=None)
-def _betas(k: int) -> tuple:
-    return tuple(multiplicity_vector(p) for p in partitions_of(k))
+def _classes(k: int) -> tuple:
+    """(beta, k! / z_beta, theta(beta)) for each partition of k, as cycle
+    types: k! / z_beta permutations of k objects have cycle type beta."""
+    k_fact = factorial(k)
+    out = []
+    for p in partitions_of(k):
+        beta = multiplicity_vector(p)
+        out.append((beta, k_fact // centralizer_order(beta), theta_sign(beta)))
+    return tuple(out)
+
+
+def _exponent_counts(n: FactoredInt) -> tuple:
+    """The distinct prime exponents of n, ascending, with their multiplicities."""
+    return tuple(sorted(Counter(n.signature).items()))
 
 
 def clear_caches() -> None:
@@ -121,7 +133,7 @@ def clear_caches() -> None:
     for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL,
                   _CANONICAL, _TABLES):
         cache.clear()
-    _betas.cache_clear()
+    _classes.cache_clear()
 
 
 # --------------------------------------------------------------------------
@@ -130,9 +142,10 @@ def clear_caches() -> None:
 def big_F(n: FactoredInt, k: int) -> BigCount:
     """Factorizations of n into exactly k parts >= 1, via the partition sum.
 
-    Accumulates h(beta) * prod_j nu_beta(e_j) over the partitions of k in
-    exact rationals; the total is always an integer and a fractional result
-    raises :class:`IntegrityError`.  F_0(n) = [n == 1]; F_k(1) = 1.
+    Sums (k! / z_beta) * prod_j nu_beta(e_j) over the partitions beta of k in
+    integers, then divides once by k!; that division is always exact and a
+    nonzero remainder raises :class:`IntegrityError`.  F_0(n) = [n == 1];
+    F_k(1) = 1.
     """
     if k < 0:
         return 0
@@ -140,51 +153,61 @@ def big_F(n: FactoredInt, k: int) -> BigCount:
     hit = _F_SUM.get(key)
     if hit is not None:
         return hit
-    exps = n.exponents
-    total = Fraction(0)
-    for beta in _betas(k):
-        weight = 1
-        for e in exps:
-            weight *= nu_beta(beta, e)
-            if not weight:
+    powers = _exponent_counts(n)
+    total = 0
+    for beta, size, _ in _classes(k):
+        for e, mult in powers:
+            v = nu_beta(beta, e)
+            if not v:
                 break
-        if weight:
-            total += h_weight(beta) * weight
-    if total.denominator != 1:
-        raise IntegrityError(f"F_{k}({n.value}) partition sum non-integral: {total}")
-    value = int(total)
+            size *= v**mult
+        else:
+            total += size
+    value, r = divmod(total, factorial(k))
+    if r:
+        raise IntegrityError(
+            f"F_{k}({n.value}) partition sum {total} not divisible by {k}!"
+        )
     _F_SUM[key] = value
     return value
 
 
 def big_G(n: FactoredInt, k: int) -> BigCount:
-    """Factorizations of n into exactly k distinct parts >= 1; signed partition sum."""
+    """Factorizations of n into exactly k distinct parts >= 1; the partition
+    sum of :func:`big_F` with the sign theta(beta) on each term."""
     if k < 0:
         return 0
     key = (n.signature, k)
     hit = _G_SUM.get(key)
     if hit is not None:
         return hit
-    exps = n.exponents
-    total = Fraction(0)
-    for beta in _betas(k):
-        weight = 1
-        for e in exps:
-            weight *= nu_beta(beta, e)
-            if not weight:
+    powers = _exponent_counts(n)
+    total = 0
+    for beta, size, sign in _classes(k):
+        for e, mult in powers:
+            v = nu_beta(beta, e)
+            if not v:
                 break
-        if weight:
-            total += theta_sign(beta) * h_weight(beta) * weight
-    if total.denominator != 1:
-        raise IntegrityError(f"G_{k}({n.value}) partition sum non-integral: {total}")
-    value = int(total)
+            size *= v**mult
+        else:
+            total += sign * size
+    value, r = divmod(total, factorial(k))
+    if r:
+        raise IntegrityError(
+            f"G_{k}({n.value}) partition sum {total} not divisible by {k}!"
+        )
     _G_SUM[key] = value
     return value
 
 
 def fedorov_F(n: FactoredInt, k: int) -> BigCount:
     """big_F by the composition-sum route: sum of H(alpha) * mu_beta(n) over
-    all 2**(k-1) compositions of k."""
+    all 2**(k-1) compositions alpha of k.
+
+    H(alpha) is 1 over the product of the prefix sums of alpha; each term is
+    summed as the integer k! * H(alpha), and the total is divided once by k!,
+    with a nonzero remainder raising :class:`IntegrityError`.
+    """
     if k < 0:
         return 0
     if k == 0:
@@ -193,14 +216,21 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
     hit = _FED.get(key)
     if hit is not None:
         return hit
-    total = Fraction(0)
+    k_fact = factorial(k)
+    mus: dict = {}  # mu_beta(n) per multiplicity vector
+    total = 0
     for comp in compositions_of(k):
-        m = mu_beta(multiplicity_vector(comp), n)
+        beta = multiplicity_vector(comp)
+        m = mus.get(beta)
+        if m is None:
+            m = mus[beta] = mu_beta(beta, n)
         if m:
-            total += fedorov_weight(comp) * m
-    if total.denominator != 1:
-        raise IntegrityError(f"F_{k}({n.value}) composition sum non-integral: {total}")
-    value = int(total)
+            total += k_fact // prefix_product(comp) * m
+    value, r = divmod(total, k_fact)
+    if r:
+        raise IntegrityError(
+            f"F_{k}({n.value}) composition sum {total} not divisible by {k}!"
+        )
     _FED[key] = value
     return value
 

@@ -1,13 +1,15 @@
 """Partition and composition combinatorics of the part-count index k.
 
-Provides the iterators over partitions and compositions, the exact rational
-weights attached to them, the sign exponent, and the Euler transform of a
-multiplicity vector together with its multiplicative extension to factored
-integers.
+Provides the iterators over partitions and compositions, the weights attached
+to them (as exact rationals, and as the integer denominators z_beta and prefix
+products that the counting routes divide k! by), the sign exponent, and the
+Euler transform of a multiplicity vector together with its multiplicative
+extension to factored integers.
 """
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .arith import BigCount, ExactRational, FactoredInt, IntegrityError
 
@@ -20,6 +22,7 @@ __all__ = [
     "MultiplicityVector",
     "Partition",
     "aggregate_fedorov",
+    "centralizer_order",
     "clear_caches",
     "compositions_of",
     "euler_transform",
@@ -30,6 +33,7 @@ __all__ = [
     "multiplicity_vector",
     "nu_beta",
     "partitions_of",
+    "prefix_product",
     "theta_sign",
 ]
 
@@ -38,20 +42,41 @@ def partitions_of(k: int):
     """Yield every partition of k exactly once, as a nonincreasing tuple.
 
     Order is descending lexicographic: (k), (k-1, 1), ..., (1,)*k.  The empty
-    partition is the single partition of 0.
+    partition is the single partition of 0.  Iterative, by algorithm ZS1 of
+    Zoghbi and Stojmenovic (Int. J. Comput. Math. 70, 1998): `x` holds the
+    current partition padded with 1s, `h` indexes its last part above 1.
     """
     if k < 0:
         raise ValueError(f"partitions_of requires k >= 0, got {k}")
-
-    def descend(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in descend(remaining - first, first):
-                yield (first, *rest)
-
-    yield from descend(k, k)
+    if k == 0:
+        yield ()
+        return
+    x = [1] * k
+    x[0] = k
+    m, h = 1, 0  # number of parts; index of the last part > 1
+    yield (k,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # lower x[h] by one and spread it and the trailing 1s in parts <= r
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def multiplicity_vector(parts) -> MultiplicityVector:
@@ -68,23 +93,35 @@ def multiplicity_vector(parts) -> MultiplicityVector:
     return tuple(beta)
 
 
+def centralizer_order(beta) -> BigCount:
+    """z_beta = prod_i i**beta_i * beta_i!, for a multiplicity vector beta.
+
+    k! / z_beta is the number of permutations of k objects whose cycle type
+    is beta, an integer; the empty vector gives 1.
+    """
+    z = 1
+    for i, b in enumerate(beta, 1):
+        if b:
+            z *= i**b * factorial(b)
+    return z
+
+
 def h_weight(beta) -> ExactRational:
-    """Weight 1 / (prod_i i**beta_i * beta_i!) of a multiplicity vector.
+    """Weight 1 / z_beta of a multiplicity vector (see :func:`centralizer_order`).
 
     This is 1/k! times the number of permutations of k objects whose cycle
     type is beta; the empty vector has weight 1.
     """
-    denom = 1
-    for i, b in enumerate(beta, 1):
-        if b:
-            denom *= i**b * factorial(b)
-    return Fraction(1, denom)
+    return Fraction(1, centralizer_order(beta))
 
 
 def theta_sign(beta) -> int:
-    """(-1) to the power sum_i (1+i)*beta_i, computed mod 2."""
-    parity = sum((1 + i) * b for i, b in enumerate(beta, 1)) & 1
-    return -1 if parity else 1
+    """(-1) to the power sum_i (1+i)*beta_i.
+
+    Only the terms of even i are odd, so the parity is that of the number of
+    even parts, beta_2 + beta_4 + ...
+    """
+    return -1 if sum(beta[1::2]) & 1 else 1
 
 
 def gamma(beta, m: int) -> BigCount:
@@ -99,25 +136,35 @@ def gamma(beta, m: int) -> BigCount:
 
 
 # Whole prefixes nu(1..m) are computed in one pass and cached per beta, since
-# a single factored n needs nu at every one of its exponents.  Entries are
-# immutable tuples swapped atomically; rewrites are idempotent, so the cache
-# is safe to share between threads.
+# a single factored n needs nu at every one of its exponents.  nu(1..m_max)
+# depends only on the parts <= m_max, so a longer beta is cut to its first
+# m_max entries (trailing zeros dropped) before it keys the cache: the many
+# partitions of a large k that differ only in parts above m_max share one
+# entry.  Entries are immutable tuples swapped atomically; rewrites are
+# idempotent, so the cache is safe to share between threads.
 _nu_cache: dict[MultiplicityVector, tuple[int, ...]] = {}
 
 
 def _nu_prefix(beta, m_max: int) -> tuple[int, ...]:
     beta = tuple(beta)
+    if len(beta) > m_max:
+        top = m_max
+        while top and not beta[top - 1]:
+            top -= 1
+        beta = beta[:top]
     known = _nu_cache.get(beta, ())
     if len(known) >= m_max:
         return known
-    gammas = [gamma(beta, m) for m in range(1, m_max + 1)]
+    # gammas[m] = sum of d * beta_d over the divisors d of m, by a sieve
+    gammas = [0] * (m_max + 1)
+    for d, b in enumerate(beta, 1):
+        if b:
+            for m in range(d, m_max + 1, d):
+                gammas[m] += d * b
     nu = list(known)
     for m in range(len(nu) + 1, m_max + 1):
-        acc = gammas[m - 1]
-        for j in range(1, m):
-            g = gammas[j - 1]
-            if g:
-                acc += g * nu[m - j - 1]
+        # gamma(m) + sum over j = 1..m-1 of gamma(j) * nu(m - j)
+        acc = gammas[m] + sum(map(mul, gammas[1:m], reversed(nu)))
         q, r = divmod(acc, m)
         if r:
             raise IntegrityError(
@@ -168,29 +215,37 @@ def compositions_of(k: int):
     """Yield all 2**(k-1) ordered sequences of positive parts summing to k.
 
     Ascending lexicographic order; the empty composition is the single
-    composition of 0.
+    composition of 0.  Iterative: the successor of (..., a, b) is
+    (..., a + 1) followed by b - 1 parts equal to 1.
     """
     if k < 0:
         raise ValueError(f"compositions_of requires k >= 0, got {k}")
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        if first == k:
-            yield (k,)
-        else:
-            for rest in compositions_of(k - first):
-                yield (first, *rest)
+    comp = [1] * k
+    yield tuple(comp)
+    while len(comp) > 1:
+        last = comp.pop()
+        comp[-1] += 1
+        comp += [1] * (last - 1)
+        yield tuple(comp)
 
 
-def fedorov_weight(comp) -> ExactRational:
-    """Reciprocal of the product of the prefix sums of an ordered part sequence."""
+def prefix_product(comp) -> BigCount:
+    """Product of the prefix sums of an ordered part sequence.
+
+    The prefix sums of a composition of k are distinct integers in 1..k, so
+    this product divides k!.
+    """
     denom = 1
     acc = 0
     for part in comp:
         acc += part
         denom *= acc
-    return Fraction(1, denom)
+    return denom
+
+
+def fedorov_weight(comp) -> ExactRational:
+    """Reciprocal of the product of the prefix sums of an ordered part sequence."""
+    return Fraction(1, prefix_product(comp))
 
 
 def aggregate_fedorov(k: int, beta) -> ExactRational:

@@ -12,6 +12,7 @@ from multifact.arith import (
     divisor_power_pairs,
     divisor_power_reductions,
     factorize,
+    first_primes,
     kappa,
     prime_power,
     prime_signature,
@@ -156,6 +157,13 @@ def test_smallest_prime_factor_divides_and_is_minimal(n):
     p = smallest_prime_factor(n)
     assert n % p == 0
     assert all(n % d for d in range(2, min(p, isqrt(n) + 1)))
+
+
+def test_first_primes_match_trial_division():
+    # pi(10**4) = 1229; the sieve's prime list must be exactly these
+    expected = [n for n in range(2, 10**4) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert len(expected) == 1229
+    assert first_primes(1229) == expected
 
 
 rationals = st.fractions(

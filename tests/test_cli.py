@@ -187,6 +187,67 @@ def test_bench_selected_methods(capsys):
     assert lines[2].startswith("fedorov")
 
 
+def test_compute_all_methods_skips_the_oracle_over_its_budget(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError(f"more than 1 factorizations of {n}")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    code, out, err = run(capsys, "compute", "f_k", "36", "--k", "2", "--all-methods")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert lines[-2:] == ["oracle skipped: more than 1 factorizations of 36",
+                          "consistent: 4 methods agree"]
+    assert lines[:-2] == [f"{m} 4" for m in cli.METHODS_FOR["f_k"] if m != "oracle"]
+
+
+def test_compute_all_methods_json_puts_the_skip_note_on_stderr(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError("over budget")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    code, out, err = run(capsys, "compute", "f", "36", "--all-methods", "--format", "json")
+    assert code == 0 and err == "oracle skipped: over budget\n"
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["method"] for r in records] == [m for m in cli.METHODS_FOR["f"] if m != "oracle"]
+    assert {r["value"] for r in records} == {"9"}
+
+
+def test_compute_all_methods_still_refuses_disagreeing_methods_that_ran(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError("over budget")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    monkeypatch.setitem(
+        cli._FACTOR_ROUTES, ("f_k", "kappa-recursion"), lambda fi, k, l: 999
+    )
+    code, out, err = run(capsys, "compute", "f_k", "36", "--k", "2", "--all-methods")
+    assert code == 1 and "MISMATCH" in err
+    assert "oracle skipped: over budget" in out.splitlines()
+
+
+def test_compute_oracle_alone_over_its_budget_exits_2(capsys, monkeypatch):
+    def over_budget(n, *args, **kwargs):
+        raise oracle.OracleLimitError("over budget")
+
+    monkeypatch.setattr(oracle, "profile", over_budget)
+    code, out, err = run(capsys, "compute", "f", "36", "--method", "oracle")
+    assert (code, out, err) == (2, "", "error: over budget\n")
+
+
+def test_compute_factors_n_once_for_all_methods(capsys, monkeypatch):
+    calls = []
+    real = cli.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "factorize", counted)
+    code, out, _ = run(capsys, "compute", "f_k", "720720", "--k", "3", "--all-methods")
+    assert code == 0 and out.endswith("consistent: 5 methods agree\n")
+    assert calls == [720720]
+
+
 def test_bench_skips_a_method_over_its_budget(capsys, monkeypatch):
     def over_budget(n, *args, **kwargs):
         raise oracle.OracleLimitError(f"more than 1 factorizations of {n}")

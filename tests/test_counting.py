@@ -1,11 +1,15 @@
 """Tests for the factorization-counting routes and their agreement."""
 
+from fractions import Fraction
+from math import factorial, prod
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multifact import cli, counting, oracle
 from multifact.arith import (
     FactoredInt,
+    IntegrityError,
     divisor_power_reductions,
     factorize,
     first_primes,
@@ -35,6 +39,13 @@ from multifact.counting import (
     g_total_rec,
     h_l,
     reduction_table,
+)
+from multifact.partitions import (
+    fedorov_weight,
+    h_weight,
+    multiplicity_vector,
+    partitions_of,
+    theta_sign,
 )
 
 FI36 = factorize(36)
@@ -68,6 +79,60 @@ def test_big_G_boundaries():
     assert big_G(FI1, 1) == 1
     assert big_G(FI1, 2) == 0
     assert big_G(FI36, 0) == 0
+
+
+def test_class_sizes_count_the_permutations():
+    for k in range(0, 21):
+        table = counting._classes(k)
+        assert [beta for beta, _, _ in table] == [
+            multiplicity_vector(p) for p in partitions_of(k)
+        ]
+        assert sum(size for _, size, _ in table) == factorial(k)
+        for beta, size, sign in table:
+            assert size == factorial(k) * h_weight(beta)
+            assert sign == theta_sign(beta)
+
+
+def test_clear_caches_drops_the_class_tables():
+    counting._classes(6)
+    assert counting._classes.cache_info().currsize > 0
+    counting.clear_caches()
+    assert counting._classes.cache_info().currsize == 0
+
+
+def _corrupt_one_class_size(monkeypatch, k, beta):
+    """Add 1 to the class size of beta in the table the partition sums read."""
+    counting.clear_caches()
+    table = tuple(
+        (b, size + (b == beta), sign) for b, size, sign in counting._classes(k)
+    )
+    monkeypatch.setattr(counting, "_classes", lambda _k: table)
+
+
+def test_big_F_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
+    # F_3(p) = (3 * nu_(1,1)(1) + 1 * nu_(3)(1)) / 3! = (3 + 3) / 6; one more
+    # in the (1, 1) class leaves remainder 1
+    _corrupt_one_class_size(monkeypatch, 3, (1, 1))
+    with pytest.raises(IntegrityError):
+        big_F(FI_P, 3)
+
+
+def test_big_G_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
+    _corrupt_one_class_size(monkeypatch, 3, (1, 1))
+    with pytest.raises(IntegrityError):
+        big_G(FI_P, 3)
+
+
+def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
+    # the composition (1, 2) weighs 3! / (1 * 3) = 2; halving it leaves
+    # remainder 5 in the sum 3 + 2 + 1 over (1, 1, 1), (1, 2), (2, 1)
+    counting.clear_caches()
+    real = counting.prefix_product
+    monkeypatch.setattr(
+        counting, "prefix_product", lambda comp: 6 if comp == (1, 2) else real(comp)
+    )
+    with pytest.raises(IntegrityError):
+        fedorov_F(FI_P, 3)
 
 
 # ---------------------------------------------------------------- recursions
@@ -398,3 +463,69 @@ def test_routes_agree_on_signatures_built_directly(assignments):
     first, second = assignments
     assert first.signature == second.signature
     assert route_values(first) == route_values(second)
+
+
+# ---------------------------------------------------------------- exact-rational reference
+
+def _nu_series(beta, m_max):
+    """nu_beta(0..m_max) as the coefficients of prod_i (1 - x**i)**(-beta_i)."""
+    coeffs = [1] + [0] * m_max
+    for i, b in enumerate(beta, 1):
+        for _ in range(b):
+            for m in range(i, m_max + 1):
+                coeffs[m] += coeffs[m - i]
+    return coeffs
+
+
+def _mu(beta, fi):
+    series = _nu_series(beta, max(fi.exponents, default=0))
+    return prod(series[e] for e in fi.exponents)
+
+
+def _compositions(k):
+    """Compositions of k, one per subset of the k - 1 cut points."""
+    if k == 0:
+        return [()]
+    comps = []
+    for mask in range(1 << (k - 1)):
+        parts, last = [], 0
+        for cut in range(1, k):
+            if mask >> (cut - 1) & 1:
+                parts.append(cut - last)
+                last = cut
+        parts.append(k - last)
+        comps.append(tuple(parts))
+    return comps
+
+
+def reference_F(fi, k, signed=False):
+    total = Fraction(0)
+    for parts in oracle.enumerate_partitions(k):
+        beta = multiplicity_vector(parts)
+        sign = theta_sign(beta) if signed else 1
+        total += sign * h_weight(beta) * _mu(beta, fi)
+    assert total.denominator == 1
+    return int(total)
+
+
+def reference_fedorov(fi, k):
+    total = sum(fedorov_weight(c) * _mu(multiplicity_vector(c), fi) for c in _compositions(k))
+    assert total.denominator == 1
+    return int(total)
+
+
+@st.composite
+def factored_signatures(draw):
+    """A factored n with 1-4 primes and exponents 1-8, built without factoring."""
+    exponents = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    factors = tuple(zip(SWEEP_PRIMES, exponents))
+    return FactoredInt(prod(p**e for p, e in factors), factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_signatures(), st.integers(0, 12))
+def test_integer_routes_equal_the_exact_rational_reference(fi, k):
+    counting.clear_caches()
+    assert big_F(fi, k) == reference_F(fi, k)
+    assert big_G(fi, k) == reference_F(fi, k, signed=True)
+    assert fedorov_F(fi, k) == reference_fedorov(fi, k)

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multifact import oracle
-from multifact.arith import factorize
+from multifact.arith import IntegrityError, factorize
 from multifact.partitions import (
+    _nu_cache,
     aggregate_fedorov,
+    centralizer_order,
+    clear_caches,
     compositions_of,
     euler_transform,
     fedorov_weight,
@@ -19,12 +22,37 @@ from multifact.partitions import (
     multiplicity_vector,
     nu_beta,
     partitions_of,
+    prefix_product,
     theta_sign,
 )
 
-# p(0)..p(15), frozen from direct enumeration by the oracle's independent
-# ascending-order generator (checked below)
-PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+# p(0)..p(40), OEIS A000041; the first 13 are also checked against the
+# oracle's independent ascending-order generator below
+PARTITION_COUNTS = [
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385,
+    490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604, 6842,
+    8349, 10143, 12310, 14883, 17977, 21637, 26015, 31185, 37338,
+]
+
+
+def _partitions_reference(k, cap=None):
+    """Partitions of k in descending lexicographic order, recursively."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, k if cap is None else cap), 0, -1):
+        for rest in _partitions_reference(k - first, first):
+            yield (first, *rest)
+
+
+def _compositions_reference(k):
+    """Compositions of k in ascending lexicographic order, recursively."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in _compositions_reference(k - first):
+            yield (first, *rest)
 
 
 def test_partitions_of_3_exact_order():
@@ -63,6 +91,27 @@ def test_partitions_descending_lexicographic():
         assert listed == sorted(listed, reverse=True)
 
 
+def test_partitions_of_equals_the_recursive_reference_in_order():
+    for k in range(0, 21):
+        assert list(partitions_of(k)) == list(_partitions_reference(k)), k
+
+
+def test_partitions_of_counts_are_A000041():
+    for k, expected in enumerate(PARTITION_COUNTS):
+        assert sum(1 for _ in partitions_of(k)) == expected, k
+
+
+def test_compositions_of_equals_the_recursive_reference_in_order():
+    for k in range(0, 15):
+        assert list(compositions_of(k)) == list(_compositions_reference(k)), k
+
+
+def test_compositions_of_counts_are_powers_of_two():
+    assert sum(1 for _ in compositions_of(0)) == 1
+    for k in range(1, 19):
+        assert sum(1 for _ in compositions_of(k)) == 2 ** (k - 1), k
+
+
 def test_multiplicity_vector():
     assert multiplicity_vector((2, 1)) == (1, 1)
     assert multiplicity_vector((3, 2, 2)) == (0, 2, 1)
@@ -83,6 +132,12 @@ def test_h_weight():
     assert h_weight((1, 1)) == Fraction(1, 2)
     assert h_weight((0, 0, 1)) == Fraction(1, 3)
     assert h_weight(()) == 1
+
+
+def test_centralizer_order():
+    assert centralizer_order(()) == 1
+    assert centralizer_order((3,)) == 6
+    assert centralizer_order((0, 2, 1)) == 2**2 * 2 * 3
 
 
 def test_h_weight_sums_to_one():
@@ -144,6 +199,38 @@ def test_euler_transform_matches_series_expansion():
             assert euler_transform(beta, 30) == _series_coefficients(beta, 30)
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=9),
+    st.data(),
+)
+def test_nu_beta_with_parts_above_m_matches_the_untruncated_transform(beta, data):
+    # nu_beta(m) only sees the parts <= m, so the prefix is cached under beta
+    # cut to m entries; it must equal the transform of the whole beta
+    beta = tuple(beta)
+    m = data.draw(st.integers(min_value=1, max_value=len(beta) - 1))
+    clear_caches()
+    truncated = [nu_beta(beta, i) for i in range(1, m + 1)]
+    whole = euler_transform(beta, len(beta) + 3)
+    assert truncated == whole[:m] == _series_coefficients(beta, m)
+    clear_caches()
+    assert euler_transform(beta, len(beta) + 3) == whole
+    assert [nu_beta(beta, i) for i in range(1, m + 1)] == whole[:m]
+
+
+def test_vectors_that_differ_above_m_share_one_prefix():
+    clear_caches()
+    assert nu_beta((1, 0, 0, 5), 2) == nu_beta((1, 0, 2), 2) == nu_beta((1,), 2) == 1
+    assert len(_nu_cache) == 1
+    clear_caches()
+
+
+def test_euler_transform_division_check_still_fires(monkeypatch):
+    # a wrong cached nu(1) makes 2 * nu(2) = gamma(2) + gamma(1) * nu(1) odd
+    monkeypatch.setitem(_nu_cache, (1,), (2,))
+    with pytest.raises(IntegrityError):
+        nu_beta((1,), 2)
+
+
 def test_euler_transform_all_ones_counts_bounded_partitions():
     # one color per part size up to a: plain partitions into parts <= a
     for a in range(1, 7):
@@ -197,6 +284,13 @@ def test_fedorov_weight():
     assert fedorov_weight((1, 2)) == Fraction(1, 3)
     assert fedorov_weight((2, 1)) == Fraction(1, 6)
     assert fedorov_weight(()) == 1
+
+
+def test_prefix_products_divide_k_factorial():
+    assert prefix_product((2, 1)) == 6 and prefix_product(()) == 1
+    for k in range(1, 11):
+        for comp in compositions_of(k):
+            assert factorial(k) % prefix_product(comp) == 0
 
 
 def test_aggregate_fedorov_small():
