@@ -17,13 +17,17 @@ from math import comb, isqrt
 BigCount = int
 ExactRational = Fraction
 
+# The largest n that factorize accepts.  Its sieve grows to isqrt(n) + 1
+# bytes, at most doubling what it held, so it stays under 2 * 10**7 + 2 bytes.
+MAX_N = 10**14
+
 __all__ = [
     "BigCount",
     "ExactRational",
     "FactoredInt",
     "IntegrityError",
+    "MAX_N",
     "binomial",
-    "divisor_power_pairs",
     "divisor_power_reductions",
     "factorize",
     "first_primes",
@@ -31,7 +35,6 @@ __all__ = [
     "prime_power",
     "prime_signature",
     "primorial",
-    "smallest_prime_factor",
 ]
 
 
@@ -116,10 +119,12 @@ def _ensure_sieve(limit: int) -> None:
 def factorize(n: int) -> FactoredInt:
     """Canonical prime factorization by trial division; deterministic.
 
-    Intended for desk-scale inputs (up to roughly 10**12).
+    Accepts 1 <= n <= :data:`MAX_N`; anything else is a ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"factorize requires n <= {MAX_N}, got {n}")
     _ensure_sieve(isqrt(n) + 1)
     rest = n
     factors = []
@@ -173,38 +178,21 @@ def primorial(n: int) -> FactoredInt:
     return FactoredInt(value, tuple((p, 1) for p in chosen))
 
 
-def _divisor_vectors(fi: FactoredInt):
-    for vec in product(*(range(e + 1) for _, e in fi.factors)):
-        if any(vec):
-            yield vec
-
-
-def divisor_power_pairs(fi: FactoredInt) -> list[tuple[int, int]]:
-    """All pairs (d, i) with d >= 2, i >= 1 and d**i dividing fi.value.
+def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
+    """All triples (d, i, n / d**i) with d >= 2, i >= 1 and d**i dividing n,
+    n / d**i factored, sorted by d, then i.
 
     Materialized from the exponent lattice rather than a 2..n scan, so the
-    cost is proportional to the divisor count.  Sorted by d, then i.
+    cost is proportional to the divisor count.  The counting core groups the
+    same pairs by signature (``counting.reduction_table``); this is the
+    reference that the tests check it against.
     """
     if fi.value == 1:
         raise ValueError("the unit 1 has no divisors >= 2")
-    pairs = []
-    for vec in _divisor_vectors(fi):
-        d = 1
-        for (p, _), c in zip(fi.factors, vec):
-            d *= p**c
-        i_max = min(e // c for (_, e), c in zip(fi.factors, vec) if c)
-        pairs.extend((d, i) for i in range(1, i_max + 1))
-    pairs.sort()
-    return pairs
-
-
-def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
-    """Like :func:`divisor_power_pairs`, but each entry carries n / d**i
-    already factored, ready for recursive descent."""
-    if fi.value == 1:
-        raise ValueError("the unit 1 has no divisors >= 2")
     out = []
-    for vec in _divisor_vectors(fi):
+    for vec in product(*(range(e + 1) for _, e in fi.factors)):
+        if not any(vec):
+            continue
         d = 1
         for (p, _), c in zip(fi.factors, vec):
             d *= p**c
@@ -237,15 +225,3 @@ def binomial(n: int, k: int) -> BigCount:
         return 0
     return comb(n, k)
 
-
-def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n, for n >= 2."""
-    if n < 2:
-        raise ValueError(f"smallest_prime_factor requires n >= 2, got {n}")
-    _ensure_sieve(isqrt(n) + 1)
-    for p in _primes:
-        if p * p > n:
-            break
-        if n % p == 0:
-            return p
-    return n

@@ -1,6 +1,16 @@
 """Command-line front end: single-value queries, b-file sequence export,
 cross-method verification sweeps, and micro-benchmarks.
 
+Every route of every function is one entry of a route table:
+``_FACTOR_ROUTES`` for the functions of a factored n (f, g, f_k, g_k, F_k,
+G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl, r_l,
+r_lj, stirling2, bell), the oracle included.  The oracle routes of the
+factorization functions read one enumeration of n through ``_ORACLE_READS``,
+which ``verify`` uses too.  The function lists, each function's methods in
+order (the first is its default) and the ``--method`` choices are derived
+from the two tables; ``NEEDS`` (the indices each function takes) is the only
+other per-function table.
+
 Exit codes: 0 success, 1 verification or internal integrity failure, 2 usage
 error.  All stdout is deterministic for fixed arguments, except the timing
 columns of ``bench``.
@@ -8,25 +18,18 @@ columns of ``bench``.
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import counting, oracle, partition_counts, partitions
 from .arith import FactoredInt, IntegrityError, factorize, prime_power
-from .counting import METHODS
 from .oracle import OracleLimitError
 from .partition_counts import check_identity
 
 # reject k beyond big_omega + margin: the partition count p(k) explodes and
 # F_k has already stabilized at f(n) for every k >= big_omega anyway
 K_QUERY_CAP_MARGIN = 64
-
-FACTOR_FUNCTIONS = ("f", "g", "f_k", "g_k", "F_k", "G_k", "h_l", "f_kl")
-PARTITION_FUNCTIONS = ("p_kl", "r_l", "r_lj", "stirling2", "bell")
-ALL_FUNCTIONS = FACTOR_FUNCTIONS + PARTITION_FUNCTIONS
 
 # which of the k, l, j flags each function requires
 NEEDS = {
@@ -43,27 +46,6 @@ NEEDS = {
     "r_lj": "lj",
     "stirling2": "k",
     "bell": "",
-}
-
-METHODS_FOR = {
-    "f": ("recursion", "partition-sum", "kappa-recursion", "fedorov", "oracle"),
-    "g": ("recursion", "partition-sum", "kappa-recursion", "oracle"),
-    "f_k": ("recursion", "partition-sum", "kappa-recursion", "fedorov", "oracle"),
-    "g_k": ("recursion", "partition-sum", "kappa-recursion", "oracle"),
-    "F_k": ("partition-sum", "fedorov", "recursion", "kappa-recursion", "oracle"),
-    "G_k": ("partition-sum", "recursion", "oracle"),
-    "h_l": ("recursion", "oracle"),
-    "f_kl": ("recursion", "oracle"),
-    "p_kl": ("recursion", "oracle"),
-    "r_l": ("recursion", "oracle"),
-    "r_lj": ("recursion", "oracle"),
-    "stirling2": ("recursion",),
-    "bell": ("recursion",),
-}
-
-DEFAULT_METHOD = {
-    name: ("partition-sum" if name in ("F_k", "G_k") else "recursion")
-    for name in ALL_FUNCTIONS
 }
 
 SUITES = ("routes", "identities", "oracle", "all")
@@ -100,55 +82,23 @@ class OutputRecord:
 
 
 # --------------------------------------------------------------------------
-# evaluation dispatch
+# route tables
 
-def _oracle_factor_value(function: str, fi: FactoredInt, k, l) -> int:
-    if fi.value == 1:
-        return {
-            "f": 1,
-            "g": 1,
-            "f_k": int(k == 0),
-            "g_k": int(k == 0),
-            "F_k": 1,
-            "G_k": int(k in (0, 1)),
-            "h_l": int(l == 0),
-            "f_kl": int(k == 0 and l == 0),
-        }[function]
-    prof = oracle.profile(fi.value)
-    if function == "f":
-        return prof.f
-    if function == "g":
-        return prof.g
-    if function == "f_k":
-        return prof.f_k.get(k, 0)
-    if function == "g_k":
-        return prof.g_k.get(k, 0)
-    if function == "F_k":
-        return prof.F_k(k)
-    if function == "G_k":
-        return prof.G_k(k) if k else 0
-    if function == "h_l":
-        return prof.h_l.get(l, 0)
-    return prof.f_kl.get((k, l), 0)
+# each factorization function read off the oracle's profile of n
+_ORACLE_READS = {
+    "f": lambda prof, k, l: prof.f,
+    "g": lambda prof, k, l: prof.g,
+    "f_k": lambda prof, k, l: prof.f_k.get(k, 0),
+    "g_k": lambda prof, k, l: prof.g_k.get(k, 0),
+    "F_k": lambda prof, k, l: prof.F_k(k),
+    "G_k": lambda prof, k, l: prof.G_k(k),
+    "h_l": lambda prof, k, l: prof.h_l.get(l, 0),
+    "f_kl": lambda prof, k, l: prof.f_kl.get((k, l), 0),
+}
 
 
-def _oracle_partition_value(function: str, n: int, k, l, j) -> int:
-    if function == "p_kl":
-        if n == 0:
-            return int(k == 0 and l == 0)
-        return oracle.partition_profile(n).get((k, l), 0)
-    if function == "r_l":
-        if n == 0:
-            return int(l == 0)
-        return sum(v for (_, ll), v in oracle.partition_profile(n).items() if ll == l)
-    # r_lj: parts >= j with exactly l distinct values
-    if n == 0:
-        return int(l == 0)
-    return sum(
-        1
-        for parts in oracle.enumerate_partitions(n)
-        if len(set(parts)) == l and (not parts or min(parts) >= j)
-    )
+def _oracle_route(read):
+    return lambda fi, k, l: read(oracle.profile(fi.value), k, l)
 
 
 _FACTOR_ROUTES = {
@@ -186,6 +136,8 @@ _FACTOR_ROUTES = {
     ),
     ("h_l", "recursion"): lambda fi, k, l: counting.h_l(fi, l),
     ("f_kl", "recursion"): lambda fi, k, l: counting.f_kl(fi, k, l),
+    **{(function, "oracle"): _oracle_route(read)
+       for function, read in _ORACLE_READS.items()},
 }
 
 _PARTITION_ROUTES = {
@@ -194,21 +146,33 @@ _PARTITION_ROUTES = {
     ("r_lj", "recursion"): lambda n, k, l, j: partition_counts.r_lj(n, l, j),
     ("stirling2", "recursion"): lambda n, k, l, j: partition_counts.stirling2(n, k),
     ("bell", "recursion"): lambda n, k, l, j: partition_counts.bell(n),
+    ("p_kl", "oracle"): lambda n, k, l, j: oracle.partition_profile(n).get((k, l), 0),
+    ("r_l", "oracle"): lambda n, k, l, j: sum(
+        v for (_, ll), v in oracle.partition_profile(n).items() if ll == l
+    ),
+    # parts >= j with exactly l distinct values
+    ("r_lj", "oracle"): lambda n, k, l, j: sum(
+        1
+        for parts in oracle.enumerate_partitions(n)
+        if len(set(parts)) == l and (not parts or min(parts) >= j)
+    ),
 }
 
-
-def _factor_value(function: str, method: str, fi: FactoredInt, k, l) -> int:
-    if method == "oracle":
-        return _oracle_factor_value(function, fi, k, l)
-    return _FACTOR_ROUTES[(function, method)](fi, k, l)
+_ROUTE_KEYS = (*_FACTOR_ROUTES, *_PARTITION_ROUTES)
+METHODS_FOR = {
+    function: tuple(m for f, m in _ROUTE_KEYS if f == function)
+    for function in dict.fromkeys(f for f, _ in _ROUTE_KEYS)
+}
+DEFAULT_METHOD = {function: methods[0] for function, methods in METHODS_FOR.items()}
+ALL_FUNCTIONS = tuple(METHODS_FOR)
+FACTOR_FUNCTIONS = tuple(dict.fromkeys(f for f, _ in _FACTOR_ROUTES))
+METHODS = tuple(dict.fromkeys(m for _, m in _ROUTE_KEYS))
 
 
 def evaluate(function: str, method: str, n: int, k=None, l=None, j=None) -> int:
     """Compute one value of one function by one method; n is a plain int."""
     if function in FACTOR_FUNCTIONS:
-        return _factor_value(function, method, factorize(n), k, l)
-    if method == "oracle":
-        return _oracle_partition_value(function, n, k, l, j)
+        return _FACTOR_ROUTES[(function, method)](factorize(n), k, l)
     return _PARTITION_ROUTES[(function, method)](n, k, l, j)
 
 
@@ -265,7 +229,7 @@ def cmd_compute(args) -> int:
             if fi is None:
                 value = evaluate(function, m, args.n, args.k, args.l, args.j)
             else:
-                value = _factor_value(function, m, fi, args.k, args.l)
+                value = _FACTOR_ROUTES[(function, m)](fi, args.k, args.l)
         except OracleLimitError as exc:
             if not args.all_methods:
                 raise
@@ -314,138 +278,85 @@ def cmd_bfile(args) -> int:
 
 # --------------------------------------------------------------------------
 # verify
-
-def _check(failures, checks, function, n, k, l, values: dict) -> int:
-    """Record one agreement check; values maps method name to value."""
-    if len(set(values.values())) > 1:
-        failures.append((function, n, k, l, values))
-    return checks + 1
-
+#
+# Each worker yields its checks as (function, n, k, l, values), values mapping
+# a method (or an identity's side) to its value; a check fails when the values
+# disagree.
 
 def _routes_worker(n: int, k_max: int):
-    failures: list = []
-    checks = 0
     fi = factorize(n)
-    top = min(fi.big_omega + 2, k_max)
-    for k in range(0, top + 1):
-        checks = _check(
-            failures, checks, "F_k", n, k, None,
-            {m: _FACTOR_ROUTES[("F_k", m)](fi, k, None)
-             for m in ("partition-sum", "fedorov", "recursion", "kappa-recursion")},
-        )
-        checks = _check(
-            failures, checks, "f_k", n, k, None,
-            {m: _FACTOR_ROUTES[("f_k", m)](fi, k, None)
-             for m in ("recursion", "kappa-recursion", "partition-sum", "fedorov")},
-        )
-        checks = _check(
-            failures, checks, "g_k", n, k, None,
-            {m: _FACTOR_ROUTES[("g_k", m)](fi, k, None)
-             for m in ("recursion", "kappa-recursion", "partition-sum")},
-        )
+
+    def check(function, k):
+        return (function, n, k, None,
+                {m: _FACTOR_ROUTES[(function, m)](fi, k, None)
+                 for m in METHODS_FOR[function] if m != "oracle"})
+
+    for k in range(0, min(fi.big_omega + 2, k_max) + 1):
+        yield check("F_k", k)
+        yield check("f_k", k)
+        yield check("g_k", k)
         if k >= 1:
-            checks = _check(
-                failures, checks, "G_k", n, k, None,
-                {m: _FACTOR_ROUTES[("G_k", m)](fi, k, None)
-                 for m in ("partition-sum", "recursion")},
-            )
-    checks = _check(
-        failures, checks, "f", n, None, None,
-        {m: _FACTOR_ROUTES[("f", m)](fi, None, None)
-         for m in ("recursion", "partition-sum", "kappa-recursion", "fedorov")},
-    )
-    checks = _check(
-        failures, checks, "g", n, None, None,
-        {m: _FACTOR_ROUTES[("g", m)](fi, None, None)
-         for m in ("recursion", "partition-sum", "kappa-recursion")},
-    )
-    return checks, failures
+            yield check("G_k", k)
+    yield check("f", None)
+    yield check("g", None)
 
 
 def _routes_partition_worker(n: int):
     # partition-side route agreement: two recursions for r_l, plus the
     # prime-power specializations of the factorization recursions
-    failures: list = []
-    checks = 0
     fi2 = prime_power(2, n)
     for l in range(0, 9):
-        checks = _check(
-            failures, checks, "r_l", n, None, l,
-            {
-                "recursion": partition_counts.r_l(n, l),
-                "parts-floor-recursion": partition_counts.r_lj(n, l, 1),
-                "prime-power": counting.h_l(fi2, l),
-            },
-        )
+        yield ("r_l", n, None, l, {
+            "recursion": partition_counts.r_l(n, l),
+            "parts-floor-recursion": partition_counts.r_lj(n, l, 1),
+            "prime-power": counting.h_l(fi2, l),
+        })
     for k in range(1, n + 1):
         for l in range(1, min(k, 8) + 1):
-            checks = _check(
-                failures, checks, "p_kl", n, k, l,
-                {
-                    "recursion": partition_counts.p_kl(n, k, l),
-                    "prime-power": counting.f_kl(fi2, k, l),
-                },
-            )
-    return checks, failures
+            yield ("p_kl", n, k, l, {
+                "recursion": partition_counts.p_kl(n, k, l),
+                "prime-power": counting.f_kl(fi2, k, l),
+            })
 
 
 def _oracle_worker(n: int):
-    failures: list = []
-    checks = 0
     fi = factorize(n)
     prof = oracle.profile(n)
-    om = fi.big_omega
-    checks = _check(failures, checks, "f", n, None, None,
-                    {"recursion": counting.f_total_rec(fi), "oracle": prof.f})
-    checks = _check(failures, checks, "g", n, None, None,
-                    {"recursion": counting.g_total_rec(fi), "oracle": prof.g})
-    for k in range(1, om + 3):
-        checks = _check(failures, checks, "f_k", n, k, None,
-                        {"recursion": counting.f_k_rec(fi, k),
-                         "oracle": prof.f_k.get(k, 0)})
-        checks = _check(failures, checks, "g_k", n, k, None,
-                        {"recursion": counting.g_k_rec(fi, k),
-                         "oracle": prof.g_k.get(k, 0)})
-        checks = _check(failures, checks, "F_k", n, k, None,
-                        {"partition-sum": counting.big_F(fi, k),
-                         "oracle": prof.F_k(k)})
-        checks = _check(failures, checks, "G_k", n, k, None,
-                        {"partition-sum": counting.big_G(fi, k),
-                         "oracle": prof.G_k(k)})
+
+    def check(function, k=None, l=None):
+        method = DEFAULT_METHOD[function]
+        return (function, n, k, l, {
+            method: _FACTOR_ROUTES[(function, method)](fi, k, l),
+            "oracle": _ORACLE_READS[function](prof, k, l),
+        })
+
+    yield check("f")
+    yield check("g")
+    for k in range(1, fi.big_omega + 3):
+        for function in ("f_k", "g_k", "F_k", "G_k"):
+            yield check(function, k)
         for l in range(1, k + 1):
-            checks = _check(failures, checks, "f_kl", n, k, l,
-                            {"recursion": counting.f_kl(fi, k, l),
-                             "oracle": prof.f_kl.get((k, l), 0)})
-    for l in range(1, om + 2):
-        checks = _check(failures, checks, "h_l", n, None, l,
-                        {"recursion": counting.h_l(fi, l),
-                         "oracle": prof.h_l.get(l, 0)})
-    return checks, failures
+            yield check("f_kl", k, l)
+    for l in range(1, fi.big_omega + 2):
+        yield check("h_l", l=l)
 
 
 def _oracle_partition_worker(n: int):
-    failures: list = []
-    checks = 0
     pp = oracle.partition_profile(n)
     for l in range(1, 9):
-        checks = _check(
-            failures, checks, "r_l", n, None, l,
-            {"recursion": partition_counts.r_l(n, l),
-             "oracle": sum(v for (_, ll), v in pp.items() if ll == l)},
-        )
+        yield ("r_l", n, None, l, {
+            "recursion": partition_counts.r_l(n, l),
+            "oracle": sum(v for (_, ll), v in pp.items() if ll == l),
+        })
     for k in range(1, n + 1):
         for l in range(1, min(k, 8) + 1):
-            checks = _check(
-                failures, checks, "p_kl", n, k, l,
-                {"recursion": partition_counts.p_kl(n, k, l),
-                 "oracle": pp.get((k, l), 0)},
-            )
-    return checks, failures
+            yield ("p_kl", n, k, l, {
+                "recursion": partition_counts.p_kl(n, k, l),
+                "oracle": pp.get((k, l), 0),
+            })
 
 
 def _identities_worker(n: int):
-    failures: list = []
-    checks = 0
     reports = [check_identity("bell-partition-sum", n),
                check_identity("choose2-plus-one", n)]
     for k in range(1, n + 1):
@@ -458,47 +369,34 @@ def _identities_worker(n: int):
         for k in range(1, n + 1):
             reports.append(check_identity("primorial-stirling", n, k))
     for rep in reports:
-        checks += 1
-        if not rep.passed:
-            failures.append((rep.identity, rep.n, rep.k, None,
-                             {"lhs": rep.lhs, "rhs": rep.rhs}))
-    return checks, failures
+        yield (rep.identity, rep.n, rep.k, None, {"lhs": rep.lhs, "rhs": rep.rhs})
 
 
-def _run_suite(suite: str, max_n: int, k_max: int, threads: int):
+def _run_suite(suite: str, max_n: int, k_max: int):
+    """Run one suite; return its number of checks and its failing checks."""
     if suite == "routes":
-        jobs = [(_routes_worker, (n, k_max)) for n in range(2, max_n + 1)]
-        jobs += [(_routes_partition_worker, (n,)) for n in range(1, min(max_n, 40) + 1)]
+        workers = [_routes_worker(n, k_max) for n in range(2, max_n + 1)]
+        workers += [_routes_partition_worker(n) for n in range(1, min(max_n, 40) + 1)]
     elif suite == "oracle":
-        jobs = [(_oracle_worker, (n,)) for n in range(2, max_n + 1)]
-        jobs += [(_oracle_partition_worker, (n,)) for n in range(1, min(max_n, 40) + 1)]
+        workers = [_oracle_worker(n) for n in range(2, max_n + 1)]
+        workers += [_oracle_partition_worker(n) for n in range(1, min(max_n, 40) + 1)]
     else:  # identities; bounds keep p(n) partition sums and primorials desk-scale
-        jobs = [(_identities_worker, (n,)) for n in range(1, min(max_n, 20) + 1)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: job[0](*job[1]), jobs))
-    else:
-        results = [fn(*fnargs) for fn, fnargs in jobs]
-    checks = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
+        workers = [_identities_worker(n) for n in range(1, min(max_n, 20) + 1)]
+    checks = 0
+    failures = []
+    for worker in workers:
+        for check in worker:
+            checks += 1
+            if len(set(check[4].values())) > 1:
+                failures.append(check)
     return checks, failures
 
 
 def cmd_verify(args) -> int:
-    env_threads = os.environ.get("MULTIFACT_THREADS")
-    if env_threads is not None:
-        source, threads = "MULTIFACT_THREADS", int(env_threads)
-    else:
-        source, threads = "--threads", args.threads
-    if threads < 1:
-        raise UsageError(f"{source} must be >= 1, got {threads}")
     selected = ("routes", "identities", "oracle") if args.suite == "all" else (args.suite,)
     first_failure = None
-    failed = 0
     for suite in selected:
-        checks, failures = _run_suite(suite, args.max, args.k_max, threads)
-        failed += len(failures)
+        checks, failures = _run_suite(suite, args.max, args.k_max)
         print(f"{suite}: {checks - len(failures)}/{checks} pass")
         if failures and first_failure is None:
             first_failure = failures[0]
@@ -609,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-max", type=int, default=64,
                           help="additional cap on the part-count index")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--threads", type=int, default=1,
-                          help="parallel workers; MULTIFACT_THREADS overrides")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time each method on one query")
@@ -619,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_indices(p_bench)
     p_bench.add_argument("--method", action="append", default=None,
                          help="method to time (repeatable; default: all applicable)")
-    p_bench.add_argument("--all-methods", action="store_true",
-                         help="time every applicable method (the default)")
     p_bench.add_argument("--repeat", type=int, default=3,
                          help="timing repetitions per method (cold caches each)")
     p_bench.set_defaults(handler=cmd_bench)

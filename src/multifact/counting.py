@@ -18,10 +18,14 @@ integer n / d**i.  The kappa routes anchor at the prime `pi` passed to the
 top-level call (default: the smallest prime of n); each recursive call
 anchors at its own smallest prime.  The routes share no formula: each applies
 its own weights and its own exact division.
+
+The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
+are built by one factory per route with a sign flag.  Each twin keeps its own
+public name, memo dict and IntegrityError message, and a recursion recurses
+through its own module-level name, one stack frame per level.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
@@ -45,17 +49,7 @@ from .partitions import (
     theta_sign,
 )
 
-METHODS = ("partition-sum", "recursion", "kappa-recursion", "fedorov", "oracle")
-FUNCTIONS = ("f", "g", "f_k", "g_k", "F_k", "G_k", "h_l", "f_kl")
-K_INDEXED = frozenset({"f_k", "g_k", "F_k", "G_k", "f_kl"})
-L_INDEXED = frozenset({"h_l", "f_kl"})
-
 __all__ = [
-    "FUNCTIONS",
-    "K_INDEXED",
-    "L_INDEXED",
-    "METHODS",
-    "CountQuery",
     "big_F",
     "big_G",
     "canonical",
@@ -78,24 +72,6 @@ __all__ = [
     "h_l",
     "reduction_table",
 ]
-
-
-@dataclass(frozen=True)
-class CountQuery:
-    """One counting request; index arity is validated against the function."""
-
-    function: str
-    n: FactoredInt
-    k: int | None = None
-    l: int | None = None
-
-    def __post_init__(self):
-        if self.function not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.function!r}")
-        if (self.k is not None) != (self.function in K_INDEXED):
-            raise ValueError(f"{self.function} takes k iff it is k-indexed")
-        if (self.l is not None) != (self.function in L_INDEXED):
-            raise ValueError(f"{self.function} takes l iff it is l-indexed")
 
 
 _F_SUM: dict = {}
@@ -139,65 +115,51 @@ def clear_caches() -> None:
 # --------------------------------------------------------------------------
 # partition-sum route
 
-def big_F(n: FactoredInt, k: int) -> BigCount:
-    """Factorizations of n into exactly k parts >= 1, via the partition sum.
+def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
+    """The partition-sum route `name`, memoized in `memo`: the sum over the
+    partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
+    with the sign theta(beta) when `signed`, divided once by k!.  That
+    division is always exact; a nonzero remainder raises
+    :class:`IntegrityError`."""
+    letter = name[-1]
 
-    Sums (k! / z_beta) * prod_j nu_beta(e_j) over the partitions beta of k in
-    integers, then divides once by k!; that division is always exact and a
-    nonzero remainder raises :class:`IntegrityError`.  F_0(n) = [n == 1];
-    F_k(1) = 1.
-    """
-    if k < 0:
-        return 0
-    key = (n.signature, k)
-    hit = _F_SUM.get(key)
-    if hit is not None:
-        return hit
-    powers = _exponent_counts(n)
-    total = 0
-    for beta, size, _ in _classes(k):
-        for e, mult in powers:
-            v = nu_beta(beta, e)
-            if not v:
-                break
-            size *= v**mult
-        else:
-            total += size
-    value, r = divmod(total, factorial(k))
-    if r:
-        raise IntegrityError(
-            f"F_{k}({n.value}) partition sum {total} not divisible by {k}!"
-        )
-    _F_SUM[key] = value
-    return value
+    def route(n: FactoredInt, k: int) -> BigCount:
+        if k < 0:
+            return 0
+        key = (n.signature, k)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        powers = _exponent_counts(n)
+        total = 0
+        for beta, size, sign in _classes(k):
+            for e, mult in powers:
+                v = nu_beta(beta, e)
+                if not v:
+                    break
+                size *= v**mult
+            else:
+                total += sign * size if signed else size
+        value, r = divmod(total, factorial(k))
+        if r:
+            raise IntegrityError(
+                f"{letter}_{k}({n.value}) partition sum {total} not divisible by {k}!"
+            )
+        memo[key] = value
+        return value
+
+    route.__name__ = route.__qualname__ = name
+    route.__doc__ = doc
+    return route
 
 
-def big_G(n: FactoredInt, k: int) -> BigCount:
-    """Factorizations of n into exactly k distinct parts >= 1; the partition
-    sum of :func:`big_F` with the sign theta(beta) on each term."""
-    if k < 0:
-        return 0
-    key = (n.signature, k)
-    hit = _G_SUM.get(key)
-    if hit is not None:
-        return hit
-    powers = _exponent_counts(n)
-    total = 0
-    for beta, size, sign in _classes(k):
-        for e, mult in powers:
-            v = nu_beta(beta, e)
-            if not v:
-                break
-            size *= v**mult
-        else:
-            total += sign * size
-    value, r = divmod(total, factorial(k))
-    if r:
-        raise IntegrityError(
-            f"G_{k}({n.value}) partition sum {total} not divisible by {k}!"
-        )
-    _G_SUM[key] = value
-    return value
+big_F = _partition_sum("big_F", _F_SUM, False, """Factorizations of n into
+    exactly k parts >= 1, via the partition sum.  F_0(n) = [n == 1];
+    F_k(1) = 1.""")
+
+big_G = _partition_sum("big_G", _G_SUM, True, """Factorizations of n into
+    exactly k distinct parts >= 1; the partition sum of :func:`big_F` with the
+    sign theta(beta) on each term.""")
 
 
 def fedorov_F(n: FactoredInt, k: int) -> BigCount:
@@ -284,57 +246,55 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
 # --------------------------------------------------------------------------
 # divisor recursions
 
-def f_k_rec(n: FactoredInt, k: int) -> BigCount:
-    """Factorizations into exactly k parts >= 2, via the divisor-power recursion
-    k * f_k(n) = sum over d**i | n, d >= 2 of f_{k-i}(n / d**i)."""
-    if k < 0:
-        return 0
-    if n.value == 1:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n.big_omega:
-        return 0
-    key = (n.signature, k)
-    hit = _FK_REC.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for i, rest, rest_omega, count, _ in reduction_table(n.signature):
-        if i > k:
-            break
-        if k - i <= rest_omega:
-            total += count * f_k_rec(rest, k - i)
-    q, r = divmod(total, k)
-    if r:
-        raise IntegrityError(f"f_{k}({n.value}) recursion sum {total} not divisible by {k}")
-    _FK_REC[key] = q
-    return q
+def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
+    """The divisor-power recursion `name`, memoized in `memo`:
+
+    k * x_k(n) = sum over d**i | n, d >= 2 of s_i * x_{k-i}(n / d**i),
+
+    with s_i = 1, or (-1)**(i+1) when `signed`.  The route recurses through
+    the module-level `name`, one stack frame per level, so a wrapper put in
+    its place sees every call."""
+    letter = name[0]
+
+    def route(n: FactoredInt, k: int) -> BigCount:
+        if k < 0:
+            return 0
+        if n.value == 1:
+            return 1 if k == 0 else 0
+        if k == 0 or k > n.big_omega:
+            return 0
+        key = (n.signature, k)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        recurse = globals()[name]
+        total = 0
+        for i, rest, rest_omega, count, _ in reduction_table(n.signature):
+            if i > k:
+                break
+            if k - i <= rest_omega:
+                weight = -count if signed and not i & 1 else count
+                total += weight * recurse(rest, k - i)
+        q, r = divmod(total, k)
+        if r:
+            raise IntegrityError(
+                f"{letter}_{k}({n.value}) recursion sum {total} not divisible by {k}"
+            )
+        memo[key] = q
+        return q
+
+    route.__name__ = route.__qualname__ = name
+    route.__doc__ = doc
+    return route
 
 
-def g_k_rec(n: FactoredInt, k: int) -> BigCount:
-    """Factorizations into exactly k distinct parts >= 2; alternating recursion
-    with sign (-1)**(i+1) on the d**i term."""
-    if k < 0:
-        return 0
-    if n.value == 1:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n.big_omega:
-        return 0
-    key = (n.signature, k)
-    hit = _GK_REC.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for i, rest, rest_omega, count, _ in reduction_table(n.signature):
-        if i > k:
-            break
-        if k - i <= rest_omega:
-            sub = count * g_k_rec(rest, k - i)
-            total += sub if i & 1 else -sub
-    q, r = divmod(total, k)
-    if r:
-        raise IntegrityError(f"g_{k}({n.value}) recursion sum {total} not divisible by {k}")
-    _GK_REC[key] = q
-    return q
+f_k_rec = _divisor_recursion("f_k_rec", _FK_REC, False, """Factorizations into
+    exactly k parts >= 2, via the divisor-power recursion
+    k * f_k(n) = sum over d**i | n, d >= 2 of f_{k-i}(n / d**i).""")
+
+g_k_rec = _divisor_recursion("g_k_rec", _GK_REC, True, """Factorizations into
+    exactly k distinct parts >= 2; alternating recursion with sign
+    (-1)**(i+1) on the d**i term.""")
 
 
 # --------------------------------------------------------------------------
@@ -361,63 +321,54 @@ def _anchor(n: FactoredInt, pi: int | None) -> tuple[int, int]:
     return n.signature.index(kap_n), kap_n
 
 
-def f_k_kappa(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
-    """f_k via kappa_pi(n) * f_k(n) = sum f_{k-i}(n/d**i) * kappa_pi(d)."""
-    if k < 0:
-        return 0
-    if n.value == 1:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n.big_omega:
-        return 0
-    key = (n.signature, k)
-    hit = _FK_KAP.get(key)
-    if hit is not None:
-        return hit
-    col, kap_n = _anchor(n, pi)
-    total = 0
-    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
-        if i > k:
-            break
-        kap_d = weights[col]
-        if kap_d and k - i <= rest_omega:
-            total += kap_d * f_k_kappa(rest, k - i)
-    q, r = divmod(total, kap_n)
-    if r:
-        raise IntegrityError(
-            f"f_{k}({n.value}) kappa sum {total} not divisible by {kap_n}"
-        )
-    _FK_KAP[key] = q
-    return q
+def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
+    """The kappa recursion `name`, memoized in `memo`:
+
+    kappa_pi(n) * x_k(n) = sum over d**i | n of s_i * x_{k-i}(n / d**i) * kappa_pi(d),
+
+    with s_i as in :func:`_divisor_recursion`.  Like it, the route recurses
+    through the module-level `name`, one stack frame per level."""
+    letter = name[0]
+
+    def route(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
+        if k < 0:
+            return 0
+        if n.value == 1:
+            return 1 if k == 0 else 0
+        if k == 0 or k > n.big_omega:
+            return 0
+        key = (n.signature, k)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        col, kap_n = _anchor(n, pi)
+        recurse = globals()[name]
+        total = 0
+        for i, rest, rest_omega, _, weights in reduction_table(n.signature):
+            if i > k:
+                break
+            kap_d = weights[col]
+            if kap_d and k - i <= rest_omega:
+                weight = -kap_d if signed and not i & 1 else kap_d
+                total += weight * recurse(rest, k - i)
+        q, r = divmod(total, kap_n)
+        if r:
+            raise IntegrityError(
+                f"{letter}_{k}({n.value}) kappa sum {total} not divisible by {kap_n}"
+            )
+        memo[key] = q
+        return q
+
+    route.__name__ = route.__qualname__ = name
+    route.__doc__ = doc
+    return route
 
 
-def g_k_kappa(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
-    """g_k via the signed kappa recursion."""
-    if k < 0:
-        return 0
-    if n.value == 1:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n.big_omega:
-        return 0
-    key = (n.signature, k)
-    hit = _GK_KAP.get(key)
-    if hit is not None:
-        return hit
-    col, kap_n = _anchor(n, pi)
-    total = 0
-    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
-        if i > k:
-            break
-        kap_d = weights[col]
-        if kap_d and k - i <= rest_omega:
-            sub = kap_d * g_k_kappa(rest, k - i)
-            total += sub if i & 1 else -sub
-    q, r = divmod(total, kap_n)
-    if r:
-        raise IntegrityError(
-            f"g_{k}({n.value}) kappa sum {total} not divisible by {kap_n}"
-        )
-    _GK_KAP[key] = q
-    return q
+f_k_kappa = _kappa_recursion("f_k_kappa", _FK_KAP, False, """f_k via
+    kappa_pi(n) * f_k(n) = sum f_{k-i}(n/d**i) * kappa_pi(d).""")
+
+g_k_kappa = _kappa_recursion("g_k_kappa", _GK_KAP, True, """g_k via the signed
+    kappa recursion.""")
 
 
 def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:

@@ -99,7 +99,7 @@ class OracleProfile:
 
     def F_k(self, k: int) -> BigCount:
         """Factorizations with exactly k parts >= 1 (pad with 1s)."""
-        return sum(self.f_k.get(i, 0) for i in range(1, k + 1))
+        return sum(self.f_k.get(i, 0) for i in range(k + 1))
 
     def G_k(self, k: int) -> BigCount:
         """Factorizations with exactly k distinct parts >= 1."""
@@ -114,7 +114,8 @@ def profile(n: int, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> OracleProfil
     g_k: Counter = Counter()
     f_kl: Counter = Counter()
     h_l: Counter = Counter()
-    for parts in enumerate_factorizations(n, 2, max_count):
+    # the unit has one factorization, the empty one
+    for parts in enumerate_factorizations(n, 2, max_count) if n != 1 else [()]:
         k = len(parts)
         l = len(set(parts))
         f += 1

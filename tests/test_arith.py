@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from multifact.arith import (
     FactoredInt,
     binomial,
-    divisor_power_pairs,
     divisor_power_reductions,
     factorize,
     first_primes,
@@ -17,7 +16,6 @@ from multifact.arith import (
     prime_power,
     prime_signature,
     primorial,
-    smallest_prime_factor,
 )
 
 
@@ -84,19 +82,24 @@ def test_primorial_signature_all_ones():
         assert prime_signature(primorial(n)) == (1,) * n
 
 
+def _pairs(fi):
+    """The (d, i) of every divisor power d**i, as divisor_power_reductions lists them."""
+    return [(d, i) for d, i, _ in divisor_power_reductions(fi)]
+
+
 def test_divisor_power_pairs_known():
-    assert divisor_power_pairs(factorize(12)) == [
+    assert _pairs(factorize(12)) == [
         (2, 1), (2, 2), (3, 1), (4, 1), (6, 1), (12, 1),
     ]
-    assert divisor_power_pairs(factorize(8)) == [
+    assert _pairs(factorize(8)) == [
         (2, 1), (2, 2), (2, 3), (4, 1), (8, 1),
     ]
-    assert divisor_power_pairs(factorize(97)) == [(97, 1)]
+    assert _pairs(factorize(97)) == [(97, 1)]
 
 
 def test_divisor_power_pairs_rejects_unit():
     with pytest.raises(ValueError):
-        divisor_power_pairs(factorize(1))
+        _pairs(factorize(1))
 
 
 def _brute_pairs(n):
@@ -113,19 +116,17 @@ def _brute_pairs(n):
 
 @pytest.mark.parametrize("n", [2, 6, 12, 36, 64, 97, 360, 1024, 1800])
 def test_divisor_power_pairs_match_brute_scan(n):
-    assert divisor_power_pairs(factorize(n)) == _brute_pairs(n)
+    assert _pairs(factorize(n)) == _brute_pairs(n)
 
 
 def test_divisor_power_pairs_exhaustive_small_range():
     for n in range(2, 2001):
-        assert divisor_power_pairs(factorize(n)) == _brute_pairs(n)
+        assert _pairs(factorize(n)) == _brute_pairs(n)
 
 
 def test_divisor_power_reductions_consistent():
     fi = factorize(360)
-    reductions = divisor_power_reductions(fi)
-    assert [(d, i) for d, i, _ in reductions] == divisor_power_pairs(fi)
-    for d, i, rest in reductions:
+    for d, i, rest in divisor_power_reductions(fi):
         assert rest.value * d**i == 360
         assert rest.factors == factorize(rest.value).factors
 
@@ -142,21 +143,6 @@ def test_binomial():
     assert binomial(3, 5) == 0
     assert binomial(0, 0) == 1
     assert binomial(5, -1) == 0
-
-
-def test_smallest_prime_factor():
-    assert smallest_prime_factor(36) == 2
-    assert smallest_prime_factor(75) == 3
-    assert smallest_prime_factor(97) == 97
-    with pytest.raises(ValueError):
-        smallest_prime_factor(1)
-
-
-@given(st.integers(min_value=2, max_value=10**6))
-def test_smallest_prime_factor_divides_and_is_minimal(n):
-    p = smallest_prime_factor(n)
-    assert n % p == 0
-    assert all(n % d for d in range(2, min(p, isqrt(n) + 1)))
 
 
 def test_first_primes_match_trial_division():

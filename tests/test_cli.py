@@ -29,6 +29,13 @@ def test_compute_F_k_at_unit(capsys):
     code, out, _ = run(capsys, "compute", "F_k", "1", "--k", "5")
     assert code == 0
     assert out == "1\n"
+    # the oracle classifies the unit's empty factorization like every route
+    for function in cli.FACTOR_FUNCTIONS:
+        for k in range(4) if "k" in cli.NEEDS[function] else (None,):
+            for l in range(4) if "l" in cli.NEEDS[function] else (None,):
+                assert cli.evaluate(function, "oracle", 1, k, l) == cli.evaluate(
+                    function, cli.DEFAULT_METHOD[function], 1, k, l
+                ), (function, k, l)
 
 
 def test_compute_all_methods_text(capsys):
@@ -142,16 +149,16 @@ def test_verify_identities_suite(capsys):
     assert code == 0
 
 
-def test_verify_all_with_threads(capsys):
-    code, out, _ = run(capsys, "verify", "--max", "30", "--threads", "2")
-    assert code == 0
-    assert out.count(" pass") == 3
-
-
-def test_verify_env_thread_override(capsys, monkeypatch):
-    monkeypatch.setenv("MULTIFACT_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "--max", "20", "--suite", "routes")
-    assert code == 0
+def test_verify_check_counts_are_pinned(capsys):
+    # the number of checks each suite makes, so a sweep that silently drops
+    # or adds a check is caught
+    code, out, err = run(capsys, "verify", "--max", "60")
+    assert (code, err) == (0, "")
+    assert out == (
+        "routes: 7155/7155 pass\n"
+        "identities: 537/537 pass\n"
+        "oracle: 7825/7825 pass\n"
+    )
 
 
 def test_verify_reports_counterexample_on_failure(capsys, monkeypatch):
@@ -288,17 +295,16 @@ def test_negative_indices_exit_2(capsys, argv):
     assert err.count("\n") == 1 and "must be >= 0" in err
 
 
+@pytest.mark.parametrize("n", [str(10**14 + 1), str(10**40)])
+def test_n_above_max_n_exits_2(capsys, n):
+    code, out, err = run(capsys, "compute", "f", n)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "n <= 100000000000000" in err
+
+
 def test_zero_indices_are_accepted(capsys):
     assert run(capsys, "compute", "f_k", "36", "--k", "0")[:2] == (0, "0\n")
     assert run(capsys, "compute", "h_l", "1", "--l", "0")[:2] == (0, "1\n")
-
-
-def test_verify_rejects_nonpositive_threads(capsys, monkeypatch):
-    code, out, err = run(capsys, "verify", "--max", "5", "--threads", "0")
-    assert code == 2 and out == "" and "--threads must be >= 1" in err
-    monkeypatch.setenv("MULTIFACT_THREADS", "-2")
-    code, out, err = run(capsys, "verify", "--max", "5")
-    assert code == 2 and out == "" and "MULTIFACT_THREADS must be >= 1" in err
 
 
 def test_usage_errors_exit_2(capsys):

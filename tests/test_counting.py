@@ -1,5 +1,7 @@
 """Tests for the factorization-counting routes and their agreement."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -18,7 +20,6 @@ from multifact.arith import (
     prime_signature,
 )
 from multifact.counting import (
-    CountQuery,
     big_F,
     big_G,
     canonical,
@@ -193,6 +194,22 @@ def test_kappa_anchor_changes_the_weights_not_the_values():
         )
         assert values == expected, pi
     counting.clear_caches()
+
+
+@pytest.mark.parametrize("route, expected", [
+    (f_k_rec, 1), (g_k_rec, 0), (f_k_kappa, 1), (g_k_kappa, 0),
+])
+def test_recursions_take_one_frame_per_level(route, expected):
+    # 2**200 at k = 200 recurses 200 levels deep; 250 frames of headroom
+    # suffice only if each level costs one frame
+    counting.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 250)
+    try:
+        assert route(prime_power(2, 200), 200) == expected
+    finally:
+        sys.setrecursionlimit(limit)
+        counting.clear_caches()
 
 
 def test_kappa_anchor_must_divide_n():
@@ -394,20 +411,6 @@ def test_f_kl_on_prime_powers():
     for k in range(1, 7):
         for l in range(1, k + 1):
             assert f_kl(fi, k, l) == pp.get((k, l), 0)
-
-
-def test_count_query_validation():
-    CountQuery("f_k", FI36, k=2)
-    CountQuery("f", FI36)
-    CountQuery("f_kl", FI36, k=2, l=1)
-    with pytest.raises(ValueError):
-        CountQuery("f", FI36, k=2)
-    with pytest.raises(ValueError):
-        CountQuery("f_k", FI36)
-    with pytest.raises(ValueError):
-        CountQuery("h_l", FI36, k=1, l=1)
-    with pytest.raises(ValueError):
-        CountQuery("nope", FI36)
 
 
 # ---------------------------------------------------------------- signature sweep
