@@ -154,7 +154,7 @@ _PARTITION_ROUTES = {
     ("r_lj", "oracle"): lambda n, k, l, j: sum(
         1
         for parts in oracle.enumerate_partitions(n)
-        if len(set(parts)) == l and (not parts or min(parts) >= j)
+        if (not parts or parts[-1] >= j) and len(set(parts)) == l
     ),
 }
 

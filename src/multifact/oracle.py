@@ -3,6 +3,14 @@
 Deliberately naive and kept independent of the formula and recursion modules:
 everything here works from first principles (divisor scans, part-by-part
 descent) so that agreement with the fast routes is meaningful evidence.
+
+Two cuts keep the enumeration to the work whose result it uses, and neither
+outlives a call.  Each call of :func:`enumerate_factorizations` scans the
+divisors of a cofactor at most once, in a dict local to that call; every
+cofactor divides n, so that is at most one trial-division scan per divisor
+of n.  And the descent stops at the first least part d with d * d > m: the
+cofactor m // d is then smaller than d, so no nondecreasing completion
+exists, and (m,) itself is yielded last.
 """
 
 from collections import Counter
@@ -45,16 +53,21 @@ def _sorted_divisors(n: int) -> list[int]:
     return small + large
 
 
-def _descend(m: int, lo: int):
-    # nondecreasing parts: commit the least part first, then recurse
-    for d in _sorted_divisors(m):
+def _descend(m: int, lo: int, divisors: dict[int, list[int]]):
+    # nondecreasing parts: commit the least part d first, then recurse on the
+    # cofactor m // d; a d past sqrt(m) leaves a cofactor below d, so stop
+    # there and close with the one-part factorization (m,)
+    if m not in divisors:
+        divisors[m] = _sorted_divisors(m)
+    for d in divisors[m]:
         if d < lo:
             continue
-        if d == m:
-            yield (d,)
-        else:
-            for rest in _descend(m // d, d):
-                yield (d, *rest)
+        if d * d > m:
+            break
+        for rest in _descend(m // d, d, divisors):
+            yield (d, *rest)
+    if m >= lo:
+        yield (m,)
 
 
 def enumerate_factorizations(
@@ -71,7 +84,7 @@ def enumerate_factorizations(
     if min_part < 2:
         raise ValueError(f"min_part must be >= 2, got {min_part}")
     count = 0
-    for parts in _descend(n, min_part):
+    for parts in _descend(n, min_part, {}):
         count += 1
         if count > max_count:
             raise OracleLimitError(
@@ -108,24 +121,18 @@ class OracleProfile:
 
 def profile(n: int, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> OracleProfile:
     """Enumerate all factorizations of n and classify them into every counter."""
-    f = 0
-    g = 0
-    f_k: Counter = Counter()
-    g_k: Counter = Counter()
-    f_kl: Counter = Counter()
-    h_l: Counter = Counter()
     # the unit has one factorization, the empty one
-    for parts in enumerate_factorizations(n, 2, max_count) if n != 1 else [()]:
-        k = len(parts)
-        l = len(set(parts))
-        f += 1
-        f_k[k] += 1
-        f_kl[(k, l)] += 1
-        h_l[l] += 1
-        if k == l:
-            g += 1
-            g_k[k] += 1
-    return OracleProfile(n, f, g, dict(f_k), dict(g_k), dict(f_kl), dict(h_l))
+    items = enumerate_factorizations(n, 2, max_count) if n != 1 else [()]
+    f_kl = Counter((len(parts), len(set(parts))) for parts in items)
+    f_k: Counter = Counter()
+    h_l: Counter = Counter()
+    for (k, l), count in f_kl.items():
+        f_k[k] += count
+        h_l[l] += count
+    g_k = {k: count for (k, l), count in f_kl.items() if k == l}
+    return OracleProfile(
+        n, sum(f_kl.values()), sum(g_k.values()), dict(f_k), g_k, dict(f_kl), dict(h_l)
+    )
 
 
 def enumerate_partitions(n: int):
@@ -163,10 +170,7 @@ def enumerate_partitions(n: int):
 
 def partition_profile(n: int) -> dict[tuple[int, int], BigCount]:
     """Partition counts of n keyed by (number of parts, distinct part values)."""
-    counts: Counter = Counter()
-    for parts in enumerate_partitions(n):
-        counts[(len(parts), len(set(parts)))] += 1
-    return dict(counts)
+    return dict(Counter((len(parts), len(set(parts))) for parts in enumerate_partitions(n)))
 
 
 def colored_partition_count(beta, m: int) -> BigCount:

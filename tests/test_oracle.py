@@ -46,8 +46,12 @@ def test_enumerate_rejects_unit():
 
 
 def test_enumerate_respects_budget():
-    with pytest.raises(OracleLimitError):
-        list(enumerate_factorizations(36, max_count=5))
+    # exactly max_count items come out; the next pull raises
+    items = enumerate_factorizations(36, max_count=5)
+    handed = [next(items) for _ in range(5)]
+    assert len(set(handed)) == 5 and set(handed) <= FACTORIZATIONS_36
+    with pytest.raises(OracleLimitError, match="more than 5 factorizations of 36"):
+        next(items)
 
 
 def test_enumerate_min_part():

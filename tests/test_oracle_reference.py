@@ -1,0 +1,141 @@
+"""Pin the oracle's output to its earlier, unpruned code.
+
+The references below are the oracle's enumeration and classification as
+they stood before the per-call divisor table and the d * d > m cut: a fresh
+divisor scan at every node, every divisor tried as the least part, and one
+counter update per item.  The oracle must yield the same tuples in the same
+order and classify them into the same counts.
+"""
+
+from collections import Counter
+from math import isqrt
+
+import pytest
+
+from multifact import cli, oracle
+from multifact.oracle import (
+    enumerate_factorizations,
+    enumerate_partitions,
+    partition_profile,
+    profile,
+)
+
+
+def reference_sorted_divisors(n):
+    small = []
+    large = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    large.reverse()
+    return small + large
+
+
+def reference_descend(m, lo):
+    # nondecreasing parts: commit the least part first, then recurse
+    for d in reference_sorted_divisors(m):
+        if d < lo:
+            continue
+        if d == m:
+            yield (d,)
+        else:
+            for rest in reference_descend(m // d, d):
+                yield (d, *rest)
+
+
+def reference_profile(n):
+    f = 0
+    g = 0
+    f_k = Counter()
+    g_k = Counter()
+    f_kl = Counter()
+    h_l = Counter()
+    for parts in reference_descend(n, 2) if n != 1 else [()]:
+        k = len(parts)
+        l = len(set(parts))
+        f += 1
+        f_k[k] += 1
+        f_kl[(k, l)] += 1
+        h_l[l] += 1
+        if k == l:
+            g += 1
+            g_k[k] += 1
+    return f, g, dict(f_k), dict(g_k), dict(f_kl), dict(h_l)
+
+
+def reference_partition_profile(n):
+    counts = Counter()
+    for parts in enumerate_partitions(n):
+        counts[(len(parts), len(set(parts)))] += 1
+    return dict(counts)
+
+
+HIGHLY_COMPOSITE = (720720, 1081080, 1441440)
+
+
+def test_order_matches_reference_small_n():
+    for n in range(2, 3001):
+        assert list(enumerate_factorizations(n, 2)) == list(reference_descend(n, 2)), n
+
+
+@pytest.mark.parametrize("n", HIGHLY_COMPOSITE)
+def test_order_matches_reference_highly_composite(n):
+    assert list(enumerate_factorizations(n, 2)) == list(reference_descend(n, 2))
+
+
+@pytest.mark.parametrize("min_part", [3, 4, 7, 10**6])
+def test_order_matches_reference_min_part(min_part):
+    n = 720720
+    assert list(enumerate_factorizations(n, min_part)) == list(reference_descend(n, min_part))
+
+
+def profile_fields(prof):
+    return prof.f, prof.g, prof.f_k, prof.g_k, prof.f_kl, prof.h_l
+
+
+def test_profile_matches_reference():
+    for n in [1, *range(2, 3001), 1441440]:
+        assert profile_fields(profile(n)) == reference_profile(n), n
+
+
+def test_partition_profile_matches_reference():
+    for n in range(0, 41):
+        assert partition_profile(n) == reference_partition_profile(n), n
+
+
+def test_r_lj_oracle_route_matches_min_filter():
+    route = cli._PARTITION_ROUTES[("r_lj", "oracle")]
+    for n in range(0, 31):
+        partitions = list(enumerate_partitions(n))
+        for l in range(0, 5):
+            for j in range(0, 5):
+                expected = sum(
+                    1 for parts in partitions
+                    if len(set(parts)) == l and (not parts or min(parts) >= j)
+                )
+                assert route(n, None, l, j) == expected, (n, l, j)
+
+
+def test_one_divisor_scan_per_cofactor_per_call(monkeypatch):
+    n = 720720
+    tau = len(reference_sorted_divisors(n))
+    assert tau == 240
+    scans = []
+    scan = oracle._sorted_divisors
+
+    def counted(m):
+        scans.append(m)
+        return scan(m)
+
+    monkeypatch.setattr(oracle, "_sorted_divisors", counted)
+    for _ in enumerate_factorizations(n):
+        pass
+    first = len(scans)
+    assert 0 < first <= tau
+    assert len(set(scans)) == first
+    # nothing carries over: a second call scans the same cofactors again
+    for _ in enumerate_factorizations(n):
+        pass
+    assert len(scans) == 2 * first
