@@ -10,7 +10,6 @@ with one checked division at the end.
 
 from .arith import (
     BigCount,
-    ExactRational,
     FactoredInt,
     IntegrityError,
     factorize,
@@ -36,7 +35,6 @@ from .partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
 from .partitions import (
     compositions_of,
     euler_transform,
-    h_weight,
     mu_beta,
     partitions_of,
 )
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigCount",
-    "ExactRational",
     "FactoredInt",
     "IntegrityError",
     "__version__",
@@ -67,7 +64,6 @@ __all__ = [
     "g_k_rec",
     "g_total",
     "h_l",
-    "h_weight",
     "mu_beta",
     "p_kl",
     "partitions_of",

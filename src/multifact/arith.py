@@ -4,18 +4,14 @@ scalar types shared by every counting routine.
 Counting values are plain Python ints, arbitrary precision from the start
 (Bell-number growth overflows 64 bits near n = 25).  The partition-sum and
 composition-sum routes also run in ints: each weight is scaled by k! and the
-total is divided by k! once, at the end.  ``ExactRational``
-(``fractions.Fraction``, always in lowest terms with a positive denominator)
-is the type of the unscaled weights that the partitions module exposes.
+total is divided by k! once, at the end.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import compress, product
-from math import comb, isqrt
+from itertools import compress
+from math import isqrt
 
 BigCount = int
-ExactRational = Fraction
 
 # The largest n that factorize accepts.  Its sieve grows to isqrt(n) + 1
 # bytes, at most doubling what it held, so it stays under 2 * 10**7 + 2 bytes.
@@ -23,12 +19,9 @@ MAX_N = 10**14
 
 __all__ = [
     "BigCount",
-    "ExactRational",
     "FactoredInt",
     "IntegrityError",
     "MAX_N",
-    "binomial",
-    "divisor_power_reductions",
     "factorize",
     "first_primes",
     "kappa",
@@ -178,36 +171,6 @@ def primorial(n: int) -> FactoredInt:
     return FactoredInt(value, tuple((p, 1) for p in chosen))
 
 
-def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
-    """All triples (d, i, n / d**i) with d >= 2, i >= 1 and d**i dividing n,
-    n / d**i factored, sorted by d, then i.
-
-    Materialized from the exponent lattice rather than a 2..n scan, so the
-    cost is proportional to the divisor count.  The counting core groups the
-    same pairs by signature (``counting.reduction_table``); this is the
-    reference that the tests check it against.
-    """
-    if fi.value == 1:
-        raise ValueError("the unit 1 has no divisors >= 2")
-    out = []
-    for vec in product(*(range(e + 1) for _, e in fi.factors)):
-        if not any(vec):
-            continue
-        d = 1
-        for (p, _), c in zip(fi.factors, vec):
-            d *= p**c
-        i_max = min(e // c for (_, e), c in zip(fi.factors, vec) if c)
-        value = fi.value
-        for i in range(1, i_max + 1):
-            value //= d
-            reduced = tuple(
-                (p, e - i * c) for (p, e), c in zip(fi.factors, vec) if e - i * c
-            )
-            out.append((d, i, FactoredInt(value, reduced)))
-    out.sort(key=lambda entry: (entry[0], entry[1]))
-    return out
-
-
 def kappa(pi: int, n: int) -> int:
     """Largest m such that pi**m divides n (pi prime, n >= 1)."""
     if n < 1:
@@ -217,11 +180,3 @@ def kappa(pi: int, n: int) -> int:
         n //= pi
         m += 1
     return m
-
-
-def binomial(n: int, k: int) -> BigCount:
-    """Binomial coefficient, 0 whenever k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-

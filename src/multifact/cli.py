@@ -539,6 +539,12 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the partition recursions take one stack frame per level
+        n = f"n={args.n}" if hasattr(args, "n") else f"n<={args.max}"
+        print(f"error: {getattr(args, 'function', args.command)} {n}: recursion "
+              "too deep for the interpreter stack", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,13 +28,12 @@ through its own module-level name, one stack frame per level.
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .arith import (
     BigCount,
     FactoredInt,
     IntegrityError,
-    binomial,
     first_primes,
     kappa,
 )
@@ -402,7 +401,7 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
         for j in range(1, min(l, i) + 1):
             sub = f_kl(rest, k - i, l - j)
             if sub:
-                term = binomial(i, j) * sub * kap_d
+                term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term
     q, r = divmod(total, kap_n)
     if r:
@@ -436,7 +435,7 @@ def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
         for j in range(max(1, l - rest_omega), min(l, i) + 1):
             sub = h_l(rest, l - j)
             if sub:
-                term = binomial(i, j) * sub * kap_d
+                term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term
     q, r = divmod(total, kap_n)
     if r:

@@ -6,13 +6,14 @@ numbers of the second kind, Bell numbers, and exact identities tying all of
 these to partition sums and primorial evaluations.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .arith import BigCount, IntegrityError, primorial
 from .counting import f_k_rec, f_total
-from .partitions import h_weight, multiplicity_vector, partitions_of, theta_sign
+from .partitions import (centralizer_order, compositions_of, multiplicity_vector,
+                         partitions_of, prefix_product, theta_sign)
 
 IDENTITIES = (
     "stirling-partial-sum",
@@ -188,20 +189,24 @@ def bell(n: int) -> BigCount:
 
 
 def _weighted_power_sum(k: int, n: int, signed: bool) -> BigCount:
-    """sum over partitions of k of (+-) h(beta) * beta_1**n, asserted integral."""
-    total = Fraction(0)
+    """sum over partitions of k of (+-) beta_1**n / z_beta, asserted integral.
+
+    Sums the class sizes k!/z_beta times beta_1**n and divides by k! once.
+    z_beta comes from :func:`centralizer_order`, not from the class table that
+    the partition-sum route reads, so the identities stay independent of it.
+    """
+    k_fact = factorial(k)
+    total = 0
     for p in partitions_of(k):
         beta = multiplicity_vector(p)
-        b1 = beta[0] if beta else 0
-        if b1 == 0:
-            continue
-        term = h_weight(beta) * b1**n
-        if signed:
-            term *= theta_sign(beta)
-        total += term
-    if total.denominator != 1:
-        raise IntegrityError(f"partition power sum (k={k}, n={n}) non-integral: {total}")
-    return int(total)
+        term = k_fact // centralizer_order(beta) * (beta[0] if beta else 0) ** n
+        total += theta_sign(beta) * term if signed else term
+    q, r = divmod(total, k_fact)
+    if r:
+        raise IntegrityError(
+            f"partition power sum (k={k}, n={n}) {total} not divisible by {k_fact}"
+        )
+    return q
 
 
 def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
@@ -213,8 +218,9 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
     - ``bell-partition-sum``: B_n  ==  partition power sum over n
     - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  signed power sum over k
     - ``choose2-plus-one``: C(n, 2) + 1  ==  signed power sum over n
-    - ``composition-aggregate``: per-multiplicity-vector composition sums match
-      the partition weights for index n; lhs counts matches, rhs counts vectors
+    - ``composition-aggregate``: per multiplicity vector beta of n, the weights
+      n! / prod(prefix sums) of its compositions sum to the class size
+      n! / z_beta; lhs counts the vectors that match, rhs = p(n)
     - ``primorial-stirling``: k-part factorization count of the n-th primorial
       equals S(n, k)
     - ``primorial-bell``: factorization count of the n-th primorial equals B_n
@@ -242,11 +248,12 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
         lhs = comb(n, 2) + 1
         rhs = _weighted_power_sum(n, n, signed=True)
     elif identity == "composition-aggregate":
-        # avoid a rational-valued report: count the vectors that match
-        from .partitions import aggregate_fedorov
-
+        n_fact = factorial(n)
+        sums = Counter()
+        for comp in compositions_of(n):
+            sums[multiplicity_vector(comp)] += n_fact // prefix_product(comp)
         betas = [multiplicity_vector(p) for p in partitions_of(n)]
-        lhs = sum(1 for b in betas if aggregate_fedorov(n, b) == h_weight(b))
+        lhs = sum(1 for b in betas if sums[b] == n_fact // centralizer_order(b))
         rhs = len(betas)
     elif identity == "primorial-stirling":
         lhs = f_k_rec(primorial(n), k)

@@ -1,17 +1,16 @@
 """Partition and composition combinatorics of the part-count index k.
 
 Provides the iterators over partitions and compositions, the weights attached
-to them (as exact rationals, and as the integer denominators z_beta and prefix
-products that the counting routes divide k! by), the sign exponent, and the
-Euler transform of a multiplicity vector together with its multiplicative
-extension to factored integers.
+to them (as the integer denominators z_beta and prefix products that the
+counting routes divide k! by), the sign exponent, and the Euler transform of
+a multiplicity vector together with its multiplicative extension to factored
+integers.
 """
 
-from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .arith import BigCount, ExactRational, FactoredInt, IntegrityError
+from .arith import BigCount, FactoredInt, IntegrityError
 
 Partition = tuple[int, ...]
 MultiplicityVector = tuple[int, ...]
@@ -21,14 +20,10 @@ __all__ = [
     "Composition",
     "MultiplicityVector",
     "Partition",
-    "aggregate_fedorov",
     "centralizer_order",
     "clear_caches",
     "compositions_of",
     "euler_transform",
-    "fedorov_weight",
-    "gamma",
-    "h_weight",
     "mu_beta",
     "multiplicity_vector",
     "nu_beta",
@@ -106,15 +101,6 @@ def centralizer_order(beta) -> BigCount:
     return z
 
 
-def h_weight(beta) -> ExactRational:
-    """Weight 1 / z_beta of a multiplicity vector (see :func:`centralizer_order`).
-
-    This is 1/k! times the number of permutations of k objects whose cycle
-    type is beta; the empty vector has weight 1.
-    """
-    return Fraction(1, centralizer_order(beta))
-
-
 def theta_sign(beta) -> int:
     """(-1) to the power sum_i (1+i)*beta_i.
 
@@ -122,17 +108,6 @@ def theta_sign(beta) -> int:
     even parts, beta_2 + beta_4 + ...
     """
     return -1 if sum(beta[1::2]) & 1 else 1
-
-
-def gamma(beta, m: int) -> BigCount:
-    """Sum of d * beta_d over the divisors d of m (beta_d = 0 past the vector)."""
-    if m < 1:
-        raise ValueError(f"gamma requires m >= 1, got {m}")
-    total = 0
-    for d in range(1, min(len(beta), m) + 1):
-        if beta[d - 1] and m % d == 0:
-            total += d * beta[d - 1]
-    return total
 
 
 # Whole prefixes nu(1..m) are computed in one pass and cached per beta, since
@@ -241,27 +216,6 @@ def prefix_product(comp) -> BigCount:
         acc += part
         denom *= acc
     return denom
-
-
-def fedorov_weight(comp) -> ExactRational:
-    """Reciprocal of the product of the prefix sums of an ordered part sequence."""
-    return Fraction(1, prefix_product(comp))
-
-
-def aggregate_fedorov(k: int, beta) -> ExactRational:
-    """Sum of fedorov_weight over the compositions of k whose part
-    multiplicities equal beta.
-
-    Equals h_weight(beta); the number of addends is (sum beta_i)! / prod beta_i!.
-    """
-    beta = tuple(beta)
-    if sum(i * b for i, b in enumerate(beta, 1)) != k:
-        raise ValueError(f"beta {beta} does not have weight {k}")
-    total = Fraction(0)
-    for comp in compositions_of(k):
-        if multiplicity_vector(comp) == beta:
-            total += fedorov_weight(comp)
-    return total
 
 
 def clear_caches() -> None:

@@ -5,11 +5,13 @@ Each test prints one pass line with its elapsed time (visible with -s); run
     pytest tests/test_acceptance.py -v -s
 
 Criteria with runtime budgets assert them; every equality is between exact
-integers or exact rationals, so there are no tolerances to tune.
+integers, so there are no tolerances to tune.
 """
 
 import random
 import time
+from collections import Counter
+from math import factorial
 
 from multifact import cli, counting, oracle, partition_counts, partitions
 from multifact.arith import IntegrityError, factorize, prime_power, primorial
@@ -36,11 +38,12 @@ from multifact.counting import (
 from multifact.oracle import colored_partition_count, profile
 from multifact.partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
 from multifact.partitions import (
-    aggregate_fedorov,
+    centralizer_order,
+    compositions_of,
     euler_transform,
-    h_weight,
     multiplicity_vector,
     partitions_of,
+    prefix_product,
 )
 
 
@@ -139,12 +142,17 @@ def test_criterion_03_fkl_hl_against_oracle():
 
 def test_criterion_04_composition_aggregation():
     """The composition-weight sums collapse to the partition weights for every
-    multiplicity vector of every k <= 12; under 10 s."""
+    multiplicity vector of every k <= 12, both scaled by k! to integers: the
+    k! / prod(prefix sums) of the compositions with multiplicities beta sum
+    to the class size k! / z_beta; under 10 s."""
     t0 = time.perf_counter()
     for k in range(1, 13):
+        sums = Counter()
+        for comp in compositions_of(k):
+            sums[multiplicity_vector(comp)] += factorial(k) // prefix_product(comp)
         for p in partitions_of(k):
             beta = multiplicity_vector(p)
-            assert aggregate_fedorov(k, beta) == h_weight(beta), (k, beta)
+            assert sums[beta] == factorial(k) // centralizer_order(beta), (k, beta)
     elapsed = _report("criterion 4 (composition aggregation, k <= 12)", t0)
     assert elapsed < 10.0
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: grammar, formats, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +309,14 @@ def test_zero_indices_are_accepted(capsys):
     assert run(capsys, "compute", "h_l", "1", "--l", "0")[:2] == (0, "1\n")
 
 
+def test_recursion_too_deep_exits_2_with_one_line(capsys):
+    # r_lj descends one frame per part size j, so n = 3000 exhausts the stack
+    code, out, err = run(capsys, "compute", "r_lj", "3000", "--l", "1", "--j", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: r_lj n=3000:")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "compute", "f_k", "36")[0] == 2  # missing --k
     assert run(capsys, "compute", "f", "36", "--k", "2")[0] == 2  # stray --k
@@ -333,3 +343,25 @@ def test_deterministic_output(capsys):
     first = run(capsys, "compute", "f_kl", "360", "--k", "3", "--l", "2")
     second = run(capsys, "compute", "f_kl", "360", "--k", "3", "--l", "2")
     assert first == second
+
+
+def _readme_cli_lines():
+    """The `multifact ...` lines of the code block under README.md's `## CLI`."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("multifact ")]
+
+
+def test_readme_cli_block_is_found():
+    assert len(_readme_cli_lines()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(),
+                         ids=lambda line: line.partition("#")[0].strip())
+def test_readme_cli_examples_run(capsys, line):
+    command, _, comment = line.partition("#")
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    comment = comment.strip()
+    if comment.startswith("->"):
+        assert out == comment[2:].strip() + "\n"

@@ -12,7 +12,6 @@ from multifact import cli, counting, oracle
 from multifact.arith import (
     FactoredInt,
     IntegrityError,
-    divisor_power_reductions,
     factorize,
     first_primes,
     kappa,
@@ -42,12 +41,13 @@ from multifact.counting import (
     reduction_table,
 )
 from multifact.partitions import (
-    fedorov_weight,
-    h_weight,
+    centralizer_order,
     multiplicity_vector,
     partitions_of,
+    prefix_product,
     theta_sign,
 )
+from references import divisor_power_reductions
 
 FI36 = factorize(36)
 FI1 = factorize(1)
@@ -90,7 +90,7 @@ def test_class_sizes_count_the_permutations():
         ]
         assert sum(size for _, size, _ in table) == factorial(k)
         for beta, size, sign in table:
-            assert size == factorial(k) * h_weight(beta)
+            assert size * centralizer_order(beta) == factorial(k)
             assert sign == theta_sign(beta)
 
 
@@ -506,13 +506,14 @@ def reference_F(fi, k, signed=False):
     for parts in oracle.enumerate_partitions(k):
         beta = multiplicity_vector(parts)
         sign = theta_sign(beta) if signed else 1
-        total += sign * h_weight(beta) * _mu(beta, fi)
+        total += sign * Fraction(1, centralizer_order(beta)) * _mu(beta, fi)
     assert total.denominator == 1
     return int(total)
 
 
 def reference_fedorov(fi, k):
-    total = sum(fedorov_weight(c) * _mu(multiplicity_vector(c), fi) for c in _compositions(k))
+    total = sum(Fraction(1, prefix_product(c)) * _mu(multiplicity_vector(c), fi)
+                for c in _compositions(k))
     assert total.denominator == 1
     return int(total)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from multifact import counting, oracle
-from multifact.arith import prime_power, primorial
+from multifact import counting, oracle, partition_counts
+from multifact.arith import IntegrityError, prime_power, primorial
 from multifact.partition_counts import (
     IDENTITIES,
     bell,
@@ -152,7 +152,7 @@ def test_check_identity_examples():
 
 
 def test_check_identity_all_pass_small():
-    for n in range(1, 13):
+    for n in range(0, 13):
         assert check_identity("bell-partition-sum", n).passed
         assert check_identity("choose2-plus-one", n).passed
         for k in range(1, n + 1):
@@ -162,6 +162,16 @@ def test_check_identity_all_pass_small():
         assert check_identity("composition-aggregate", n).passed
         assert check_identity("primorial-bell", n).passed
         assert check_identity("primorial-stirling", n, max(1, n // 2)).passed
+
+
+def test_partition_power_sum_integrity_check_fires(monkeypatch):
+    # B_3 = (1 * 3**3 + 3 * 1**3 + 2 * 0**3) / 3!; with z = 3 for the class
+    # (1, 1) its size drops from 3 to 2 and the sum 29 leaves remainder 5
+    real = partition_counts.centralizer_order
+    monkeypatch.setattr(partition_counts, "centralizer_order",
+                        lambda beta: 3 if beta == (1, 1) else real(beta))
+    with pytest.raises(IntegrityError):
+        check_identity("bell-partition-sum", 3)
 
 
 def test_check_identity_validation():

@@ -1,6 +1,6 @@
 """Tests for partition/composition iterators, weights, and the Euler transform."""
 
-from fractions import Fraction
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -10,14 +10,10 @@ from multifact import oracle
 from multifact.arith import IntegrityError, factorize
 from multifact.partitions import (
     _nu_cache,
-    aggregate_fedorov,
     centralizer_order,
     clear_caches,
     compositions_of,
     euler_transform,
-    fedorov_weight,
-    gamma,
-    h_weight,
     mu_beta,
     multiplicity_vector,
     nu_beta,
@@ -127,24 +123,21 @@ def test_multiplicity_vector_weight_preserved(k):
         assert not beta or beta[-1] >= 1
 
 
-def test_h_weight():
-    assert h_weight((3,)) == Fraction(1, 6)
-    assert h_weight((1, 1)) == Fraction(1, 2)
-    assert h_weight((0, 0, 1)) == Fraction(1, 3)
-    assert h_weight(()) == 1
-
-
 def test_centralizer_order():
     assert centralizer_order(()) == 1
     assert centralizer_order((3,)) == 6
+    assert centralizer_order((1, 1)) == 2
+    assert centralizer_order((0, 0, 1)) == 3
     assert centralizer_order((0, 2, 1)) == 2**2 * 2 * 3
 
 
-def test_h_weight_sums_to_one():
-    # the weights are cycle-type frequencies, so they sum to 1 over each k
+def test_class_sizes_sum_to_k_factorial():
+    # k! / z_beta permutations of k objects have cycle type beta, so the
+    # class sizes add up to all k! permutations
     for k in range(0, 13):
-        total = sum(h_weight(multiplicity_vector(p)) for p in partitions_of(k))
-        assert total == 1
+        total = sum(factorial(k) // centralizer_order(multiplicity_vector(p))
+                    for p in partitions_of(k))
+        assert total == factorial(k)
 
 
 def test_theta_sign():
@@ -152,13 +145,6 @@ def test_theta_sign():
     assert theta_sign((3,)) == 1
     assert theta_sign((0, 0, 1)) == 1
     assert theta_sign(()) == 1
-
-
-def test_gamma():
-    assert gamma((0, 2, 1), 6) == 7
-    assert gamma((3,), 1) == 3
-    assert gamma((0, 2, 1), 5) == 0
-    assert gamma((0, 2, 1), 2) == 4
 
 
 def test_euler_transform_colored_example():
@@ -279,11 +265,11 @@ def test_composition_count_per_multiplicity_vector():
             assert matching == expected
 
 
-def test_fedorov_weight():
-    assert fedorov_weight((1, 1, 1)) == Fraction(1, 6)
-    assert fedorov_weight((1, 2)) == Fraction(1, 3)
-    assert fedorov_weight((2, 1)) == Fraction(1, 6)
-    assert fedorov_weight(()) == 1
+def test_prefix_product_values():
+    assert prefix_product((1, 1, 1)) == 6
+    assert prefix_product((1, 2)) == 3
+    assert prefix_product((2, 1)) == 6
+    assert prefix_product(()) == 1
 
 
 def test_prefix_products_divide_k_factorial():
@@ -293,19 +279,24 @@ def test_prefix_products_divide_k_factorial():
             assert factorial(k) % prefix_product(comp) == 0
 
 
-def test_aggregate_fedorov_small():
-    assert aggregate_fedorov(3, (1, 1)) == Fraction(1, 2)
-    assert aggregate_fedorov(3, (3,)) == Fraction(1, 6)
-    assert aggregate_fedorov(1, (1,)) == 1
+def _composition_sums(k):
+    """Sum of k! / prod(prefix sums) over the compositions of k, per multiplicity vector."""
+    sums = Counter()
+    for comp in compositions_of(k):
+        sums[multiplicity_vector(comp)] += factorial(k) // prefix_product(comp)
+    return sums
 
 
-def test_aggregate_fedorov_rejects_weight_mismatch():
-    with pytest.raises(ValueError):
-        aggregate_fedorov(4, (1, 1))
-
-
-def test_aggregate_fedorov_equals_h_weight():
+def test_composition_sums_equal_the_class_sizes():
+    # k = 3: (1, 2) and (2, 1) weigh 6/3 + 6/6, the 3 transpositions;
+    # (1, 1, 1) weighs 6/6, the identity; (3,) weighs 6/3, the two 3-cycles
+    assert _composition_sums(3) == {(1, 1): 3, (3,): 1, (0, 0, 1): 2}
+    assert _composition_sums(1) == {(1,): 1}
+    # in general the compositions with part multiplicities beta weigh
+    # k! / prod(prefix sums) each, and together the class size k! / z_beta
     for k in range(1, 10):
-        for p in partitions_of(k):
-            beta = multiplicity_vector(p)
-            assert aggregate_fedorov(k, beta) == h_weight(beta)
+        sums = _composition_sums(k)
+        betas = [multiplicity_vector(p) for p in partitions_of(k)]
+        assert sorted(sums) == sorted(betas)
+        for beta in betas:
+            assert sums[beta] == factorial(k) // centralizer_order(beta), (k, beta)
