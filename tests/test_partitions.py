@@ -123,17 +123,23 @@ def test_multiplicity_vector_weight_preserved(k):
         assert not beta or beta[-1] >= 1
 
 
+def test_h_weight():
+    # the weight h_beta = 1 / z_beta is summed as the class size k! / z_beta
+    assert factorial(3) // centralizer_order((3,)) == 1
+    assert factorial(3) // centralizer_order((1, 1)) == 3
+    assert factorial(3) // centralizer_order((0, 0, 1)) == 2
+    assert factorial(0) // centralizer_order(()) == 1
+
+
 def test_centralizer_order():
     assert centralizer_order(()) == 1
     assert centralizer_order((3,)) == 6
-    assert centralizer_order((1, 1)) == 2
-    assert centralizer_order((0, 0, 1)) == 3
     assert centralizer_order((0, 2, 1)) == 2**2 * 2 * 3
 
 
-def test_class_sizes_sum_to_k_factorial():
-    # k! / z_beta permutations of k objects have cycle type beta, so the
-    # class sizes add up to all k! permutations
+def test_h_weight_sums_to_one():
+    # the weights 1 / z_beta sum to 1 over each k: k! / z_beta permutations
+    # of k objects have cycle type beta, and the class sizes add up to k!
     for k in range(0, 13):
         total = sum(factorial(k) // centralizer_order(multiplicity_vector(p))
                     for p in partitions_of(k))
@@ -265,7 +271,8 @@ def test_composition_count_per_multiplicity_vector():
             assert matching == expected
 
 
-def test_prefix_product_values():
+def test_fedorov_weight():
+    # the Fedorov weight of a composition is 1 / prefix_product
     assert prefix_product((1, 1, 1)) == 6
     assert prefix_product((1, 2)) == 3
     assert prefix_product((2, 1)) == 6
@@ -287,13 +294,16 @@ def _composition_sums(k):
     return sums
 
 
-def test_composition_sums_equal_the_class_sizes():
+def test_aggregate_fedorov_small():
     # k = 3: (1, 2) and (2, 1) weigh 6/3 + 6/6, the 3 transpositions;
     # (1, 1, 1) weighs 6/6, the identity; (3,) weighs 6/3, the two 3-cycles
     assert _composition_sums(3) == {(1, 1): 3, (3,): 1, (0, 0, 1): 2}
     assert _composition_sums(1) == {(1,): 1}
-    # in general the compositions with part multiplicities beta weigh
-    # k! / prod(prefix sums) each, and together the class size k! / z_beta
+
+
+def test_aggregate_fedorov_equals_h_weight():
+    # the compositions with part multiplicities beta weigh k! / prod(prefix
+    # sums) each, and together the class size k! / z_beta
     for k in range(1, 10):
         sums = _composition_sums(k)
         betas = [multiplicity_vector(p) for p in partitions_of(k)]
