@@ -1,20 +1,25 @@
 """Exact arithmetic base layer: prime factorization, divisor machinery and the
 scalar types shared by every counting routine.
 
+``factorize`` uses no table that grows with n: trial division by the primes
+below 2**10, a deterministic Miller-Rabin test and Pollard-Brent rho.  The
+prime sieve backs ``first_primes`` alone.
+
 Counting values are plain Python ints, arbitrary precision from the start
 (Bell-number growth overflows 64 bits near n = 25).  The partition-sum and
 composition-sum routes also run in ints: each weight is scaled by k! and the
 total is divided by k! once, at the end.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 
 BigCount = int
 
-# The largest n that factorize accepts.  Its sieve grows to isqrt(n) + 1
-# bytes, at most doubling what it held, so it stays under 2 * 10**7 + 2 bytes.
+# The largest n that factorize accepts: its Miller-Rabin bases are exact only
+# below 341,550,071,728,321 (Jaeschke 1993).
 MAX_N = 10**14
 
 __all__ = [
@@ -109,19 +114,102 @@ def _ensure_sieve(limit: int) -> None:
     _sieve_limit = limit
 
 
-def factorize(n: int) -> FactoredInt:
-    """Canonical prime factorization by trial division; deterministic.
+# --------------------------------------------------------------------------
+# factorization
+#
+# Trial division runs over the primes below _TRIAL_BOUND only.  Whatever is
+# left has no prime factor below the bound, so it is prime when it is below
+# the bound squared, and otherwise goes to Miller-Rabin and, if composite, to
+# Pollard-Brent rho.  Nothing here grows with n.
 
-    Accepts 1 <= n <= :data:`MAX_N`; anything else is a ``ValueError``.
+_TRIAL_BOUND = 1 << 10
+_ensure_sieve(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(p for p in _primes if p < _TRIAL_BOUND)
+
+# Miller-Rabin with these bases is exact for every n < 341,550,071,728,321
+# (Jaeschke 1993), which covers MAX_N.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
+
+# Pollard-Brent multiplies this many differences mod n per gcd
+_RHO_BATCH = 64
+
+
+def _is_prime(m: int) -> bool:
+    """Primality of m > 1 with no prime factor below _TRIAL_BOUND."""
+    if m < _TRIAL_BOUND * _TRIAL_BOUND:
+        return True
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper divisor > 1 of the composite m, which has no prime factor
+    below _TRIAL_BOUND (Pollard-Brent rho, Brent 1980).
+
+    The polynomials x**2 + c are tried for c = 1, 2, ... from the same start,
+    so the divisor found depends on m alone."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """The prime factors, with multiplicity, of m > 1, which has no prime
+    factor below _TRIAL_BOUND."""
+    if _is_prime(m):
+        return [m]
+    d = _rho_factor(m)
+    return _large_prime_factors(d) + _large_prime_factors(m // d)
+
+
+def factorize(n: int) -> FactoredInt:
+    """Canonical prime factorization; deterministic.
+
+    Trial division by the primes below 2**10, then Miller-Rabin and
+    Pollard-Brent rho on the cofactor, so no table grows with n.  Accepts
+    1 <= n <= :data:`MAX_N`, the range in which the Miller-Rabin bases are
+    exact; anything else is a ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n > MAX_N:
         raise ValueError(f"factorize requires n <= {MAX_N}, got {n}")
-    _ensure_sieve(isqrt(n) + 1)
     rest = n
     factors = []
-    for p in _primes:
+    for p in _TRIAL_PRIMES:
         if p * p > rest:
             break
         if rest % p == 0:
@@ -131,7 +219,7 @@ def factorize(n: int) -> FactoredInt:
                 e += 1
             factors.append((p, e))
     if rest > 1:
-        factors.append((rest, 1))
+        factors += sorted(Counter(_large_prime_factors(rest)).items())
     return FactoredInt(n, tuple(factors))
 
 
@@ -173,6 +261,8 @@ def primorial(n: int) -> FactoredInt:
 
 def kappa(pi: int, n: int) -> int:
     """Largest m such that pi**m divides n (pi prime, n >= 1)."""
+    if pi < 2:
+        raise ValueError(f"kappa requires pi >= 2, got {pi}")
     if n < 1:
         raise ValueError(f"kappa requires n >= 1, got {n}")
     m = 0

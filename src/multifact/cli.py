@@ -525,6 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values may have more digits than the interpreter's int -> str limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -545,6 +548,8 @@ def main(argv=None) -> int:
         print(f"error: {getattr(args, 'function', args.command)} {n}: recursion "
               "too deep for the interpreter stack", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

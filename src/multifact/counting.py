@@ -311,12 +311,13 @@ def _anchor(n: FactoredInt, pi: int | None) -> tuple[int, int]:
     """The reduction-table weight column of the anchor prime, and kappa_pi(n).
 
     The column is the first coordinate of the signature equal to kappa_pi(n);
-    coordinates of equal exponent have equal weights, by symmetry."""
+    coordinates of equal exponent have equal weights, by symmetry.  A pi
+    that is not one of n's primes is a ``ValueError``."""
     if pi is None:
         pi = n.factors[0][0]
+    elif all(p != pi for p, _ in n.factors):
+        raise ValueError(f"anchor prime {pi} is not a prime factor of {n.value}")
     kap_n = kappa(pi, n.value)
-    if not kap_n:
-        raise ValueError(f"anchor prime {pi} does not divide {n.value}")
     return n.signature.index(kap_n), kap_n
 
 

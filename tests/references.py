@@ -3,9 +3,10 @@
 They live here, not in the package, because no library code calls them.
 """
 
-from itertools import product
+from itertools import compress, product
+from math import isqrt
 
-from multifact.arith import FactoredInt
+from multifact.arith import MAX_N, FactoredInt
 
 
 def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
@@ -36,3 +37,49 @@ def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredIn
             out.append((d, i, FactoredInt(value, reduced)))
     out.sort(key=lambda entry: (entry[0], entry[1]))
     return out
+
+
+_primes: list[int] = []
+_sieve_limit = 0
+
+
+def _ensure_sieve(limit: int) -> None:
+    """Extend this module's prime list to cover [2, limit]."""
+    global _primes, _sieve_limit
+    if limit <= _sieve_limit:
+        return
+    limit = max(limit, 2 * _sieve_limit, 1 << 10)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    _primes = list(compress(range(limit + 1), sieve))
+    _sieve_limit = limit
+
+
+def trial_factorize(n: int) -> FactoredInt:
+    """Canonical prime factorization by trial division over a sieve that
+    grows to isqrt(n) + 1; the reference for ``arith.factorize``.
+
+    Accepts 1 <= n <= MAX_N; anything else is a ``ValueError``.
+    """
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"factorize requires n <= {MAX_N}, got {n}")
+    _ensure_sieve(isqrt(n) + 1)
+    rest = n
+    factors = []
+    for p in _primes:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+    if rest > 1:
+        factors.append((rest, 1))
+    return FactoredInt(n, tuple(factors))

@@ -1,14 +1,16 @@
 """Tests for the arithmetic base layer."""
 
 import ast
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import multifact
+from multifact import arith
 from multifact.arith import (
+    MAX_N,
     FactoredInt,
     factorize,
     first_primes,
@@ -17,7 +19,7 @@ from multifact.arith import (
     prime_signature,
     primorial,
 )
-from references import divisor_power_reductions
+from references import divisor_power_reductions, trial_factorize
 
 
 def test_factorize_known_values():
@@ -40,6 +42,75 @@ def test_factorize_round_trip(n):
     for p, e in fi.factors:
         rebuilt *= p**e
     assert rebuilt == n == fi.value
+
+
+def test_factorize_matches_trial_division_up_to_20000():
+    for n in range(1, 20_001):
+        assert factorize(n) == trial_factorize(n), n
+
+
+@given(st.integers(min_value=10**12, max_value=10**12 + 10**9))
+def test_factorize_matches_trial_division_near_10_12(n):
+    # the range the b-file traffic of the sequence benchmark factors
+    assert factorize(n) == trial_factorize(n)
+
+
+# primes just past the trial-division bound 2**10 (and the last one below it),
+# near the square root of 10**9 and just below the square root of MAX_N
+HARD_PRIMES = (1021, 1031, 1033, 31607, 31627, 9999973, 9999991)
+
+
+def _hard_cases() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(n, factors) of every p*q, p**2, p**3 and p**2*q over HARD_PRIMES
+    with n <= MAX_N."""
+    cases = []
+    for p in HARD_PRIMES:
+        shapes = [{p: 2}, {p: 3}]
+        shapes += [{p: 1, q: 1} for q in HARD_PRIMES if q > p]
+        shapes += [{p: 2, q: 1} for q in HARD_PRIMES if q != p]
+        for shape in shapes:
+            n = prod(r**e for r, e in shape.items())
+            if n <= MAX_N:
+                cases.append((n, tuple(sorted(shape.items()))))
+    return cases
+
+
+def test_factorize_hard_shapes():
+    for p in HARD_PRIMES:
+        assert all(p % d for d in range(2, isqrt(p) + 1)), p
+    cases = _hard_cases()
+    assert (9999973 * 9999991, ((9999973, 1), (9999991, 1))) in cases
+    assert (31607**3, ((31607, 3),)) in cases
+    for n, factors in cases:
+        assert factorize(n).factors == factors, n
+
+
+def test_factorize_largest_prime_up_to_max_n():
+    p = 99999999999973
+    assert trial_factorize(p).factors == ((p, 1),)
+    for n in range(p + 1, MAX_N + 1):
+        assert trial_factorize(n).factors != ((n, 1),), n
+    assert factorize(p).factors == ((p, 1),)
+
+
+@pytest.mark.parametrize("n, factors", [
+    # strong pseudoprimes to every base 2..13, with no prime factor below 2**10
+    (75451785985621, ((6142141, 1), (12284281, 1))),
+    (32398013051587, ((2845963, 1), (11383849, 1))),
+    # the least strong pseudoprimes to bases 2..7, 2..11 and 2..13
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),
+    (2152302898747, ((6763, 1), (10627, 1), (29947, 1))),
+    (3474749660383, ((1303, 1), (16927, 1), (157543, 1))),
+])
+def test_factorize_strong_pseudoprimes(n, factors):
+    assert prod(p**e for p, e in factors) == n
+    assert factorize(n).factors == factors
+
+
+def test_factorize_grows_no_sieve():
+    before = len(arith._primes)
+    assert factorize(99999999999973).factors == ((99999999999973, 1),)
+    assert len(arith._primes) <= before
 
 
 def test_factored_int_validation():
@@ -137,6 +208,9 @@ def test_kappa():
     assert kappa(5, 36) == 0
     assert kappa(3, 81) == 4
     assert kappa(2, 1) == 0
+    for pi in (0, -2, 1):  # pi = 1 would divide forever
+        with pytest.raises(ValueError, match="pi >= 2"):
+            kappa(pi, 36)
 
 
 def test_first_primes_match_trial_division():

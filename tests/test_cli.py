@@ -2,11 +2,12 @@
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from multifact import cli, oracle
+from multifact import cli, oracle, partition_counts
 
 
 def run(capsys, *argv):
@@ -302,6 +303,27 @@ def test_n_above_max_n_exits_2(capsys, n):
     code, out, err = run(capsys, "compute", "f", n)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "n <= 100000000000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "bell", "500"),
+    ("compute", "bell", "500", "--format", "json"),
+    ("bfile", "bell", "--max", "500"),
+])
+def test_values_longer_than_the_int_str_limit_print(capsys, argv):
+    # B(500) has 844 digits; the interpreter's int -> str limit must not turn
+    # an exact value into a usage error
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    last = out.strip().split("\n")[-1]
+    value = json.loads(last)["value"] if "--format" in argv else last.split()[-1]
+    assert value == str(partition_counts.bell(500))
 
 
 def test_zero_indices_are_accepted(capsys):

@@ -1,6 +1,7 @@
 """Tests for the factorization-counting routes and their agreement."""
 
 import inspect
+import signal
 import sys
 from fractions import Fraction
 from math import factorial, prod
@@ -216,6 +217,26 @@ def test_kappa_anchor_must_divide_n():
     counting.clear_caches()
     with pytest.raises(ValueError):
         f_k_kappa(FI36, 2, pi=5)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no answer within a second")
+
+
+@pytest.mark.parametrize("n", [72, 12])
+@pytest.mark.parametrize("pi", [1, 4, 6])
+def test_kappa_anchor_must_be_a_prime_factor(n, pi):
+    # pi = 1 once divided n forever; composite pi failed with an index error
+    # or landed on some column by accident
+    counting.clear_caches()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match=f"anchor prime {pi} is not a prime factor of {n}"):
+            f_k_kappa(factorize(n), 2, pi=pi)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------- reduction tables
