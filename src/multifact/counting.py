@@ -19,6 +19,13 @@ top-level call (default: the smallest prime of n); each recursive call
 anchors at its own smallest prime.  The routes share no formula: each applies
 its own weights and its own exact division.
 
+The partition sum walks the partitions of k once per memo miss
+(:func:`_colored_classes`), carrying each class size and the colored
+partition counts nu_beta down the walk; it keeps no table sized by p(k) and
+never calls :func:`partitions.nu_beta`, which only the composition sum
+(:func:`fedorov_F`) reads, so the two formula routes of F_k compute nu_beta
+by different algorithms.
+
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
 public name, memo dict and IntegrityError message, and a recursion recurses
@@ -26,8 +33,7 @@ through its own module-level name, one stack frame per level.
 """
 
 from collections import Counter
-from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial, prod
 
 from .arith import (
@@ -38,14 +44,10 @@ from .arith import (
     kappa,
 )
 from .partitions import (
-    centralizer_order,
     compositions_of,
     mu_beta,
     multiplicity_vector,
-    nu_beta,
-    partitions_of,
     prefix_product,
-    theta_sign,
 )
 
 __all__ = [
@@ -86,18 +88,6 @@ _CANONICAL: dict = {}
 _TABLES: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _classes(k: int) -> tuple:
-    """(beta, k! / z_beta, theta(beta)) for each partition of k, as cycle
-    types: k! / z_beta permutations of k objects have cycle type beta."""
-    k_fact = factorial(k)
-    out = []
-    for p in partitions_of(k):
-        beta = multiplicity_vector(p)
-        out.append((beta, k_fact // centralizer_order(beta), theta_sign(beta)))
-    return tuple(out)
-
-
 def _exponent_counts(n: FactoredInt) -> tuple:
     """The distinct prime exponents of n, ascending, with their multiplicities."""
     return tuple(sorted(Counter(n.signature).items()))
@@ -108,16 +98,60 @@ def clear_caches() -> None:
     for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL,
                   _CANONICAL, _TABLES):
         cache.clear()
-    _classes.cache_clear()
 
 
 # --------------------------------------------------------------------------
 # partition-sum route
 
+def _colored_classes(k: int, top: int):
+    """Yield (k! / z_beta, number of even parts, nu) once for each partition
+    beta of k, with nu[m] for m = 0..top the coefficient of x**m in
+    prod_i (1 - x**i)**(-beta_i): the number of partitions of m in which part
+    i comes in beta_i colors.
+
+    One depth-first pass with an explicit stack; nothing sized by p(k) is
+    kept.  The parts 1 come first, so (1 - x)**(-r) is built once for each
+    count r of them; the parts >= 2 follow in nondecreasing order.  Adding a
+    part v multiplies a copy of the parent's coefficients by 1 / (1 - x**v),
+    one stride-v prefix sum; a part v > top leaves them unchanged.  The class
+    size starts at k! and is divided by v * b when the b-th part v is added.
+    Each of those divisions is exact: the z of a prefix of beta divides
+    z_beta, which divides k!.
+    """
+    # (rest of k, least next part, count of that part so far, size, evens, nu)
+    stack = []
+    nu, size = [1] + [0] * top, factorial(k)
+    for r in range(k):  # r parts 1 so far
+        if k - r > 1:  # no part >= 2 makes up a rest of 1
+            stack.append((k - r, 2, 0, size, 0, nu))
+        nu = list(accumulate(nu))
+        size //= r + 1
+    yield size, 0, nu  # beta = (1,)*k, the empty partition when k = 0
+    while stack:
+        rest, low, mult, size, evens, nu = stack.pop()
+        # the next part v is the whole rest, or leaves a rest of at least v
+        for v in (*range(low, rest // 2 + 1), rest):
+            b = mult + 1 if v == low else 1
+            if v <= top:
+                child = nu[:]
+                for i in range(v, top + 1):
+                    child[i] += child[i - v]
+            else:
+                child = nu
+            node = (size // (v * b), evens + (not v & 1), child)
+            if v == rest:
+                yield node
+            else:
+                stack.append((rest - v, v, b, *node))
+
+
 def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     """The partition-sum route `name`, memoized in `memo`: the sum over the
     partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
-    with the sign theta(beta) when `signed`, divided once by k!.  That
+    with the sign theta(beta) = (-1)**(number of even parts) when `signed`,
+    divided once by k!.  The classes and their nu come from one pass of
+    :func:`_colored_classes`, never from :func:`partitions.nu_beta`, so this
+    route and :func:`fedorov_F` get nu by different algorithms.  The final
     division is always exact; a nonzero remainder raises
     :class:`IntegrityError`."""
     letter = name[-1]
@@ -131,14 +165,14 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
             return hit
         powers = _exponent_counts(n)
         total = 0
-        for beta, size, sign in _classes(k):
+        for size, evens, nu in _colored_classes(k, max(n.signature, default=0)):
             for e, mult in powers:
-                v = nu_beta(beta, e)
+                v = nu[e]
                 if not v:
                     break
                 size *= v**mult
             else:
-                total += sign * size if signed else size
+                total += -size if signed and evens & 1 else size
         value, r = divmod(total, factorial(k))
         if r:
             raise IntegrityError(
@@ -307,16 +341,23 @@ g_k_rec = _divisor_recursion("g_k_rec", _GK_REC, True, """Factorizations into
 # resulting values are pi-independent, which the route-agreement tests
 # enforce.
 
+def _check_anchor(n: FactoredInt, pi: int) -> None:
+    """Refuse, with a ``ValueError``, an explicit pi that is not one of n's
+    primes.  The routes call this first, before any early return or memo
+    lookup, so the answer does not depend on the index or on what the memo
+    holds; the recursive calls pass no pi and skip it."""
+    if all(p != pi for p, _ in n.factors):
+        raise ValueError(f"anchor prime {pi} is not a prime factor of {n.value}")
+
+
 def _anchor(n: FactoredInt, pi: int | None) -> tuple[int, int]:
-    """The reduction-table weight column of the anchor prime, and kappa_pi(n).
+    """The reduction-table weight column of the anchor prime, and kappa_pi(n),
+    for a pi already passed by :func:`_check_anchor`.
 
     The column is the first coordinate of the signature equal to kappa_pi(n);
-    coordinates of equal exponent have equal weights, by symmetry.  A pi
-    that is not one of n's primes is a ``ValueError``."""
+    coordinates of equal exponent have equal weights, by symmetry."""
     if pi is None:
         pi = n.factors[0][0]
-    elif all(p != pi for p, _ in n.factors):
-        raise ValueError(f"anchor prime {pi} is not a prime factor of {n.value}")
     kap_n = kappa(pi, n.value)
     return n.signature.index(kap_n), kap_n
 
@@ -331,6 +372,8 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
     letter = name[0]
 
     def route(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
+        if pi is not None:
+            _check_anchor(n, pi)
         if k < 0:
             return 0
         if n.value == 1:
@@ -381,6 +424,8 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
 
     Boundary: f_{k,l}(1) = [k == l == 0]; any negative index gives 0.
     """
+    if pi is not None:
+        _check_anchor(n, pi)
     if k < 0 or l < 0:
         return 0
     if n.value == 1:
@@ -416,6 +461,8 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
 def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
     """Factorizations with exactly l different part values >= 2, same recursion
     shape as :func:`f_kl` without the part-count index."""
+    if pi is not None:
+        _check_anchor(n, pi)
     if l < 0:
         return 0
     if n.value == 1:

@@ -192,8 +192,9 @@ def _weighted_power_sum(k: int, n: int, signed: bool) -> BigCount:
     """sum over partitions of k of (+-) beta_1**n / z_beta, asserted integral.
 
     Sums the class sizes k!/z_beta times beta_1**n and divides by k! once.
-    z_beta comes from :func:`centralizer_order`, not from the class table that
-    the partition-sum route reads, so the identities stay independent of it.
+    z_beta comes from :func:`centralizer_order`, not from the class sizes that
+    the partition-sum route divides down its walk, so the identities stay
+    independent of it.
     """
     k_fact = factorial(k)
     total = 0

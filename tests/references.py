@@ -3,10 +3,19 @@
 They live here, not in the package, because no library code calls them.
 """
 
+from collections import Counter
+from functools import lru_cache
 from itertools import compress, product
-from math import isqrt
+from math import factorial, isqrt
 
-from multifact.arith import MAX_N, FactoredInt
+from multifact.arith import MAX_N, FactoredInt, IntegrityError
+from multifact.partitions import (
+    centralizer_order,
+    multiplicity_vector,
+    nu_beta,
+    partitions_of,
+    theta_sign,
+)
 
 
 def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
@@ -83,3 +92,40 @@ def trial_factorize(n: int) -> FactoredInt:
     if rest > 1:
         factors.append((rest, 1))
     return FactoredInt(n, tuple(factors))
+
+
+@lru_cache(maxsize=None)
+def _classes(k: int) -> tuple:
+    """(beta, k! / z_beta, theta(beta)) for each partition of k, as cycle
+    types: k! / z_beta permutations of k objects have cycle type beta."""
+    k_fact = factorial(k)
+    out = []
+    for p in partitions_of(k):
+        beta = multiplicity_vector(p)
+        out.append((beta, k_fact // centralizer_order(beta), theta_sign(beta)))
+    return tuple(out)
+
+
+def class_table_partition_sum(n: FactoredInt, k: int, signed: bool) -> int:
+    """F_k(n), or G_k(n) when `signed`, by the partition sum over a table of
+    the p(k) classes with nu_beta from the Euler recurrence; the reference
+    that the tests check ``counting.big_F`` and ``counting.big_G`` against.
+    """
+    if k < 0:
+        return 0
+    powers = tuple(sorted(Counter(n.signature).items()))
+    total = 0
+    for beta, size, sign in _classes(k):
+        for e, mult in powers:
+            v = nu_beta(beta, e)
+            if not v:
+                break
+            size *= v**mult
+        else:
+            total += sign * size if signed else size
+    value, r = divmod(total, factorial(k))
+    if r:
+        raise IntegrityError(
+            f"partition sum {total} of {n.value} at k = {k} not divisible by {k}!"
+        )
+    return value

@@ -1,15 +1,19 @@
 """Tests for the factorization-counting routes and their agreement."""
 
 import inspect
+import json
+import os
 import signal
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from multifact import cli, counting, oracle
+from multifact import cli, counting, oracle, partitions
 from multifact.arith import (
     FactoredInt,
     IntegrityError,
@@ -43,12 +47,14 @@ from multifact.counting import (
 )
 from multifact.partitions import (
     centralizer_order,
+    euler_transform,
     multiplicity_vector,
     partitions_of,
     prefix_product,
     theta_sign,
 )
-from references import divisor_power_reductions
+from references import class_table_partition_sum, divisor_power_reductions
+from test_partitions import PARTITION_COUNTS
 
 FI36 = factorize(36)
 FI1 = factorize(1)
@@ -83,46 +89,118 @@ def test_big_G_boundaries():
     assert big_G(FI36, 0) == 0
 
 
+def _class_reference(k, top):
+    """The (class size, even parts, nu) of every partition of k, from the
+    partition iterator, z_beta and the Euler recurrence."""
+    out = []
+    for p in partitions_of(k):
+        beta = multiplicity_vector(p)
+        nu = [1] + (euler_transform(beta, top) if top else [])
+        out.append((factorial(k) // centralizer_order(beta), sum(beta[1::2]), nu))
+    return out
+
+
 def test_class_sizes_count_the_permutations():
     for k in range(0, 21):
-        table = counting._classes(k)
-        assert [beta for beta, _, _ in table] == [
-            multiplicity_vector(p) for p in partitions_of(k)
-        ]
-        assert sum(size for _, size, _ in table) == factorial(k)
-        for beta, size, sign in table:
-            assert size * centralizer_order(beta) == factorial(k)
-            assert sign == theta_sign(beta)
+        for top in (0, 1, 4):
+            classes = list(counting._colored_classes(k, top))
+            assert len(classes) == PARTITION_COUNTS[k]
+            assert sum(size for size, _, _ in classes) == factorial(k)
+            assert sorted(classes) == sorted(_class_reference(k, top))
 
 
-def test_clear_caches_drops_the_class_tables():
-    counting._classes(6)
-    assert counting._classes.cache_info().currsize > 0
+def _corrupt_one_class_size(monkeypatch, k, evens):
+    """Add 1 to the size of the class of k with `evens` even parts, in the
+    classes the partition sums read."""
     counting.clear_caches()
-    assert counting._classes.cache_info().currsize == 0
+    real = counting._colored_classes
 
+    def corrupted(k_, top):
+        for size, ev, nu in real(k_, top):
+            yield size + (k_ == k and ev == evens), ev, nu
 
-def _corrupt_one_class_size(monkeypatch, k, beta):
-    """Add 1 to the class size of beta in the table the partition sums read."""
-    counting.clear_caches()
-    table = tuple(
-        (b, size + (b == beta), sign) for b, size, sign in counting._classes(k)
-    )
-    monkeypatch.setattr(counting, "_classes", lambda _k: table)
+    monkeypatch.setattr(counting, "_colored_classes", corrupted)
 
 
 def test_big_F_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
     # F_3(p) = (3 * nu_(1,1)(1) + 1 * nu_(3)(1)) / 3! = (3 + 3) / 6; one more
-    # in the (1, 1) class leaves remainder 1
-    _corrupt_one_class_size(monkeypatch, 3, (1, 1))
+    # in the (1, 1) class, the only class of 3 with an even part, leaves
+    # remainder 1
+    _corrupt_one_class_size(monkeypatch, 3, 1)
     with pytest.raises(IntegrityError):
         big_F(FI_P, 3)
 
 
 def test_big_G_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
-    _corrupt_one_class_size(monkeypatch, 3, (1, 1))
+    _corrupt_one_class_size(monkeypatch, 3, 1)
     with pytest.raises(IntegrityError):
         big_G(FI_P, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 20), min_size=1, max_size=5).map(
+        lambda exps: tuple(sorted(exps, reverse=True))),
+    st.integers(0, 30),
+)
+@example((20, 10), 30)
+@example((12, 12), 30)
+@example((1,) * 10, 30)
+def test_partition_sums_match_the_class_table_reference(sig, k):
+    counting.clear_caches()
+    fi = canonical(sig)
+    assert big_F(fi, k) == class_table_partition_sum(fi, k, signed=False)
+    assert big_G(fi, k) == class_table_partition_sum(fi, k, signed=True)
+
+
+class _SharedNuCode(Exception):
+    pass
+
+
+def test_partition_sum_and_fedorov_share_no_nu_code(monkeypatch):
+    # the two formula routes of F_k must get nu by different algorithms, or
+    # their agreement proves nothing
+    counting.clear_caches()
+    expected_F, expected_G = big_F(FI36, 6), big_G(FI36, 6)
+    counting.clear_caches()
+
+    def refuse(*args):
+        raise _SharedNuCode
+
+    for name in ("nu_beta", "mu_beta", "euler_transform", "partitions_of",
+                 "centralizer_order"):
+        monkeypatch.setattr(partitions, name, refuse)
+        monkeypatch.setattr(counting, name, refuse, raising=False)
+    assert big_F(FI36, 6) == expected_F
+    assert big_G(FI36, 6) == expected_G
+    with pytest.raises(_SharedNuCode):
+        fedorov_F(FI36, 6)
+    counting.clear_caches()
+
+
+# Runs a command and prints its exit code, its stdout and its peak RSS.  A
+# child's ru_maxrss also counts the memory of the process it was started from,
+# so the command is started from this small interpreter, not from pytest.
+_PEAK_RSS_PROBE = """
+import json, resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, text=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([out.returncode, out.stdout, peak]))
+"""
+
+
+def test_partition_sum_memory_does_not_grow_with_the_partition_count():
+    # p(50) = 204226 classes; a table of them peaked at 72 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-c", _PEAK_RSS_PROBE, sys.executable, "-m", "multifact.cli",
+           "compute", "F_k", "2", "--k", "50", "--method", "partition-sum"]
+    probe = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    code, output, peak = json.loads(probe.stdout)
+    assert (code, output) == (0, "1\n")
+    # ru_maxrss is in kilobytes on Linux, bytes on macOS
+    peak_mb = peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
@@ -237,6 +315,25 @@ def test_kappa_anchor_must_be_a_prime_factor(n, pi):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("route, indices", [
+    (f_k_kappa, (2,)), (g_k_kappa, (2,)), (f_kl, (3, 2)), (h_l, (2,)),
+])
+@pytest.mark.parametrize("n, pi", [(72, 4), (72, 5), (200, 1)])
+def test_kappa_anchor_is_refused_on_a_warm_cache_too(route, indices, n, pi):
+    fi = factorize(n)
+    message = f"anchor prime {pi} is not a prime factor of {n}"
+    counting.clear_caches()
+    with pytest.raises(ValueError, match=message):
+        route(fi, *indices, pi=pi)
+    assert route(fi, *indices)  # the memo now holds this key
+    with pytest.raises(ValueError, match=message):
+        route(fi, *indices, pi=pi)
+    # nor at an index whose value needs no recursion
+    with pytest.raises(ValueError, match=message):
+        route(fi, *(0 for _ in indices), pi=pi)
+    counting.clear_caches()
 
 
 # ---------------------------------------------------------------- reduction tables
