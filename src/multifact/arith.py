@@ -2,8 +2,7 @@
 scalar types shared by every counting routine.
 
 ``factorize`` uses no table that grows with n: trial division by the primes
-below 2**10, a deterministic Miller-Rabin test and Pollard-Brent rho.  The
-prime sieve backs ``first_primes`` alone.
+below 2**10, a deterministic Miller-Rabin test and Pollard-Brent rho.
 
 Counting values are plain Python ints, arbitrary precision from the start
 (Bell-number growth overflows 64 bits near n = 25).  The partition-sum and
@@ -13,7 +12,7 @@ total is divided by k! once, at the end.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import count
 from math import gcd, isqrt
 
 BigCount = int
@@ -89,32 +88,6 @@ class FactoredInt:
 
 
 # --------------------------------------------------------------------------
-# shared prime sieve
-
-_primes: list[int] = []
-_sieve_limit = 0
-
-
-def _ensure_sieve(limit: int) -> None:
-    """Extend the cached prime list to cover [2, limit].
-
-    The list is rebuilt and swapped atomically, never mutated in place, so
-    concurrent readers always see a consistent snapshot.
-    """
-    global _primes, _sieve_limit
-    if limit <= _sieve_limit:
-        return
-    limit = max(limit, 2 * _sieve_limit, 1 << 10)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    _primes = list(compress(range(limit + 1), sieve))
-    _sieve_limit = limit
-
-
-# --------------------------------------------------------------------------
 # factorization
 #
 # Trial division runs over the primes below _TRIAL_BOUND only.  Whatever is
@@ -123,8 +96,19 @@ def _ensure_sieve(limit: int) -> None:
 # Pollard-Brent rho.  Nothing here grows with n.
 
 _TRIAL_BOUND = 1 << 10
-_ensure_sieve(_TRIAL_BOUND)
-_TRIAL_PRIMES = tuple(p for p in _primes if p < _TRIAL_BOUND)
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by one sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p in range(bound) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 # Miller-Rabin with these bases is exact for every n < 341,550,071,728,321
 # (Jaeschke 1993), which covers MAX_N.
@@ -240,12 +224,18 @@ def prime_signature(fi: FactoredInt) -> tuple[int, ...]:
 
 
 def first_primes(count: int) -> list[int]:
-    """The `count` smallest primes, from the shared sieve."""
-    limit = 1 << 10
-    while len(_primes) < count:
-        _ensure_sieve(limit)
-        limit *= 2
-    return _primes[:count]
+    """The `count` smallest primes.
+
+    The primes below 2**10 come from the trial-division list; past them, an
+    odd m with no prime factor below 2**10 is prime when `_is_prime` says so.
+    """
+    primes = list(_TRIAL_PRIMES[:count])
+    m = _TRIAL_BOUND + 1
+    while len(primes) < count:
+        if all(m % p for p in _TRIAL_PRIMES) and _is_prime(m):
+            primes.append(m)
+        m += 2
+    return primes
 
 
 def primorial(n: int) -> FactoredInt:

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import counting, oracle, partition_counts, partitions
+from . import counting, oracle, partition_counts
 from .arith import FactoredInt, IntegrityError, factorize, prime_power
 from .oracle import OracleLimitError
 from .partition_counts import check_identity
@@ -208,7 +208,6 @@ def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | Non
 
 def _clear_all_caches() -> None:
     counting.clear_caches()
-    partitions.clear_caches()
     partition_counts.clear_caches()
 
 
@@ -265,9 +264,11 @@ def cmd_bfile(args) -> int:
     function = args.function
     if args.max < 2:
         raise UsageError("--max must be >= 2")
-    _validate_query(function, max(args.max, 1), args.k, args.l, args.j, args.method)
-    method = args.method or DEFAULT_METHOD[function]
     start = 2 if function in FACTOR_FUNCTIONS else 1
+    # --max must be a valid n; the k cap is lowest at the first n (least Omega)
+    for n in (args.max, start):
+        _validate_query(function, n, args.k, args.l, args.j, args.method)
+    method = args.method or DEFAULT_METHOD[function]
     print(f"offset {start}", file=sys.stderr)
     out = sys.stdout
     for n in range(start, args.max + 1):
@@ -283,7 +284,7 @@ def cmd_bfile(args) -> int:
 # a method (or an identity's side) to its value; a check fails when the values
 # disagree.
 
-def _routes_worker(n: int, k_max: int):
+def _routes_worker(n: int):
     fi = factorize(n)
 
     def check(function, k):
@@ -291,7 +292,7 @@ def _routes_worker(n: int, k_max: int):
                 {m: _FACTOR_ROUTES[(function, m)](fi, k, None)
                  for m in METHODS_FOR[function] if m != "oracle"})
 
-    for k in range(0, min(fi.big_omega + 2, k_max) + 1):
+    for k in range(0, fi.big_omega + 3):
         yield check("F_k", k)
         yield check("f_k", k)
         yield check("g_k", k)
@@ -372,10 +373,10 @@ def _identities_worker(n: int):
         yield (rep.identity, rep.n, rep.k, None, {"lhs": rep.lhs, "rhs": rep.rhs})
 
 
-def _run_suite(suite: str, max_n: int, k_max: int):
+def _run_suite(suite: str, max_n: int):
     """Run one suite; return its number of checks and its failing checks."""
     if suite == "routes":
-        workers = [_routes_worker(n, k_max) for n in range(2, max_n + 1)]
+        workers = [_routes_worker(n) for n in range(2, max_n + 1)]
         workers += [_routes_partition_worker(n) for n in range(1, min(max_n, 40) + 1)]
     elif suite == "oracle":
         workers = [_oracle_worker(n) for n in range(2, max_n + 1)]
@@ -396,7 +397,7 @@ def cmd_verify(args) -> int:
     selected = ("routes", "identities", "oracle") if args.suite == "all" else (args.suite,)
     first_failure = None
     for suite in selected:
-        checks, failures = _run_suite(suite, args.max, args.k_max)
+        checks, failures = _run_suite(suite, args.max)
         print(f"{suite}: {checks - len(failures)}/{checks} pass")
         if failures and first_failure is None:
             first_failure = failures[0]
@@ -504,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run cross-method and identity verification sweeps")
     p_verify.add_argument("--max", type=int, default=200,
                           help="upper bound for n (default 200)")
-    p_verify.add_argument("--k-max", type=int, default=64,
-                          help="additional cap on the part-count index")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -530,13 +529,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OracleLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:

@@ -5,8 +5,6 @@ prime-exponent (kappa) recursions, and composition sums.
 All results are exact nonnegative integers.  Every function depends on n only
 through its prime signature, so every cache here is keyed on
 (n.signature, indices); that collapse is the main performance lever.
-Cache writes are idempotent (values are deterministic), so concurrent queries
-are safe and scheduling-independent.
 
 The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): every divisor power d**i of n,
@@ -22,8 +20,9 @@ its own weights and its own exact division.
 The partition sum walks the partitions of k once per memo miss
 (:func:`_colored_classes`), carrying each class size and the colored
 partition counts nu_beta down the walk; it keeps no table sized by p(k) and
-never calls :func:`partitions.nu_beta`, which only the composition sum
-(:func:`fedorov_F`) reads, so the two formula routes of F_k compute nu_beta
+never calls :func:`partitions.euler_transform`, the Euler recurrence that
+gives the composition sum (:func:`fedorov_F`) its nu_beta through
+:func:`partitions.mu_beta`, so the two formula routes of F_k compute nu_beta
 by different algorithms.
 
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
@@ -150,9 +149,9 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
     with the sign theta(beta) = (-1)**(number of even parts) when `signed`,
     divided once by k!.  The classes and their nu come from one pass of
-    :func:`_colored_classes`, never from :func:`partitions.nu_beta`, so this
-    route and :func:`fedorov_F` get nu by different algorithms.  The final
-    division is always exact; a nonzero remainder raises
+    :func:`_colored_classes`, never from :func:`partitions.euler_transform`,
+    so this route and :func:`fedorov_F` get nu by different algorithms.  The
+    final division is always exact; a nonzero remainder raises
     :class:`IntegrityError`."""
     letter = name[-1]
 

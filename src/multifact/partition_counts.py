@@ -90,12 +90,10 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
     for d in range(1, n + 1):
         for j in range(1, l + 1):
             inner = 0
-            for i in range(1, n // d + 1):
-                c = comb(i, j) if i >= j else 0
-                if c:
-                    sub = p_kl(n - i * d, k - i, l - j)
-                    if sub:
-                        inner += c * sub
+            for i in range(j, n // d + 1):
+                sub = p_kl(n - i * d, k - i, l - j)
+                if sub:
+                    inner += comb(i, j) * sub
             if inner:
                 total += d * inner if j & 1 else -d * inner
     q, r = divmod(total, n)
@@ -123,12 +121,10 @@ def r_l(n: int, l: int) -> BigCount:
     for d in range(1, n + 1):
         for j in range(1, l + 1):
             inner = 0
-            for i in range(1, n // d + 1):
-                c = comb(i, j) if i >= j else 0
-                if c:
-                    sub = r_l(n - i * d, l - j)
-                    if sub:
-                        inner += c * sub
+            for i in range(j, n // d + 1):
+                sub = r_l(n - i * d, l - j)
+                if sub:
+                    inner += comb(i, j) * sub
             if inner:
                 total += d * inner if j & 1 else -d * inner
     q, r = divmod(total, n)

@@ -21,7 +21,6 @@ __all__ = [
     "MultiplicityVector",
     "Partition",
     "centralizer_order",
-    "clear_caches",
     "compositions_of",
     "euler_transform",
     "mu_beta",
@@ -110,47 +109,6 @@ def theta_sign(beta) -> int:
     return -1 if sum(beta[1::2]) & 1 else 1
 
 
-# Whole prefixes nu(1..m) are computed in one pass and cached per beta, since
-# a single factored n needs nu at every one of its exponents.  nu(1..m_max)
-# depends only on the parts <= m_max, so a longer beta is cut to its first
-# m_max entries (trailing zeros dropped) before it keys the cache: the many
-# partitions of a large k that differ only in parts above m_max share one
-# entry.  Entries are immutable tuples swapped atomically; rewrites are
-# idempotent, so the cache is safe to share between threads.
-_nu_cache: dict[MultiplicityVector, tuple[int, ...]] = {}
-
-
-def _nu_prefix(beta, m_max: int) -> tuple[int, ...]:
-    beta = tuple(beta)
-    if len(beta) > m_max:
-        top = m_max
-        while top and not beta[top - 1]:
-            top -= 1
-        beta = beta[:top]
-    known = _nu_cache.get(beta, ())
-    if len(known) >= m_max:
-        return known
-    # gammas[m] = sum of d * beta_d over the divisors d of m, by a sieve
-    gammas = [0] * (m_max + 1)
-    for d, b in enumerate(beta, 1):
-        if b:
-            for m in range(d, m_max + 1, d):
-                gammas[m] += d * b
-    nu = list(known)
-    for m in range(len(nu) + 1, m_max + 1):
-        # gamma(m) + sum over j = 1..m-1 of gamma(j) * nu(m - j)
-        acc = gammas[m] + sum(map(mul, gammas[1:m], reversed(nu)))
-        q, r = divmod(acc, m)
-        if r:
-            raise IntegrityError(
-                f"euler transform of {beta} non-integral at m={m}: {acc}/{m}"
-            )
-        nu.append(q)
-    frozen = tuple(nu)
-    _nu_cache[beta] = frozen
-    return frozen
-
-
 def euler_transform(beta, m_max: int) -> list[BigCount]:
     """Values nu_beta(1..m_max) of the Euler transform of beta.
 
@@ -162,14 +120,31 @@ def euler_transform(beta, m_max: int) -> list[BigCount]:
     """
     if m_max < 1:
         raise ValueError(f"euler_transform requires m_max >= 1, got {m_max}")
-    return list(_nu_prefix(beta, m_max)[:m_max])
+    # gammas[m] = sum of d * beta_d over the divisors d of m, by a sieve over
+    # the parts d <= m_max
+    gammas = [0] * (m_max + 1)
+    for d, b in zip(range(1, m_max + 1), beta):
+        if b:
+            for m in range(d, m_max + 1, d):
+                gammas[m] += d * b
+    nu: list[BigCount] = []
+    for m in range(1, m_max + 1):
+        # gamma(m) + sum over j = 1..m-1 of gamma(j) * nu(m - j)
+        acc = gammas[m] + sum(map(mul, gammas[1:m], reversed(nu)))
+        q, r = divmod(acc, m)
+        if r:
+            raise IntegrityError(
+                f"euler transform of {beta} non-integral at m={m}: {acc}/{m}"
+            )
+        nu.append(q)
+    return nu
 
 
 def nu_beta(beta, m: int) -> BigCount:
     """Single Euler-transform value; nu_beta(0) == 1 (the empty partition)."""
     if m == 0:
         return 1
-    return _nu_prefix(beta, m)[m - 1]
+    return euler_transform(beta, m)[-1]
 
 
 def mu_beta(beta, fi: FactoredInt) -> BigCount:
@@ -177,12 +152,12 @@ def mu_beta(beta, fi: FactoredInt) -> BigCount:
 
     The unit 1 gives the empty product, 1.
     """
+    if not fi.factors:
+        return 1
+    nu = euler_transform(beta, fi.signature[0])
     result = 1
-    for e in fi.exponents:
-        v = nu_beta(beta, e)
-        if v == 0:
-            return 0
-        result *= v
+    for _, e in fi.factors:
+        result *= nu[e - 1]
     return result
 
 
@@ -217,7 +192,3 @@ def prefix_product(comp) -> BigCount:
         denom *= acc
     return denom
 
-
-def clear_caches() -> None:
-    """Drop the memoized Euler-transform prefixes (used by benchmarks)."""
-    _nu_cache.clear()

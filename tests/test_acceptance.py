@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from math import factorial
 
-from multifact import cli, counting, oracle, partition_counts, partitions
+from multifact import cli, counting, oracle, partition_counts
 from multifact.arith import IntegrityError, factorize, prime_power, primorial
 from multifact.counting import (
     big_F,
@@ -55,7 +55,6 @@ def _report(criterion: str, started: float) -> float:
 
 def _clear_all():
     counting.clear_caches()
-    partitions.clear_caches()
     partition_counts.clear_caches()
 
 

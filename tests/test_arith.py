@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import multifact
-from multifact import arith
+from multifact import arith, partitions
 from multifact.arith import (
     MAX_N,
     FactoredInt,
@@ -108,9 +108,17 @@ def test_factorize_strong_pseudoprimes(n, factors):
 
 
 def test_factorize_grows_no_sieve():
-    before = len(arith._primes)
+    # the largest prime below MAX_N needs no prime table past 2**10; that the
+    # module keeps no table at all is the test below
     assert factorize(99999999999973).factors == ((99999999999973, 1),)
-    assert len(arith._primes) <= before
+
+
+def test_arith_and_partitions_hold_no_module_level_cache():
+    # the memo tables live in counting and partition_counts only
+    for module in (arith, partitions):
+        for name, value in vars(module).items():
+            if not (name.startswith("__") and name.endswith("__")):
+                assert not isinstance(value, (list, dict, set, bytearray)), name
 
 
 def test_factored_int_validation():

@@ -136,6 +136,22 @@ def test_bfile_format_is_clean(capsys):
     assert "\n\n" not in out
 
 
+def test_bfile_checks_the_k_cap_at_its_first_n(capsys):
+    # n = 2 has one prime factor, so its cap is k <= 65 whatever --max is
+    code, out, err = run(capsys, "bfile", "F_k", "--max", "4", "--k", "66")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "query cap" in err
+    code, out, _ = run(capsys, "bfile", "F_k", "--max", "4", "--k", "65",
+                       "--method", "recursion")
+    assert code == 0 and out == "2 1\n3 1\n4 2\n"
+
+
+def test_bfile_max_above_max_n_exits_2_before_any_line(capsys):
+    code, out, err = run(capsys, "bfile", "f", "--max", str(10**14 + 1))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "n <= " in err
+
+
 def test_verify_oracle_suite(capsys):
     code, out, _ = run(capsys, "verify", "--max", "36", "--suite", "oracle")
     assert code == 0
