@@ -31,6 +31,10 @@ from .partition_counts import check_identity
 # F_k has already stabilized at f(n) for every k >= big_omega anyway
 K_QUERY_CAP_MARGIN = 64
 
+# reject stirling2 and bell past this n: the Stirling row takes O(n**2)
+# big-int steps to build; bfile bell --max 2500 takes 6.5 s on a 2-vCPU VM
+STIRLING_MAX_N = 2500
+
 # which of the k, l, j flags each function requires
 NEEDS = {
     "f": "",
@@ -194,6 +198,8 @@ def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | Non
     if function not in FACTOR_FUNCTIONS:
         if n < 0:
             raise UsageError(f"{function} requires n >= 0")
+        if function in ("stirling2", "bell") and n > STIRLING_MAX_N:
+            raise UsageError(f"{function} requires n <= {STIRLING_MAX_N}")
         return None
     if n < 1:
         raise UsageError(f"{function} requires n >= 1")

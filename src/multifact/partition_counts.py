@@ -57,15 +57,16 @@ _P_KL: dict[tuple[int, int, int], int] = {}
 _R_L: dict[tuple[int, int], int] = {}
 _R_LJ: dict[tuple[int, int, int], int] = {}
 
-# stirling rows are append-only; row n holds S(n, 0..n)
-_stirling_rows: list[list[int]] = [[1]]
+# the last Stirling row computed: S(n, 0..n) for n = len - 1
+_stirling_row: list[int] = [1]
 
 
 def clear_caches() -> None:
+    global _stirling_row
     _P_KL.clear()
     _R_L.clear()
     _R_LJ.clear()
-    del _stirling_rows[1:]
+    _stirling_row = [1]
 
 
 def p_kl(n: int, k: int, l: int) -> BigCount:
@@ -75,6 +76,13 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
     n * p_{k,l}(n) = sum_{d=1..n} d * sum_{j=1..l} (-1)**(j+1)
                      * sum_{i=1..n//d} C(i, j) * p_{k-i, l-j}(n - i*d),
     with boundary p_{k,l}(0) = [k == l == 0] and 0 for any negative index.
+
+    The loops skip every sub-state p_{k',l'}(m) that the guards below return
+    as 0, so the sum is the same.  With l' = l - j: at l' = 0 only d*k = n,
+    i = k is left, and it adds C(k, j); at l' >= 1, i runs up to
+    min(k - l', (n - l'(l'+1)/2) // d), and to (n - k) // (d - 1) when d > 1,
+    so d stops where that bound drops below i = j.  A sub-state already in
+    the memo is read from it without a call.
     """
     if n < 0 or k < 0 or l < 0:
         return 0
@@ -87,15 +95,24 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
     if hit is not None:
         return hit
     total = 0
-    for d in range(1, n + 1):
-        for j in range(1, l + 1):
+    for j in range(1, l + 1):
+        lp = l - j
+        if lp == 0:
+            inner = n // k * comb(k, j) if n % k == 0 else 0
+        else:
+            rest = n - lp * (lp + 1) // 2
             inner = 0
-            for i in range(j, n // d + 1):
-                sub = p_kl(n - i * d, k - i, l - j)
-                if sub:
-                    inner += comb(i, j) * sub
-            if inner:
-                total += d * inner if j & 1 else -d * inner
+            for d in range(1, min(rest // j, 1 + (n - k) // j) + 1):
+                top = min(k - lp, rest // d, (n - k) // (d - 1) if d > 1 else n)
+                part = 0
+                for i in range(j, top + 1):
+                    sub = _P_KL.get((n - i * d, k - i, lp))
+                    if sub is None:
+                        sub = p_kl(n - i * d, k - i, lp)
+                    if sub:
+                        part += comb(i, j) * sub
+                inner += d * part
+        total += inner if j & 1 else -inner
     q, r = divmod(total, n)
     if r:
         raise IntegrityError(f"p_{{{k},{l}}}({n}) sum {total} not divisible by {n}")
@@ -106,7 +123,12 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
 def r_l(n: int, l: int) -> BigCount:
     """Partitions of n with exactly l different part values; same recursion
     shape as :func:`p_kl` without the part-count index, and the first such
-    recursion with no auxiliary function."""
+    recursion with no auxiliary function.
+
+    As in :func:`p_kl` the loops skip the sub-states that are 0: at
+    l' = l - j = 0 only i = n/d with d | n is left, and it adds C(n/d, j);
+    at l' >= 1, i <= (n - l'(l'+1)/2) // d.  Memo hits are read inline.
+    """
     if n < 0 or l < 0:
         return 0
     if n == 0:
@@ -118,15 +140,22 @@ def r_l(n: int, l: int) -> BigCount:
     if hit is not None:
         return hit
     total = 0
-    for d in range(1, n + 1):
-        for j in range(1, l + 1):
+    for j in range(1, l + 1):
+        lp = l - j
+        if lp == 0:
+            inner = sum(d * comb(n // d, j) for d in range(1, n // j + 1) if n % d == 0)
+        else:
+            rest = n - lp * (lp + 1) // 2
             inner = 0
-            for i in range(j, n // d + 1):
-                sub = r_l(n - i * d, l - j)
-                if sub:
-                    inner += comb(i, j) * sub
-            if inner:
-                total += d * inner if j & 1 else -d * inner
+            for d in range(1, rest // j + 1):
+                part = 0
+                for i in range(j, rest // d + 1):
+                    sub = _R_L.get((n - i * d, lp))
+                    if sub is None:
+                        sub = r_l(n - i * d, lp)
+                    part += comb(i, j) * sub
+                inner += d * part
+        total += inner if j & 1 else -inner
     q, r = divmod(total, n)
     if r:
         raise IntegrityError(f"r_{l}({n}) sum {total} not divisible by {n}")
@@ -140,6 +169,17 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     Splits on the number i of parts equal to j:
     r_{l,j}(n) = r_{l,j+1}(n) + sum_{i=1..n//j} r_{l-1,j+1}(n - i*j).
     r_l(n) is the j = 1 case.
+
+    The sum skips the terms that are 0: at l = 1 it is [j | n], since
+    r_{0,j+1}(m) = [m == 0]; at l >= 2, m = n - i*j runs down to
+    (l-1)(j+1) only.  When the memo already holds r_{l,j}(n-j) and
+    r_{l,j+1}(n-j) (or they are 0 because j*l > n-j), the same split at n - j
+    telescopes the sum to
+    r_{l-1,j+1}(n-j) + r_{l,j}(n-j) - r_{l,j+1}(n-j),
+    which is O(1) work.  Only earlier calls fill those two entries, as when
+    ``bfile`` walks n upward; they are never computed just for this, which
+    would add a descent in n to the stack.  Memo hits are read inline, and
+    the chain value r_{l,j+1}(n) is always the first sub-state asked for.
     """
     if j < 1:
         raise ValueError(f"r_lj requires j >= 1, got {j}")
@@ -153,35 +193,57 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     hit = _R_LJ.get(key)
     if hit is not None:
         return hit
-    total = r_lj(n, l, j + 1)
-    for i in range(1, n // j + 1):
-        total += r_lj(n - i * j, l - 1, j + 1)
+    total = _R_LJ.get((n, l, j + 1))
+    if total is None:
+        total = r_lj(n, l, j + 1)
+    if l == 1:
+        if n % j == 0:
+            total += 1
+    else:
+        m = n - j
+        lo = (l - 1) * (j + 1)  # r_{l-1,j+1} is 0 below
+        whole = 0 if j * l > m else _R_LJ.get((m, l, j))
+        tail = 0 if (j + 1) * l > m else _R_LJ.get((m, l, j + 1))
+        if whole is not None and tail is not None:
+            total += whole - tail  # the terms i >= 2
+            lo = max(lo, m)  # leaves the term i = 1
+        for m in range(n - j, lo - 1, -j):
+            sub = _R_LJ.get((m, l - 1, j + 1))
+            if sub is None:
+                sub = r_lj(m, l - 1, j + 1)
+            total += sub
     _R_LJ[key] = total
     return total
 
 
 def stirling2(n: int, k: int) -> BigCount:
     """Stirling number of the second kind by the standard triangle
-    S(n, k) = k * S(n-1, k) + S(n-1, k-1); S(0, 0) = 1."""
+    S(n, k) = k * S(n-1, k) + S(n-1, k-1); S(0, 0) = 1.
+
+    Only the last row is kept (O(n) ints): it is extended forward, and
+    rebuilt from row 0 when a smaller n is asked for.
+    """
     if n < 0 or k < 0 or k > n:
         return 0
-    while len(_stirling_rows) <= n:
-        prev = _stirling_rows[-1]
-        m = len(_stirling_rows)
-        row = [0] * (m + 1)
-        for i in range(1, m + 1):
-            row[i] = i * prev[i] if i < m else 0
-            row[i] += prev[i - 1]
-        _stirling_rows.append(row)
-    return _stirling_rows[n][k]
+    return _stirling_row_at(n)[k]
+
+
+def _stirling_row_at(n: int) -> list[int]:
+    """S(n, 0..n), from the kept row when it is not past n."""
+    global _stirling_row
+    row = _stirling_row if len(_stirling_row) <= n + 1 else [1]
+    while len(row) <= n:
+        m = len(row)
+        row = [0, *(i * row[i] + row[i - 1] for i in range(1, m)), row[m - 1]]
+    _stirling_row = row
+    return row
 
 
 def bell(n: int) -> BigCount:
     """Bell number: total set partitions of n labeled items."""
     if n < 0:
         raise ValueError(f"bell requires n >= 0, got {n}")
-    stirling2(n, 0)  # force the triangle out to row n
-    return sum(_stirling_rows[n])
+    return sum(_stirling_row_at(n))
 
 
 def _weighted_power_sum(k: int, n: int, signed: bool) -> BigCount:

@@ -6,9 +6,9 @@ They live here, not in the package, because no library code calls them.
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
-from multifact.arith import MAX_N, FactoredInt, IntegrityError
+from multifact.arith import MAX_N, BigCount, FactoredInt, IntegrityError
 from multifact.partitions import (
     centralizer_order,
     multiplicity_vector,
@@ -129,3 +129,110 @@ def class_table_partition_sum(n: FactoredInt, k: int, signed: bool) -> int:
             f"partition sum {total} of {n.value} at k = {k} not divisible by {k}!"
         )
     return value
+
+
+# The partition recursions in their unpruned form, which the tests check
+# `partition_counts` against: every sub-state is reached by a call, whatever
+# its guard or memo entry says.  Each keeps its own memo;
+# `clear_partition_memos` empties all three.
+_REF_P_KL: dict[tuple[int, int, int], int] = {}
+_REF_R_L: dict[tuple[int, int], int] = {}
+_REF_R_LJ: dict[tuple[int, int, int], int] = {}
+
+
+def clear_partition_memos() -> None:
+    _REF_P_KL.clear()
+    _REF_R_L.clear()
+    _REF_R_LJ.clear()
+
+
+def p_kl(n: int, k: int, l: int) -> BigCount:
+    """Partitions of n with exactly k parts, of which exactly l are different.
+
+    Computed by the triple-sum recursion
+    n * p_{k,l}(n) = sum_{d=1..n} d * sum_{j=1..l} (-1)**(j+1)
+                     * sum_{i=1..n//d} C(i, j) * p_{k-i, l-j}(n - i*d),
+    with boundary p_{k,l}(0) = [k == l == 0] and 0 for any negative index.
+    """
+    if n < 0 or k < 0 or l < 0:
+        return 0
+    if n == 0:
+        return 1 if k == 0 and l == 0 else 0
+    if k == 0 or l == 0 or k > n or l > k or l * (l + 1) > 2 * n:
+        return 0
+    key = (n, k, l)
+    hit = _REF_P_KL.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    for d in range(1, n + 1):
+        for j in range(1, l + 1):
+            inner = 0
+            for i in range(j, n // d + 1):
+                sub = p_kl(n - i * d, k - i, l - j)
+                if sub:
+                    inner += comb(i, j) * sub
+            if inner:
+                total += d * inner if j & 1 else -d * inner
+    q, r = divmod(total, n)
+    if r:
+        raise IntegrityError(f"p_{{{k},{l}}}({n}) sum {total} not divisible by {n}")
+    _REF_P_KL[key] = q
+    return q
+
+
+def r_l(n: int, l: int) -> BigCount:
+    """Partitions of n with exactly l different part values; same recursion
+    shape as :func:`p_kl` without the part-count index, and the first such
+    recursion with no auxiliary function."""
+    if n < 0 or l < 0:
+        return 0
+    if n == 0:
+        return 1 if l == 0 else 0
+    if l == 0 or l * (l + 1) > 2 * n:
+        return 0
+    key = (n, l)
+    hit = _REF_R_L.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    for d in range(1, n + 1):
+        for j in range(1, l + 1):
+            inner = 0
+            for i in range(j, n // d + 1):
+                sub = r_l(n - i * d, l - j)
+                if sub:
+                    inner += comb(i, j) * sub
+            if inner:
+                total += d * inner if j & 1 else -d * inner
+    q, r = divmod(total, n)
+    if r:
+        raise IntegrityError(f"r_{l}({n}) sum {total} not divisible by {n}")
+    _REF_R_L[key] = q
+    return q
+
+
+def r_lj(n: int, l: int, j: int) -> BigCount:
+    """Partitions of n with exactly l different part values, all parts >= j.
+
+    Splits on the number i of parts equal to j:
+    r_{l,j}(n) = r_{l,j+1}(n) + sum_{i=1..n//j} r_{l-1,j+1}(n - i*j).
+    r_l(n) is the j = 1 case.
+    """
+    if j < 1:
+        raise ValueError(f"r_lj requires j >= 1, got {j}")
+    if n < 0 or l < 0:
+        return 0
+    if l == 0:
+        return 1 if n == 0 else 0
+    if j * l > n:
+        return 0
+    key = (n, l, j)
+    hit = _REF_R_LJ.get(key)
+    if hit is not None:
+        return hit
+    total = r_lj(n, l, j + 1)
+    for i in range(1, n // j + 1):
+        total += r_lj(n - i * j, l - 1, j + 1)
+    _REF_R_LJ[key] = total
+    return total

@@ -342,6 +342,18 @@ def test_values_longer_than_the_int_str_limit_print(capsys, argv):
     assert value == str(partition_counts.bell(500))
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "bell", str(cli.STIRLING_MAX_N + 1)),
+    ("compute", "stirling2", str(cli.STIRLING_MAX_N + 1), "--k", "2"),
+    ("bfile", "bell", "--max", str(cli.STIRLING_MAX_N + 1)),
+    ("bench", "bell", str(10**6), "--repeat", "1"),
+])
+def test_stirling_and_bell_refuse_n_above_their_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1]} requires n <= {cli.STIRLING_MAX_N}\n"
+
+
 def test_zero_indices_are_accepted(capsys):
     assert run(capsys, "compute", "f_k", "36", "--k", "0")[:2] == (0, "0\n")
     assert run(capsys, "compute", "h_l", "1", "--l", "0")[:2] == (0, "1\n")

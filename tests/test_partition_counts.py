@@ -1,6 +1,11 @@
 """Tests for partition-side counts, Stirling/Bell numbers, and identities."""
 
+import sys
+from collections import Counter
+from math import comb, factorial
+
 import pytest
+import references
 
 from multifact import counting, oracle, partition_counts
 from multifact.arith import IntegrityError, prime_power, primorial
@@ -50,6 +55,18 @@ def test_stirling_values():
     assert stirling2(5, 0) == 0
     assert stirling2(3, 5) == 0
     assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
+
+
+def test_stirling_keeps_one_row_and_rebuilds_it_for_a_smaller_n():
+    partition_counts.clear_caches()
+    assert bell(40) == 157450588391204931289324344702531067
+    assert len(partition_counts._stirling_row) == 41  # S(40, 0..40) only
+    assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
+    assert len(partition_counts._stirling_row) == 6
+    # S(n, k) = sum_i (-1)**i C(k, i) (k - i)**n / k!
+    explicit = sum((-1) ** i * comb(20, i) * (20 - i) ** 40 for i in range(21))
+    assert stirling2(40, 20) == explicit // factorial(20)
+    assert [bell(n) for n in range(7, -1, -1)] == [877, 203, 52, 15, 5, 2, 1, 1]
 
 
 def test_stirling_against_oracle_primorials():
@@ -189,3 +206,103 @@ def test_identity_report_fields():
     assert rep.n == 6 and rep.k == 3
     assert rep.passed == (rep.lhs == rep.rhs)
     assert rep.lhs == stirling2(6, 3)
+
+
+# Grid on which the pruned recursions must equal the unpruned ones kept in
+# tests/references.py.
+GRID_N, GRID_K, GRID_L, GRID_J = 80, 14, 6, 8
+# p_kl from an empty memo costs about 50 s over the whole grid (2-vCPU VM),
+# so that mode stops at this n; the ascending sweep covers the whole grid
+P_KL_COLD_N = 40
+
+
+@pytest.fixture
+def deep_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.fixture(scope="module")
+def grid_reference():
+    """Every grid value of the three unpruned recursions, keyed by
+    (function name, *arguments)."""
+    references.clear_partition_memos()
+    values = {}
+    for n in range(GRID_N + 1):
+        for l in range(GRID_L + 1):
+            for k in range(GRID_K + 1):
+                values["p_kl", n, k, l] = references.p_kl(n, k, l)
+            values["r_l", n, l] = references.r_l(n, l)
+            for j in range(1, GRID_J + 1):
+                values["r_lj", n, l, j] = references.r_lj(n, l, j)
+    references.clear_partition_memos()
+    return values
+
+
+@pytest.mark.parametrize("name", ["p_kl", "r_l", "r_lj"])
+def test_recursions_from_an_empty_memo_match_the_references(name, grid_reference):
+    function = getattr(partition_counts, name)
+    top_n = P_KL_COLD_N if name == "p_kl" else GRID_N
+    for (fname, n, *rest), expected in grid_reference.items():
+        if fname == name and n <= top_n:
+            partition_counts.clear_caches()
+            assert function(n, *rest) == expected, (name, n, *rest)
+    partition_counts.clear_caches()
+
+
+def test_recursions_over_an_ascending_sweep_match_the_references(grid_reference, deep_stack):
+    # n rises as in bfile, so r_lj reads r_{l,j}(n-j) and r_{l,j+1}(n-j) from
+    # the memo and takes its telescoped sum
+    partition_counts.clear_caches()
+    for (name, *args), expected in grid_reference.items():
+        assert getattr(partition_counts, name)(*args) == expected, (name, *args)
+    partition_counts.clear_caches()
+
+
+def test_recursions_at_the_sequence_indices(deep_stack):
+    # values of the unpruned recursions in tests/references.py, too slow to
+    # recompute here; r_1(900) = d(900) = 27, and p_{3,2}(300) counts
+    # (a, a, 300 - 2a) for a = 1..149 without a = 100
+    partition_counts.clear_caches()
+    for n in range(1, 901):
+        values = [r_lj(n, l, 1) for l in (1, 2, 3)]
+    assert values == [27, 27944, 16945853]
+    for n in range(1, 301):
+        values = [p_kl(n, 3, 2), p_kl(n, 4, 2), r_l(n, 1), r_l(n, 2), r_l(n, 3)]
+    assert values == [148, 172, 18, 6101, 983196]
+    partition_counts.clear_caches()
+
+
+def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
+    """Every call of the three recursions adds a memo entry, except the
+    top-level ones and the last step of each j chain: a sub-state that a
+    guard returns as 0 is never called, and a memo hit is read, not called."""
+    calls = Counter()
+    for name in ("p_kl", "r_l", "r_lj"):
+        def counted(*args, _function=getattr(partition_counts, name), _name=name):
+            calls[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(partition_counts, name, counted)
+    memos = {"p_kl": partition_counts._P_KL, "r_l": partition_counts._R_L,
+             "r_lj": partition_counts._R_LJ}
+    top_level = Counter()
+    partition_counts.clear_caches()
+    for n in range(1, 401):
+        for l in (2, 3):
+            partition_counts.r_lj(n, l, 1)
+            top_level["r_lj"] += 1
+    for n in range(1, 301):
+        for l in (1, 2, 3):
+            partition_counts.r_l(n, l)
+            top_level["r_l"] += 1
+        for k, l in ((3, 2), (4, 2)):
+            partition_counts.p_kl(n, k, l)
+            top_level["p_kl"] += 1
+    for name, memo in memos.items():
+        # the unpruned recursions make 1,320,035 / 1,300,624 / 1,603,906
+        # calls here for 146,001 / 893 / 1,488 entries
+        assert calls[name] <= (len(memo) + top_level[name]) * 1.1, name
+    partition_counts.clear_caches()
