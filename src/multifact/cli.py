@@ -4,12 +4,12 @@ cross-method verification sweeps, and micro-benchmarks.
 Every route of every function is one entry of a route table:
 ``_FACTOR_ROUTES`` for the functions of a factored n (f, g, f_k, g_k, F_k,
 G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl, r_l,
-r_lj, stirling2, bell), the oracle included.  The oracle routes of the
-factorization functions read one enumeration of n through ``_ORACLE_READS``,
-which ``verify`` uses too.  The function lists, each function's methods in
-order (the first is its default) and the ``--method`` choices are derived
-from the two tables; ``NEEDS`` (the indices each function takes) is the only
-other per-function table.
+r_lj, stirling2, bell), the oracle included.  Every oracle route but r_lj's reads
+one enumeration of n through ``_ORACLE_READS`` (factorization functions) or
+``_PARTITION_READS`` (p_kl, r_l); ``verify`` reads every value it compares
+from these four tables or ``check_identity``.  The function lists, each
+function's methods in order (the first is its default) and the ``--method``
+choices derive from the route tables; ``NEEDS`` holds each function's indices.
 
 Exit codes: 0 success, 1 verification or internal integrity failure, 2 usage
 error.  All stdout is deterministic for fixed arguments, except the timing
@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 
 from . import counting, oracle, partition_counts
 from .arith import FactoredInt, IntegrityError, factorize, prime_power
@@ -59,32 +59,6 @@ class UsageError(Exception):
     """Bad command-line arguments; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One computed value plus the query that produced it."""
-
-    function: str
-    n: int
-    k: int | None
-    l: int | None
-    j: int | None
-    value: int
-    method: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "function": self.function,
-                "n": str(self.n),
-                "k": self.k,
-                "l": self.l,
-                "j": self.j,
-                "value": str(self.value),
-                "method": self.method,
-            }
-        )
-
-
 # --------------------------------------------------------------------------
 # route tables
 
@@ -100,9 +74,19 @@ _ORACLE_READS = {
     "f_kl": lambda prof, k, l: prof.f_kl.get((k, l), 0),
 }
 
+# p_kl and r_l read off the oracle's partition profile of n
+_PARTITION_READS = {
+    "p_kl": lambda pp, k, l: pp.get((k, l), 0),
+    "r_l": lambda pp, k, l: sum(v for (_, ll), v in pp.items() if ll == l),
+}
+
 
 def _oracle_route(read):
     return lambda fi, k, l: read(oracle.profile(fi.value), k, l)
+
+
+def _oracle_partition_route(read):
+    return lambda n, k, l, j: read(oracle.partition_profile(n), k, l)
 
 
 _FACTOR_ROUTES = {
@@ -150,10 +134,8 @@ _PARTITION_ROUTES = {
     ("r_lj", "recursion"): lambda n, k, l, j: partition_counts.r_lj(n, l, j),
     ("stirling2", "recursion"): lambda n, k, l, j: partition_counts.stirling2(n, k),
     ("bell", "recursion"): lambda n, k, l, j: partition_counts.bell(n),
-    ("p_kl", "oracle"): lambda n, k, l, j: oracle.partition_profile(n).get((k, l), 0),
-    ("r_l", "oracle"): lambda n, k, l, j: sum(
-        v for (_, ll), v in oracle.partition_profile(n).items() if ll == l
-    ),
+    **{(function, "oracle"): _oracle_partition_route(read)
+       for function, read in _PARTITION_READS.items()},
     # parts >= j with exactly l distinct values
     ("r_lj", "oracle"): lambda n, k, l, j: sum(
         1
@@ -223,11 +205,13 @@ def _clear_all_caches() -> None:
 def cmd_compute(args) -> int:
     function = args.function
     fi = _validate_query(function, args.n, args.k, args.l, args.j, args.method)
+    if args.all_methods and args.method:
+        raise UsageError("--method and --all-methods cannot be combined")
     if args.all_methods:
         methods = METHODS_FOR[function]
     else:
         methods = (args.method or DEFAULT_METHOD[function],)
-    records = []
+    records = []  # (method, value)
     skipped = []  # one "<method> skipped: <reason>" line per method over its budget
     for m in methods:
         try:
@@ -240,21 +224,20 @@ def cmd_compute(args) -> int:
                 raise
             skipped.append(f"{m} skipped: {exc}")
             continue
-        records.append(OutputRecord(function, args.n, args.k, args.l, args.j, value, m))
+        records.append((m, value))
     if args.format == "json":
-        for rec in records:
-            print(rec.to_json())
-        for line in skipped:
-            print(line, file=sys.stderr)
+        for m, value in records:
+            print(json.dumps({"function": function, "n": str(args.n), "k": args.k,
+                              "l": args.l, "j": args.j, "value": str(value), "method": m}))
     elif args.all_methods:
-        for rec in records:
-            print(f"{rec.method} {rec.value}")
-        for line in skipped:
-            print(line)
+        for m, value in records:
+            print(f"{m} {value}")
     else:
-        print(records[0].value)
+        print(records[0][1])
+    for line in skipped:  # empty unless --all-methods
+        print(line, file=sys.stderr if args.format == "json" else sys.stdout)
     if args.all_methods:
-        values = {rec.value for rec in records}
+        values = {value for _, value in records}
         if len(values) > 1:
             print("MISMATCH: methods disagree", file=sys.stderr)
             return 1
@@ -309,34 +292,35 @@ def _routes_worker(n: int):
 
 
 def _routes_partition_worker(n: int):
-    # partition-side route agreement: two recursions for r_l, plus the
-    # prime-power specializations of the factorization recursions
+    # partition-side route agreement: r_l by its recursion and by the parts-floor
+    # recursion at j = 1, and r_l, p_kl by the factorization recursions at 2**n
     fi2 = prime_power(2, n)
     for l in range(0, 9):
         yield ("r_l", n, None, l, {
-            "recursion": partition_counts.r_l(n, l),
-            "parts-floor-recursion": partition_counts.r_lj(n, l, 1),
-            "prime-power": counting.h_l(fi2, l),
+            "recursion": _PARTITION_ROUTES[("r_l", "recursion")](n, None, l, None),
+            "parts-floor-recursion": _PARTITION_ROUTES[("r_lj", "recursion")](n, None, l, 1),
+            "prime-power": _FACTOR_ROUTES[("h_l", "recursion")](fi2, None, l),
         })
     for k in range(1, n + 1):
         for l in range(1, min(k, 8) + 1):
             yield ("p_kl", n, k, l, {
-                "recursion": partition_counts.p_kl(n, k, l),
-                "prime-power": counting.f_kl(fi2, k, l),
+                "recursion": _PARTITION_ROUTES[("p_kl", "recursion")](n, k, l, None),
+                "prime-power": _FACTOR_ROUTES[("f_kl", "recursion")](fi2, k, l),
             })
+
+
+def _oracle_check(n: int, route, reads, prof, function, k=None, l=None):
+    """One oracle check: the function's default route, computed by
+    route(key, k, l), against reads[function] of the oracle's profile prof of n."""
+    method = DEFAULT_METHOD[function]
+    return (function, n, k, l, {method: route((function, method), k, l),
+                                "oracle": reads[function](prof, k, l)})
 
 
 def _oracle_worker(n: int):
     fi = factorize(n)
-    prof = oracle.profile(n)
-
-    def check(function, k=None, l=None):
-        method = DEFAULT_METHOD[function]
-        return (function, n, k, l, {
-            method: _FACTOR_ROUTES[(function, method)](fi, k, l),
-            "oracle": _ORACLE_READS[function](prof, k, l),
-        })
-
+    check = partial(_oracle_check, n, lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
+                    _ORACLE_READS, oracle.profile(n))
     yield check("f")
     yield check("g")
     for k in range(1, fi.big_omega + 3):
@@ -349,18 +333,14 @@ def _oracle_worker(n: int):
 
 
 def _oracle_partition_worker(n: int):
-    pp = oracle.partition_profile(n)
+    check = partial(_oracle_check, n,
+                    lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
+                    _PARTITION_READS, oracle.partition_profile(n))
     for l in range(1, 9):
-        yield ("r_l", n, None, l, {
-            "recursion": partition_counts.r_l(n, l),
-            "oracle": sum(v for (_, ll), v in pp.items() if ll == l),
-        })
+        yield check("r_l", l=l)
     for k in range(1, n + 1):
         for l in range(1, min(k, 8) + 1):
-            yield ("p_kl", n, k, l, {
-                "recursion": partition_counts.p_kl(n, k, l),
-                "oracle": pp.get((k, l), 0),
-            })
+            yield check("p_kl", k, l)
 
 
 def _identities_worker(n: int):
@@ -400,7 +380,9 @@ def _run_suite(suite: str, max_n: int):
 
 
 def cmd_verify(args) -> int:
-    selected = ("routes", "identities", "oracle") if args.suite == "all" else (args.suite,)
+    if args.max < 1:
+        raise UsageError("--max must be >= 1")
+    selected = SUITES[:-1] if args.suite == "all" else (args.suite,)
     first_failure = None
     for suite in selected:
         checks, failures = _run_suite(suite, args.max)
@@ -421,16 +403,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     function = args.function
-    _validate_query(function, args.n, args.k, args.l, args.j, None)
-    if args.method:
-        for m in args.method:
-            if m not in METHODS_FOR[function]:
-                raise UsageError(
-                    f"{function} supports methods {', '.join(METHODS_FOR[function])}"
-                )
-        methods = tuple(args.method)
-    else:
-        methods = METHODS_FOR[function]
+    # the query first, then each --method against it
+    for method in (None, *(args.method or ())):
+        _validate_query(function, args.n, args.k, args.l, args.j, method)
+    methods = tuple(args.method or METHODS_FOR[function])
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
 
@@ -483,15 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_indices(p):
+    def add_query(p, *n_flags, **n_options):
+        # the function, its n (or --max), then the index flags
+        p.add_argument("function", choices=ALL_FUNCTIONS)
+        p.add_argument(*n_flags, type=int, **n_options)
         p.add_argument("--k", type=int, default=None, help="part-count index")
         p.add_argument("--l", type=int, default=None, help="distinct-value index")
         p.add_argument("--j", type=int, default=None, help="minimum part size index")
 
     p_compute = sub.add_parser("compute", help="compute one value")
-    p_compute.add_argument("function", choices=ALL_FUNCTIONS)
-    p_compute.add_argument("n", type=int)
-    add_indices(p_compute)
+    add_query(p_compute, "n")
     p_compute.add_argument("--method", choices=METHODS, default=None)
     p_compute.add_argument("--all-methods", action="store_true",
                            help="compute by every applicable method and verify agreement")
@@ -501,9 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bfile = sub.add_parser(
         "bfile", help="emit 'n value' lines for n up to --max (b-file convention)")
-    p_bfile.add_argument("function", choices=ALL_FUNCTIONS)
-    p_bfile.add_argument("--max", type=int, required=True)
-    add_indices(p_bfile)
+    add_query(p_bfile, "--max", required=True)
     p_bfile.add_argument("--method", choices=METHODS, default=None)
     p_bfile.set_defaults(handler=cmd_bfile)
 
@@ -515,9 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time each method on one query")
-    p_bench.add_argument("function", choices=ALL_FUNCTIONS)
-    p_bench.add_argument("n", type=int)
-    add_indices(p_bench)
+    add_query(p_bench, "n")
     p_bench.add_argument("--method", action="append", default=None,
                          help="method to time (repeatable; default: all applicable)")
     p_bench.add_argument("--repeat", type=int, default=3,

@@ -191,6 +191,121 @@ def test_verify_reports_counterexample_on_failure(capsys, monkeypatch):
     assert "f_k" in err
 
 
+@pytest.mark.parametrize("table, key, function", [
+    ("_PARTITION_ROUTES", ("r_l", "recursion"), "r_l"),
+    ("_PARTITION_ROUTES", ("r_lj", "recursion"), "r_l"),
+    ("_PARTITION_ROUTES", ("p_kl", "recursion"), "p_kl"),
+    ("_FACTOR_ROUTES", ("h_l", "recursion"), "r_l"),
+    ("_FACTOR_ROUTES", ("f_kl", "recursion"), "p_kl"),
+])
+def test_verify_routes_reads_the_partition_side_from_the_route_tables(
+        capsys, monkeypatch, table, key, function):
+    # r_l and p_kl by their recursions, r_l by r_lj at j = 1, and both by the
+    # factorization recursions at 2**n: a wrong table entry must fail verify
+    routes = getattr(cli, table)
+    right = routes[key]
+    monkeypatch.setitem(routes, key, lambda *args: right(*args) + 1)
+    code, out, err = run(capsys, "verify", "--max", "10", "--suite", "routes")
+    assert code == 1
+    assert err.startswith(f"first counterexample: {function} n=")
+
+
+@pytest.mark.parametrize("function", ["p_kl", "r_l"])
+def test_verify_oracle_reads_the_partition_read_table(capsys, monkeypatch, function):
+    right = cli._PARTITION_READS[function]
+    monkeypatch.setitem(cli._PARTITION_READS, function,
+                        lambda pp, k, l: right(pp, k, l) + 1)
+    code, out, err = run(capsys, "verify", "--max", "10", "--suite", "oracle")
+    assert code == 1
+    assert err.startswith(f"first counterexample: {function} n=")
+
+
+def test_partition_oracle_routes_read_the_partition_read_table():
+    for n in range(0, 13):
+        profile = oracle.partition_profile(n)
+        for l in range(0, 5):
+            assert (cli.evaluate("r_l", "oracle", n, None, l)
+                    == cli._PARTITION_READS["r_l"](profile, None, l)
+                    == partition_counts.r_l(n, l)), (n, l)
+            for k in range(0, n + 2):
+                assert (cli.evaluate("p_kl", "oracle", n, k, l)
+                        == cli._PARTITION_READS["p_kl"](profile, k, l)
+                        == partition_counts.p_kl(n, k, l)), (n, k, l)
+
+
+@pytest.mark.parametrize("max_n", ["-3", "0"])
+def test_verify_max_below_one_exits_2(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--max", max_n)
+    assert (code, out, err) == (2, "", "error: --max must be >= 1\n")
+
+
+def test_compute_method_with_all_methods_exits_2(capsys):
+    code, out, err = run(capsys, "compute", "f", "36", "--method", "oracle", "--all-methods")
+    assert (code, out) == (2, "")
+    assert err == "error: --method and --all-methods cannot be combined\n"
+
+
+def test_bench_checks_each_method_as_compute_does(capsys):
+    _, _, compute_err = run(capsys, "compute", "g", "36", "--method", "fedorov")
+    code, out, err = run(capsys, "bench", "g", "36", "--method", "recursion",
+                         "--method", "fedorov", "--repeat", "1")
+    assert (code, out) == (2, "")
+    assert err == compute_err == (
+        "error: g supports methods recursion, partition-sum, kappa-recursion, oracle\n")
+    # the query's own errors come first, as before any method is looked at
+    code, _, err = run(capsys, "bench", "g", "0", "--method", "fedorov", "--repeat", "1")
+    assert (code, err) == (2, "error: g requires n >= 1\n")
+
+
+def test_route_tables_are_pinned():
+    # the default route of every function and the cross-check op mix of the
+    # benchmark follow these tables, so any move in them is deliberate
+    assert cli.METHODS_FOR == {
+        "f": ("recursion", "partition-sum", "kappa-recursion", "fedorov", "oracle"),
+        "g": ("recursion", "partition-sum", "kappa-recursion", "oracle"),
+        "f_k": ("recursion", "partition-sum", "kappa-recursion", "fedorov", "oracle"),
+        "g_k": ("recursion", "partition-sum", "kappa-recursion", "oracle"),
+        "F_k": ("partition-sum", "fedorov", "recursion", "kappa-recursion", "oracle"),
+        "G_k": ("partition-sum", "recursion", "oracle"),
+        "h_l": ("recursion", "oracle"),
+        "f_kl": ("recursion", "oracle"),
+        "p_kl": ("recursion", "oracle"),
+        "r_l": ("recursion", "oracle"),
+        "r_lj": ("recursion", "oracle"),
+        "stirling2": ("recursion",),
+        "bell": ("recursion",),
+    }
+    assert list(cli.METHODS_FOR) == [
+        "f", "g", "f_k", "g_k", "F_k", "G_k", "h_l", "f_kl",
+        "p_kl", "r_l", "r_lj", "stirling2", "bell",
+    ]
+    assert cli.DEFAULT_METHOD == {
+        "f": "recursion", "g": "recursion", "f_k": "recursion", "g_k": "recursion",
+        "F_k": "partition-sum", "G_k": "partition-sum", "h_l": "recursion",
+        "f_kl": "recursion", "p_kl": "recursion", "r_l": "recursion",
+        "r_lj": "recursion", "stirling2": "recursion", "bell": "recursion",
+    }
+    assert list(cli._FACTOR_ROUTES) == [
+        ("f", "recursion"), ("f", "partition-sum"), ("f", "kappa-recursion"),
+        ("f", "fedorov"),
+        ("g", "recursion"), ("g", "partition-sum"), ("g", "kappa-recursion"),
+        ("f_k", "recursion"), ("f_k", "partition-sum"), ("f_k", "kappa-recursion"),
+        ("f_k", "fedorov"),
+        ("g_k", "recursion"), ("g_k", "partition-sum"), ("g_k", "kappa-recursion"),
+        ("F_k", "partition-sum"), ("F_k", "fedorov"), ("F_k", "recursion"),
+        ("F_k", "kappa-recursion"),
+        ("G_k", "partition-sum"), ("G_k", "recursion"),
+        ("h_l", "recursion"), ("f_kl", "recursion"),
+        ("f", "oracle"), ("g", "oracle"), ("f_k", "oracle"), ("g_k", "oracle"),
+        ("F_k", "oracle"), ("G_k", "oracle"), ("h_l", "oracle"), ("f_kl", "oracle"),
+    ]
+    assert list(cli._PARTITION_ROUTES) == [
+        ("p_kl", "recursion"), ("r_l", "recursion"), ("r_lj", "recursion"),
+        ("stirling2", "recursion"), ("bell", "recursion"),
+        ("p_kl", "oracle"), ("r_l", "oracle"), ("r_lj", "oracle"),
+    ]
+
+
 def test_bench_single_repeat(capsys):
     code, out, _ = run(capsys, "bench", "f", "36", "--repeat", "1")
     assert code == 0
