@@ -9,8 +9,9 @@ through its prime signature, so every cache here is keyed on
 The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): every divisor power d**i of n,
 grouped by i and the signature of n / d**i, with the group's size and its
-per-prime sums of kappa_p(d).  Each group's n / d**i is passed on as the
-canonical representative of its signature (:func:`canonical`: the first
+per-prime sums of kappa_p(d), built in one pass per power i that walks the
+vectors of n / d**i and of d in step.  Each group's n / d**i is passed on as
+the canonical representative of its signature (:func:`canonical`: the first
 primes, largest exponent on 2), so the recursions never build or factor the
 integer n / d**i.  The kappa routes anchor at the prime `pi` passed to the
 top-level call (default: the smallest prime of n); each recursive call
@@ -28,7 +29,10 @@ by different algorithms.
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
 public name, memo dict and IntegrityError message, and a recursion recurses
-through its own module-level name, one stack frame per level.
+through its own module-level name, one stack frame per level.  Each
+recursion reads a memo hit of a sub-state inline and calls that name only on
+a miss, so from cold caches every call that gets past the early returns adds
+one memo entry.
 """
 
 from collections import Counter
@@ -251,26 +255,30 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     anchor_weights), with rest the canonical representative, count the number
     of pairs in the group and anchor_weights[j] the sum of c[j] over them,
     which is the group's total of kappa_pi(d) when pi carries sig[j].
-    Entries are sorted by i; the unit's table is empty.
+
+    One pass per power i walks the exponent vectors sig - i * c and the
+    divisor vectors c in step, both from :func:`itertools.product`, and groups
+    the c by the sorted exponent vector; a group of one takes its c as its
+    weights.  The entries come out in ascending i, unsorted within one i; the
+    unit's table is empty.
     """
     table = _TABLES.get(sig)
     if table is not None:
         return table
-    groups: dict = {}
-    for i in range(1, max(sig, default=0) + 1):
-        # the exponent vectors sig - i * c; the first has c = 0
-        rests = product(*(range(e, -1, -i) for e in sig))
-        next(rests)
-        for r in rests:
-            groups.setdefault((i, tuple(sorted(r, reverse=True))), []).append(r)
     entries = []
-    for (i, rest), members in sorted(groups.items()):
-        count = len(members)
-        rest = rest[:len(rest) - rest.count(0)]
-        # sum of c[j] = sum of (sig[j] - r[j]) / i over the group
-        weights = tuple((count * e - total) // i
-                        for e, total in zip(sig, map(sum, zip(*members))))
-        entries.append((i, canonical(rest), sum(rest), count, weights))
+    for i in range(1, max(sig, default=0) + 1):
+        # the t-th exponent e - t * i of each range goes with c = t; the first
+        # pair has c = 0
+        pairs = zip(product(*(range(e, -1, -i) for e in sig)),
+                    product(*(range(e // i + 1) for e in sig)))
+        next(pairs)
+        groups: dict = {}
+        for r, c in pairs:
+            groups.setdefault(tuple(sorted(r)), []).append(c)
+        for rest, cs in groups.items():
+            rest = rest[rest.count(0):][::-1]
+            weights = cs[0] if len(cs) == 1 else tuple(map(sum, zip(*cs)))
+            entries.append((i, canonical(rest), sum(rest), len(cs), weights))
     table = _TABLES[sig] = tuple(entries)
     return table
 
@@ -305,8 +313,10 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
             if i > k:
                 break
             if k - i <= rest_omega:
-                weight = -count if signed and not i & 1 else count
-                total += weight * recurse(rest, k - i)
+                sub = memo.get((rest.signature, k - i))
+                if sub is None:
+                    sub = recurse(rest, k - i)
+                total += (-count if signed and not i & 1 else count) * sub
         q, r = divmod(total, k)
         if r:
             raise IntegrityError(
@@ -391,8 +401,10 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
                 break
             kap_d = weights[col]
             if kap_d and k - i <= rest_omega:
-                weight = -kap_d if signed and not i & 1 else kap_d
-                total += weight * recurse(rest, k - i)
+                sub = memo.get((rest.signature, k - i))
+                if sub is None:
+                    sub = recurse(rest, k - i)
+                total += (-kap_d if signed and not i & 1 else kap_d) * sub
         q, r = divmod(total, kap_n)
         if r:
             raise IntegrityError(
@@ -443,8 +455,13 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
         kap_d = weights[col]
         if not kap_d or k - i > rest_omega:
             continue
-        for j in range(1, min(l, i) + 1):
-            sub = f_kl(rest, k - i, l - j)
+        # f_{k-i,l-j}(rest) is 0 unless 1 <= l - j <= k - i; at k == i only
+        # j = l is left, f_{0,0}(rest) = [rest is the unit]
+        low, high = (l, l) if k == i else (max(1, l - k + i), min(l - 1, i))
+        for j in range(low, high + 1):
+            sub = _FKL.get((rest.signature, k - i, l - j))
+            if sub is None:
+                sub = f_kl(rest, k - i, l - j)
             if sub:
                 term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term
@@ -478,9 +495,13 @@ def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
         kap_d = weights[col]
         if not kap_d:
             continue
-        # h_{l-j}(rest) is 0 once l - j > Omega(rest)
-        for j in range(max(1, l - rest_omega), min(l, i) + 1):
-            sub = h_l(rest, l - j)
+        # h_{l-j}(rest) is 0 once l - j > Omega(rest), and h_0(rest) is 0
+        # unless rest is the unit
+        high = min(l - 1 if rest_omega else l, i)
+        for j in range(max(1, l - rest_omega), high + 1):
+            sub = _HL.get((rest.signature, l - j))
+            if sub is None:
+                sub = h_l(rest, l - j)
             if sub:
                 term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term

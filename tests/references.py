@@ -9,6 +9,7 @@ from itertools import compress, product
 from math import comb, factorial, isqrt
 
 from multifact.arith import MAX_N, BigCount, FactoredInt, IntegrityError
+from multifact.counting import canonical
 from multifact.partitions import (
     centralizer_order,
     multiplicity_vector,
@@ -46,6 +47,29 @@ def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredIn
             out.append((d, i, FactoredInt(value, reduced)))
     out.sort(key=lambda entry: (entry[0], entry[1]))
     return out
+
+
+def reduction_table(sig: tuple[int, ...]) -> tuple:
+    """The reference for ``counting.reduction_table``: the same entries,
+    built by one pass over the exponent vectors sig - i * c of all powers i,
+    grouped by (i, signature) and sorted, each group's weights recovered from
+    the member vectors r as sum of (sig[j] - r[j]) / i.  Uncached."""
+    groups: dict = {}
+    for i in range(1, max(sig, default=0) + 1):
+        # the exponent vectors sig - i * c; the first has c = 0
+        rests = product(*(range(e, -1, -i) for e in sig))
+        next(rests)
+        for r in rests:
+            groups.setdefault((i, tuple(sorted(r, reverse=True))), []).append(r)
+    entries = []
+    for (i, rest), members in sorted(groups.items()):
+        count = len(members)
+        rest = rest[:len(rest) - rest.count(0)]
+        # sum of c[j] = sum of (sig[j] - r[j]) / i over the group
+        weights = tuple((count * e - total) // i
+                        for e, total in zip(sig, map(sum, zip(*members))))
+        entries.append((i, canonical(rest), sum(rest), count, weights))
+    return tuple(entries)
 
 
 _primes: list[int] = []

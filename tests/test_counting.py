@@ -1,11 +1,13 @@
 """Tests for the factorization-counting routes and their agreement."""
 
+import importlib.util
 import inspect
 import json
 import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
@@ -54,6 +56,7 @@ from multifact.partitions import (
     theta_sign,
 )
 from references import class_table_partition_sum, divisor_power_reductions
+from references import reduction_table as grouped_reduction_table
 from test_partitions import PARTITION_COUNTS
 
 FI36 = factorize(36)
@@ -291,6 +294,44 @@ def test_recursions_take_one_frame_per_level(route, expected):
         counting.clear_caches()
 
 
+RECURSION_MEMOS = {  # route: (number of indices after n, memo)
+    "f_k_rec": (1, "_FK_REC"), "g_k_rec": (1, "_GK_REC"),
+    "f_k_kappa": (1, "_FK_KAP"), "g_k_kappa": (1, "_GK_KAP"),
+    "f_kl": (2, "_FKL"), "h_l": (1, "_HL"),
+}
+
+
+@pytest.mark.parametrize("sig", [(4, 3, 2), (6, 6), (3, 2, 1, 1), (12,)])
+def test_every_recursion_call_past_the_early_returns_adds_a_memo_entry(monkeypatch, sig):
+    # the recursions read memo hits inline and call a route only for a key
+    # its memo lacks, so from cold caches no call that gets past the early
+    # returns finds its key in the memo
+    reached = {name: [] for name in RECURSION_MEMOS}
+    for name, (arity, _) in RECURSION_MEMOS.items():
+        def counted(n, *args, name=name, arity=arity, route=getattr(counting, name), **kwargs):
+            k, l = args[0], args[arity - 1]  # l = k for the routes of one index
+            if n.value > 1 and 1 <= l <= k <= n.big_omega:
+                reached[name].append((n.signature, *args[:arity]))
+            return route(n, *args, **kwargs)
+
+        monkeypatch.setattr(counting, name, counted)
+    counting.clear_caches()
+    fi = canonical(sig)
+    om = fi.big_omega
+    for total in (counting.f_total_rec, counting.g_total_rec,
+                  counting.f_total_kappa, counting.g_total_kappa):
+        total(fi)
+    for k in range(1, om + 1):
+        for l in range(1, k + 1):
+            counting.f_kl(fi, k, l)
+        counting.h_l(fi, k)
+    for name, (_, memo) in RECURSION_MEMOS.items():
+        keys = reached[name]
+        assert len(keys) == len(set(keys)) == len(getattr(counting, memo)), name
+        assert set(keys) == set(getattr(counting, memo)), name
+    counting.clear_caches()
+
+
 def test_kappa_anchor_must_divide_n():
     counting.clear_caches()
     with pytest.raises(ValueError):
@@ -338,6 +379,15 @@ def test_kappa_anchor_is_refused_on_a_warm_cache_too(route, indices, n, pi):
 
 # ---------------------------------------------------------------- reduction tables
 
+def _deep_pool_signatures():
+    """The signatures of the benchmark's deep-signature pool."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("deep_pool_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return sorted({tuple(sorted(sig, reverse=True)) for _, _, sig, *_ in workloads.DEEP_POOL})
+
+
 DEEP_SIGNATURES = [
     (20, 10), (4, 3, 2, 1, 1), (1,) * 8, (30,), (24,), (12, 12), (10, 10),
     (20, 4), (8, 8), (6, 6, 6), (5, 5, 5), (4, 4, 4), (3, 3, 2, 2, 2),
@@ -346,6 +396,7 @@ DEEP_SIGNATURES = [
     (12, 1), (3, 3, 3, 3), (15, 5, 1), (11, 7, 2), (4, 4, 1, 1, 1),
     (2,) * 5, (9, 9, 9),
 ]
+DEEP_SIGNATURES += [sig for sig in _deep_pool_signatures() if sig not in DEEP_SIGNATURES]
 
 
 def reference_groups(fi):
@@ -361,10 +412,19 @@ def reference_groups(fi):
     return groups
 
 
+def by_power(table):
+    """A table's entries as one multiset per power i."""
+    powers = {}
+    for entry in table:
+        powers.setdefault(entry[0], Counter())[entry] += 1
+    return powers
+
+
 def check_table(fi):
     sig = fi.signature
     table = reduction_table(sig)
     assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
+    assert by_power(table) == by_power(grouped_reduction_table(sig)), sig
     groups = reference_groups(fi)
     assert len(table) == len(groups)
     for i, rest, rest_omega, count, weights in table:
@@ -388,6 +448,28 @@ def test_reduction_table_matches_the_reference_on_deep_signatures(sig):
     assert fi.signature == sig
     assert [p for p, _ in fi.factors] == first_primes(len(sig))
     check_table(fi)
+
+
+@st.composite
+def signatures(draw, divisors=3000):
+    """1 to 6 exponents of at most 24, nonincreasing, with at most
+    `divisors` divisor exponent vectors."""
+    sig, size = [], 1
+    for _ in range(draw(st.integers(1, 6))):
+        top = min(24, divisors // size - 1)
+        if top < 1:
+            break
+        e = draw(st.integers(1, top))
+        sig.append(e)
+        size *= e + 1
+    return tuple(sorted(sig, reverse=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signatures())
+def test_reduction_table_matches_the_references_on_random_signatures(sig):
+    counting.clear_caches()
+    check_table(canonical(sig))
 
 
 def test_clear_caches_drops_the_tables():
