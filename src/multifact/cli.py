@@ -100,22 +100,14 @@ _FACTOR_ROUTES = {
     ("f_k", "recursion"): lambda fi, k, l: counting.f_k_rec(fi, k),
     ("f_k", "partition-sum"): lambda fi, k, l: counting.f_from_F(fi, k),
     ("f_k", "kappa-recursion"): lambda fi, k, l: counting.f_k_kappa(fi, k),
-    ("f_k", "fedorov"): lambda fi, k, l: (
-        counting.fedorov_F(fi, k) - counting.fedorov_F(fi, k - 1)
-        if k >= 1
-        else counting.f_from_F(fi, k)
-    ),
+    ("f_k", "fedorov"): lambda fi, k, l: counting._k_difference(counting.fedorov_F, fi, k),
     ("g_k", "recursion"): lambda fi, k, l: counting.g_k_rec(fi, k),
     ("g_k", "partition-sum"): lambda fi, k, l: counting.g_from_G(fi, k),
     ("g_k", "kappa-recursion"): lambda fi, k, l: counting.g_k_kappa(fi, k),
     ("F_k", "partition-sum"): lambda fi, k, l: counting.big_F(fi, k),
     ("F_k", "fedorov"): lambda fi, k, l: counting.fedorov_F(fi, k),
-    ("F_k", "recursion"): lambda fi, k, l: (
-        int(fi.value == 1) + sum(counting.f_k_rec(fi, i) for i in range(1, k + 1))
-    ),
-    ("F_k", "kappa-recursion"): lambda fi, k, l: (
-        int(fi.value == 1) + sum(counting.f_k_kappa(fi, i) for i in range(1, k + 1))
-    ),
+    ("F_k", "recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_rec, fi, k),
+    ("F_k", "kappa-recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_kappa, fi, k),
     ("G_k", "partition-sum"): lambda fi, k, l: counting.big_G(fi, k),
     ("G_k", "recursion"): lambda fi, k, l: (
         counting.g_k_rec(fi, k) + counting.g_k_rec(fi, k - 1)

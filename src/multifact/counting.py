@@ -516,12 +516,26 @@ def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
 
 # --------------------------------------------------------------------------
 # conversions between the k-parts and at-least-one-part families
+#
+# Each helper takes the route it reads as an argument, passed by the module
+# name at call time, so a wrapper put in a route's place sees every call.
+
+def _k_sum(route, n: FactoredInt, k: int) -> BigCount:
+    """[n == 1] + x_1(n) + ... + x_k(n), the x_i read from the k-part route."""
+    return int(n.value == 1) + sum(route(n, i) for i in range(1, k + 1))
+
+
+def _k_difference(route, n: FactoredInt, k: int) -> BigCount:
+    """X_k(n) - X_{k-1}(n), the X read from the at-most-k-part route; below
+    k = 1 it is [k == 0 and n == 1]."""
+    if k < 1:
+        return int(k == 0 and n.value == 1)
+    return route(n, k) - route(n, k - 1)
+
 
 def f_from_F(n: FactoredInt, k: int) -> BigCount:
     """f_k recovered as F_k - F_{k-1}."""
-    if k < 1:
-        return 1 if (k == 0 and n.value == 1) else 0
-    return big_F(n, k) - big_F(n, k - 1)
+    return _k_difference(big_F, n, k)
 
 
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
@@ -544,19 +558,15 @@ def f_total(n: FactoredInt) -> BigCount:
 
 
 def f_total_rec(n: FactoredInt) -> BigCount:
-    if n.value == 1:
-        return 1
-    return sum(f_k_rec(n, k) for k in range(1, n.big_omega + 1))
+    return _k_sum(f_k_rec, n, n.big_omega)
 
 
 def f_total_kappa(n: FactoredInt) -> BigCount:
-    if n.value == 1:
-        return 1
-    return sum(f_k_kappa(n, k) for k in range(1, n.big_omega + 1))
+    return _k_sum(f_k_kappa, n, n.big_omega)
 
 
 def f_total_fedorov(n: FactoredInt) -> BigCount:
-    return fedorov_F(n, n.big_omega) if n.value > 1 else 1
+    return fedorov_F(n, n.big_omega)
 
 
 def g_total(n: FactoredInt) -> BigCount:
@@ -569,12 +579,8 @@ def g_total(n: FactoredInt) -> BigCount:
 
 
 def g_total_rec(n: FactoredInt) -> BigCount:
-    if n.value == 1:
-        return 1
-    return sum(g_k_rec(n, k) for k in range(1, n.big_omega + 1))
+    return _k_sum(g_k_rec, n, n.big_omega)
 
 
 def g_total_kappa(n: FactoredInt) -> BigCount:
-    if n.value == 1:
-        return 1
-    return sum(g_k_kappa(n, k) for k in range(1, n.big_omega + 1))
+    return _k_sum(g_k_kappa, n, n.big_omega)

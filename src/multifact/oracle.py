@@ -11,6 +11,11 @@ cofactor divides n, so that is at most one trial-division scan per divisor
 of n.  And the descent stops at the first least part d with d * d > m: the
 cofactor m // d is then smaller than d, so no nondecreasing completion
 exists, and (m,) itself is yielded last.
+
+Both enumerations stop at ``DEFAULT_MAX_FACTORIZATIONS`` items.  The
+factorizations are counted as they are yielded, and the partitions of n are
+counted before the first one is, so an n with too many partitions is refused
+at once.
 """
 
 from collections import Counter
@@ -23,7 +28,6 @@ DEFAULT_MAX_FACTORIZATIONS = 1_000_000
 
 __all__ = [
     "DEFAULT_MAX_FACTORIZATIONS",
-    "FactorizationMultiset",
     "OracleLimitError",
     "OracleProfile",
     "colored_partition_count",
@@ -33,12 +37,8 @@ __all__ = [
     "profile",
 ]
 
-# One unordered factorization: parts >= 2, sorted nondecreasing.
-FactorizationMultiset = tuple[int, ...]
-
-
 class OracleLimitError(RuntimeError):
-    """Enumeration would exceed the configured factorization budget."""
+    """Enumeration would exceed the factorization or partition budget."""
 
 
 def _sorted_divisors(n: int) -> list[int]:
@@ -119,10 +119,10 @@ class OracleProfile:
         return self.g_k.get(k, 0) + self.g_k.get(k - 1, 0)
 
 
-def profile(n: int, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> OracleProfile:
+def profile(n: int) -> OracleProfile:
     """Enumerate all factorizations of n and classify them into every counter."""
     # the unit has one factorization, the empty one
-    items = enumerate_factorizations(n, 2, max_count) if n != 1 else [()]
+    items = enumerate_factorizations(n) if n != 1 else [()]
     f_kl = Counter((len(parts), len(set(parts))) for parts in items)
     f_k: Counter = Counter()
     h_l: Counter = Counter()
@@ -135,14 +135,40 @@ def profile(n: int, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> OracleProfil
     )
 
 
+def _refuse_over_partition_budget(n: int) -> None:
+    """Raise :class:`OracleLimitError` if n has more than
+    ``DEFAULT_MAX_FACTORIZATIONS`` partitions.
+
+    Row m of the table counts the partitions of m into parts <= j, for
+    j = 0..m.  Rows are added for m = 1, 2, ... until m reaches n or the row's
+    total p(m) passes the budget; p never falls as m grows, so p(n) >= p(m)
+    then.  That stops at m = 61 for any n, since p(61) = 1,121,505.
+    """
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0]
+        for j in range(1, m + 1):
+            # parts <= j - 1, plus those with a part j and the rest m - j in
+            # parts <= j
+            row.append(row[j - 1] + rows[m - j][min(j, m - j)])
+        if row[m] > DEFAULT_MAX_FACTORIZATIONS:
+            raise OracleLimitError(
+                f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}"
+            )
+        rows.append(row)
+
+
 def enumerate_partitions(n: int):
     """Yield every partition of n exactly once, as a nonincreasing tuple.
 
     Uses the ascending-composition algorithm, a different code path from the
-    descending recursive iterator in :mod:`multifact.partitions`.
+    descending recursive iterator in :mod:`multifact.partitions`.  An n with
+    more than ``DEFAULT_MAX_FACTORIZATIONS`` partitions (n > 60) raises
+    :class:`OracleLimitError` before the first partition.
     """
     if n < 0:
         raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")
+    _refuse_over_partition_budget(n)
     if n == 0:
         yield ()
         return

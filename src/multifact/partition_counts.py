@@ -2,8 +2,15 @@
 
 Partitions of n classified by distinct part values (the additive shadow of the
 factorization counts, reached by evaluating them at prime powers), Stirling
-numbers of the second kind, Bell numbers, and exact identities tying all of
-these to partition sums and primorial evaluations.
+numbers of the second kind, Bell numbers, and exact identities tying these to
+the factorization counts of the n-th primorial p_1...p_n.
+
+The identities are the paper's relations at a squarefree n, where
+nu_beta(1) = beta_1 turns the partition sum into sum_beta beta_1**n / z_beta.
+Their right-hand sides are read from the shipped routes of
+:mod:`multifact.counting` (:func:`big_F`, :func:`big_G`, :func:`f_k_rec`,
+:func:`f_total_rec`) at the primorial, so a wrong route fails them; this
+module keeps no copy of those sums.
 """
 
 from collections import Counter
@@ -11,9 +18,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .arith import BigCount, IntegrityError, primorial
-from .counting import f_k_rec, f_total
+from .counting import big_F, big_G, f_k_rec, f_total_rec
 from .partitions import (centralizer_order, compositions_of, multiplicity_vector,
-                         partitions_of, prefix_product, theta_sign)
+                         partitions_of, prefix_product)
 
 IDENTITIES = (
     "stirling-partial-sum",
@@ -246,43 +253,24 @@ def bell(n: int) -> BigCount:
     return sum(_stirling_row_at(n))
 
 
-def _weighted_power_sum(k: int, n: int, signed: bool) -> BigCount:
-    """sum over partitions of k of (+-) beta_1**n / z_beta, asserted integral.
-
-    Sums the class sizes k!/z_beta times beta_1**n and divides by k! once.
-    z_beta comes from :func:`centralizer_order`, not from the class sizes that
-    the partition-sum route divides down its walk, so the identities stay
-    independent of it.
-    """
-    k_fact = factorial(k)
-    total = 0
-    for p in partitions_of(k):
-        beta = multiplicity_vector(p)
-        term = k_fact // centralizer_order(beta) * (beta[0] if beta else 0) ** n
-        total += theta_sign(beta) * term if signed else term
-    q, r = divmod(total, k_fact)
-    if r:
-        raise IntegrityError(
-            f"partition power sum (k={k}, n={n}) {total} not divisible by {k_fact}"
-        )
-    return q
-
-
 def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
     """Evaluate both sides of one named identity with exact arithmetic.
 
-    Identities:
+    With P = primorial(n), the product of the first n primes:
 
-    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  partition power sum over k
-    - ``bell-partition-sum``: B_n  ==  partition power sum over n
-    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  signed power sum over k
-    - ``choose2-plus-one``: C(n, 2) + 1  ==  signed power sum over n
+    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  big_F(P, k)
+    - ``bell-partition-sum``: B_n  ==  big_F(P, n)
+    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  big_G(P, k)
+    - ``choose2-plus-one``: C(n, 2) + 1  ==  big_G(P, n)
     - ``composition-aggregate``: per multiplicity vector beta of n, the weights
       n! / prod(prefix sums) of its compositions sum to the class size
       n! / z_beta; lhs counts the vectors that match, rhs = p(n)
-    - ``primorial-stirling``: k-part factorization count of the n-th primorial
-      equals S(n, k)
-    - ``primorial-bell``: factorization count of the n-th primorial equals B_n
+    - ``primorial-stirling``: f_k_rec(P, k)  ==  S(n, k)
+    - ``primorial-bell``: f_total_rec(P)  ==  B_n
+
+    The first four read the partition-sum route, the last two the divisor
+    recursion, so ``bell-partition-sum`` and ``primorial-bell`` check B_n by
+    two different routes.
 
     k-indexed identities require 1 <= k <= n.
     """
@@ -296,16 +284,16 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
 
     if identity == "stirling-partial-sum":
         lhs = sum(stirling2(n, i) for i in range(1, k + 1))
-        rhs = _weighted_power_sum(k, n, signed=False)
+        rhs = big_F(primorial(n), k)
     elif identity == "bell-partition-sum":
         lhs = bell(n)
-        rhs = _weighted_power_sum(n, n, signed=False)
+        rhs = big_F(primorial(n), n)
     elif identity == "stirling-adjacent-sum":
         lhs = stirling2(n, k) + stirling2(n, k - 1)
-        rhs = _weighted_power_sum(k, n, signed=True)
+        rhs = big_G(primorial(n), k)
     elif identity == "choose2-plus-one":
         lhs = comb(n, 2) + 1
-        rhs = _weighted_power_sum(n, n, signed=True)
+        rhs = big_G(primorial(n), n)
     elif identity == "composition-aggregate":
         n_fact = factorial(n)
         sums = Counter()
@@ -318,6 +306,6 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
         lhs = f_k_rec(primorial(n), k)
         rhs = stirling2(n, k)
     else:  # primorial-bell
-        lhs = f_total(primorial(n))
+        lhs = f_total_rec(primorial(n))
         rhs = bell(n)
     return IdentityReport(identity, n, k, lhs, rhs, lhs == rhs)

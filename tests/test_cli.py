@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from multifact import cli, oracle, partition_counts
+from multifact import cli, counting, oracle, partition_counts
 
 
 def run(capsys, *argv):
@@ -210,6 +210,34 @@ def test_verify_routes_reads_the_partition_side_from_the_route_tables(
     assert err.startswith(f"first counterexample: {function} n=")
 
 
+@pytest.mark.parametrize("route, identity", [
+    ("big_F", "bell-partition-sum"),
+    ("big_G", "choose2-plus-one"),
+    ("f_k_rec", "primorial-stirling"),
+    ("f_total_rec", "primorial-bell"),
+])
+def test_verify_identities_read_the_shipped_routes(capsys, monkeypatch, route, identity):
+    # one value off on the signature of 2*3*5*7 must fail the identities
+    right = getattr(partition_counts, route)
+
+    def off_by_one(fi, *indices):
+        return right(fi, *indices) + (fi.signature == (1, 1, 1, 1))
+
+    monkeypatch.setattr(partition_counts, route, off_by_one)
+    code, out, err = run(capsys, "verify", "--max", "20", "--suite", "identities")
+    assert code == 1
+    assert err.startswith(f"first counterexample: {identity} n=4 ")
+
+
+@pytest.mark.parametrize("helper", ["_k_sum", "_k_difference"])
+def test_verify_routes_reads_the_k_sum_and_difference_helpers(capsys, monkeypatch, helper):
+    right = getattr(counting, helper)
+    monkeypatch.setattr(counting, helper, lambda *args: right(*args) + 1)
+    code, out, err = run(capsys, "verify", "--max", "10", "--suite", "routes")
+    assert code == 1
+    assert err.startswith("first counterexample: ")
+
+
 @pytest.mark.parametrize("function", ["p_kl", "r_l"])
 def test_verify_oracle_reads_the_partition_read_table(capsys, monkeypatch, function):
     right = cli._PARTITION_READS[function]
@@ -364,6 +392,17 @@ def test_compute_all_methods_still_refuses_disagreeing_methods_that_ran(capsys, 
     code, out, err = run(capsys, "compute", "f_k", "36", "--k", "2", "--all-methods")
     assert code == 1 and "MISMATCH" in err
     assert "oracle skipped: over budget" in out.splitlines()
+
+
+def test_partition_oracle_refuses_past_its_budget_with_one_line(capsys, within_a_second):
+    code, out, err = run(capsys, "compute", "p_kl", "150", "--k", "10", "--l", "2",
+                         "--method", "oracle")
+    assert (code, out) == (2, "")
+    assert err == "error: more than 1000000 partitions of 150\n"
+    code, out, err = run(capsys, "compute", "r_l", "200", "--l", "2", "--all-methods")
+    assert code == 0
+    assert out.splitlines()[1:] == ["oracle skipped: more than 1000000 partitions of 200",
+                                    "consistent: 1 methods agree"]
 
 
 def test_compute_oracle_alone_over_its_budget_exits_2(capsys, monkeypatch):

@@ -4,7 +4,6 @@ import importlib.util
 import inspect
 import json
 import os
-import signal
 import subprocess
 import sys
 from collections import Counter
@@ -338,24 +337,14 @@ def test_kappa_anchor_must_divide_n():
         f_k_kappa(FI36, 2, pi=5)
 
 
-def _alarm(signum, frame):
-    raise TimeoutError("no answer within a second")
-
-
 @pytest.mark.parametrize("n", [72, 12])
 @pytest.mark.parametrize("pi", [1, 4, 6])
-def test_kappa_anchor_must_be_a_prime_factor(n, pi):
+def test_kappa_anchor_must_be_a_prime_factor(n, pi, within_a_second):
     # pi = 1 once divided n forever; composite pi failed with an index error
     # or landed on some column by accident
     counting.clear_caches()
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        with pytest.raises(ValueError, match=f"anchor prime {pi} is not a prime factor of {n}"):
-            f_k_kappa(factorize(n), 2, pi=pi)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ValueError, match=f"anchor prime {pi} is not a prime factor of {n}"):
+        f_k_kappa(factorize(n), 2, pi=pi)
 
 
 @pytest.mark.parametrize("route, indices", [

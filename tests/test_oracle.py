@@ -3,6 +3,7 @@
 import pytest
 
 from multifact.oracle import (
+    DEFAULT_MAX_FACTORIZATIONS,
     OracleLimitError,
     colored_partition_count,
     enumerate_factorizations,
@@ -135,6 +136,22 @@ def test_enumerate_partitions_counts():
     assert len(list(enumerate_partitions(5))) == 7
     assert list(enumerate_partitions(0)) == [()]
     assert len(list(enumerate_partitions(10))) == 42
+
+
+@pytest.mark.parametrize("n", [61, 200, 10**7])
+def test_enumerate_partitions_refuses_past_the_budget_before_the_first_item(
+        n, within_a_second):
+    # p(61) = 1,121,505; counting stops there whatever n is
+    with pytest.raises(OracleLimitError,
+                       match=f"^more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}$"):
+        next(enumerate_partitions(n))
+    with pytest.raises(OracleLimitError):
+        partition_profile(n)
+
+
+def test_enumerate_partitions_yields_within_the_budget(within_a_second):
+    # p(60) = 966,467 is the last count within the budget
+    assert next(enumerate_partitions(60)) == (1,) * 60
 
 
 def test_enumerate_partitions_valid_and_unique():

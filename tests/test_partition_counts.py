@@ -182,11 +182,17 @@ def test_check_identity_all_pass_small():
 
 
 def test_partition_power_sum_integrity_check_fires(monkeypatch):
-    # B_3 = (1 * 3**3 + 3 * 1**3 + 2 * 0**3) / 3!; with z = 3 for the class
-    # (1, 1) its size drops from 3 to 2 and the sum 29 leaves remainder 5
-    real = partition_counts.centralizer_order
-    monkeypatch.setattr(partition_counts, "centralizer_order",
-                        lambda beta: 3 if beta == (1, 1) else real(beta))
+    # B_3 = big_F(2*3*5, 3) = (1 * 3**3 + 3 * 1**3 + 2 * 0**3) / 3!; with the
+    # size of the class (2, 1) dropped from 3 to 2 the sum 29 leaves
+    # remainder 5
+    real = counting._colored_classes
+
+    def corrupted(k, top):
+        for size, evens, nu in real(k, top):
+            yield (size - 1 if k == 3 and size == 3 else size), evens, nu
+
+    counting.clear_caches()
+    monkeypatch.setattr(counting, "_colored_classes", corrupted)
     with pytest.raises(IntegrityError):
         check_identity("bell-partition-sum", 3)
 
