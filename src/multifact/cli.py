@@ -7,7 +7,7 @@ G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl, r_l,
 r_lj, stirling2, bell), the oracle included.  Every oracle route but r_lj's reads
 one enumeration of n through ``_ORACLE_READS`` (factorization functions) or
 ``_PARTITION_READS`` (p_kl, r_l); ``verify`` reads every value it compares
-from these four tables or ``check_identity``.  The function lists, each
+from these four tables, ``_RELATIONS`` or ``check_identity``.  The function lists, each
 function's methods in order (the first is its default) and the ``--method``
 choices derive from the route tables; ``NEEDS`` holds each function's indices.
 
@@ -20,15 +20,14 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
 
 from . import counting, oracle, partition_counts
 from .arith import FactoredInt, IntegrityError, factorize, prime_power
 from .oracle import OracleLimitError
 from .partition_counts import check_identity
 
-# reject k beyond big_omega + margin: the partition count p(k) explodes and
-# F_k has already stabilized at f(n) for every k >= big_omega anyway
+# reject k beyond big_omega + margin: the k-sum routes loop over k, and past
+# big_omega + 1 no count changes with k (F_k stays at f, the others are 0)
 K_QUERY_CAP_MARGIN = 64
 
 # reject stirling2 and bell past this n: the Stirling row takes O(n**2)
@@ -181,7 +180,7 @@ def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | Non
     if k is not None and k > fi.big_omega + K_QUERY_CAP_MARGIN:
         raise UsageError(
             f"k={k} exceeds the query cap (number of prime factors + "
-            f"{K_QUERY_CAP_MARGIN}); the value equals that of f at any such k"
+            f"{K_QUERY_CAP_MARGIN}); no count of n changes with k past Omega(n) + 1"
         )
     return fi
 
@@ -261,114 +260,85 @@ def cmd_bfile(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 #
-# Each worker yields its checks as (function, n, k, l, values), values mapping
-# a method (or an identity's side) to its value; a check fails when the values
-# disagree.
+# Each check is (function, n, k, l, values), values mapping a method, a
+# relation or an identity's side to its value; a check fails when the values
+# disagree.  A grid yields the points (function, k, l) of one side at n; its
+# first k (and l) is 0 for the routes suite and 1 for the oracle suite.
 
-def _routes_worker(n: int):
-    fi = factorize(n)
-
-    def check(function, k):
-        return (function, n, k, None,
-                {m: _FACTOR_ROUTES[(function, m)](fi, k, None)
-                 for m in METHODS_FOR[function] if m != "oracle"})
-
-    for k in range(0, fi.big_omega + 3):
-        yield check("F_k", k)
-        yield check("f_k", k)
-        yield check("g_k", k)
-        if k >= 1:
-            yield check("G_k", k)
-    yield check("f", None)
-    yield check("g", None)
-
-
-def _routes_partition_worker(n: int):
-    # partition-side route agreement: r_l by its recursion and by the parts-floor
-    # recursion at j = 1, and r_l, p_kl by the factorization recursions at 2**n
-    fi2 = prime_power(2, n)
-    for l in range(0, 9):
-        yield ("r_l", n, None, l, {
-            "recursion": _PARTITION_ROUTES[("r_l", "recursion")](n, None, l, None),
-            "parts-floor-recursion": _PARTITION_ROUTES[("r_lj", "recursion")](n, None, l, 1),
-            "prime-power": _FACTOR_ROUTES[("h_l", "recursion")](fi2, None, l),
-        })
-    for k in range(1, n + 1):
-        for l in range(1, min(k, 8) + 1):
-            yield ("p_kl", n, k, l, {
-                "recursion": _PARTITION_ROUTES[("p_kl", "recursion")](n, k, l, None),
-                "prime-power": _FACTOR_ROUTES[("f_kl", "recursion")](fi2, k, l),
-            })
-
-
-def _oracle_check(n: int, route, reads, prof, function, k=None, l=None):
-    """One oracle check: the function's default route, computed by
-    route(key, k, l), against reads[function] of the oracle's profile prof of n."""
-    method = DEFAULT_METHOD[function]
-    return (function, n, k, l, {method: route((function, method), k, l),
-                                "oracle": reads[function](prof, k, l)})
-
-
-def _oracle_worker(n: int):
-    fi = factorize(n)
-    check = partial(_oracle_check, n, lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
-                    _ORACLE_READS, oracle.profile(n))
-    yield check("f")
-    yield check("g")
-    for k in range(1, fi.big_omega + 3):
-        for function in ("f_k", "g_k", "F_k", "G_k"):
-            yield check(function, k)
+def _factor_grid(fi: FactoredInt, first: int):
+    yield "f", None, None
+    yield "g", None, None
+    for k in range(first, fi.big_omega + 3):
+        for function in ("f_k", "g_k", "F_k", "G_k") if k else ("f_k", "g_k", "F_k"):
+            yield function, k, None
         for l in range(1, k + 1):
-            yield check("f_kl", k, l)
-    for l in range(1, fi.big_omega + 2):
-        yield check("h_l", l=l)
+            yield "f_kl", k, l
+    for l in range(first, fi.big_omega + 2):
+        yield "h_l", None, l
 
 
-def _oracle_partition_worker(n: int):
-    check = partial(_oracle_check, n,
-                    lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
-                    _PARTITION_READS, oracle.partition_profile(n))
-    for l in range(1, 9):
-        yield check("r_l", l=l)
+def _partition_grid(n: int, first: int):
+    for l in range(first, 9):
+        yield "r_l", None, l
     for k in range(1, n + 1):
         for l in range(1, min(k, 8) + 1):
-            yield check("p_kl", k, l)
+            yield "p_kl", k, l
 
 
-def _identities_worker(n: int):
-    reports = [check_identity("bell-partition-sum", n),
-               check_identity("choose2-plus-one", n)]
-    for k in range(1, n + 1):
-        reports.append(check_identity("stirling-partial-sum", n, k))
-        reports.append(check_identity("stirling-adjacent-sum", n, k))
-    if n <= 12:
-        reports.append(check_identity("composition-aggregate", n))
-    if n <= 10:
-        reports.append(check_identity("primorial-bell", n))
-        for k in range(1, n + 1):
-            reports.append(check_identity("primorial-stirling", n, k))
-    for rep in reports:
-        yield (rep.identity, rep.n, rep.k, None, {"lhs": rep.lhs, "rhs": rep.rhs})
+# the values the routes suite checks beside a partition function's own
+# routes, each read from the route tables at call time: r_l by the r_lj
+# recursion at j = 1, and r_l, p_kl by the h_l, f_kl recursions at 2**n
+_RELATIONS = {
+    "r_l": {
+        "parts-floor-recursion":
+            lambda n, k, l: _PARTITION_ROUTES[("r_lj", "recursion")](n, k, l, 1),
+        "prime-power":
+            lambda n, k, l: _FACTOR_ROUTES[("h_l", "recursion")](prime_power(2, n), k, l),
+    },
+    "p_kl": {
+        "prime-power":
+            lambda n, k, l: _FACTOR_ROUTES[("f_kl", "recursion")](prime_power(2, n), k, l),
+    },
+}
 
 
-def _run_suite(suite: str, max_n: int):
-    """Run one suite; return its number of checks and its failing checks."""
-    if suite == "routes":
-        workers = [_routes_worker(n) for n in range(2, max_n + 1)]
-        workers += [_routes_partition_worker(n) for n in range(1, min(max_n, 40) + 1)]
-    elif suite == "oracle":
-        workers = [_oracle_worker(n) for n in range(2, max_n + 1)]
-        workers += [_oracle_partition_worker(n) for n in range(1, min(max_n, 40) + 1)]
-    else:  # identities; bounds keep p(n) partition sums and primorials desk-scale
-        workers = [_identities_worker(n) for n in range(1, min(max_n, 20) + 1)]
-    checks = 0
-    failures = []
-    for worker in workers:
-        for check in worker:
-            checks += 1
-            if len(set(check[4].values())) > 1:
-                failures.append(check)
-    return checks, failures
+def _checks(suite: str, n: int):
+    """Yield one suite's checks at n: each identity up to its own largest n,
+    the factorization side from n = 2 and the partition side up to n = 40."""
+    if suite == "identities":
+        for identity, (_, _, k_indexed, top) in partition_counts._IDENTITY_TABLE.items():
+            if n > top:
+                continue
+            for k in range(1, n + 1) if k_indexed else (None,):
+                rep = check_identity(identity, n, k)
+                yield identity, n, k, None, {"lhs": rep.lhs, "rhs": rep.rhs}
+        return
+    first = 0 if suite == "routes" else 1
+    sides = []  # (grid, route(key, k, l), oracle read table, oracle enumeration)
+    if n >= 2:
+        fi = factorize(n)
+        sides.append((_factor_grid(fi, first),
+                      lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
+                      _ORACLE_READS, oracle.profile))
+    if n <= 40:
+        sides.append((_partition_grid(n, first),
+                      lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
+                      _PARTITION_READS, oracle.partition_profile))
+    for grid, route, reads, enumerate_n in sides:
+        prof = enumerate_n(n) if suite == "oracle" else None
+        for function, k, l in grid:
+            if prof is not None:  # the default route against the enumeration
+                method = DEFAULT_METHOD[function]
+                values = {method: route((function, method), k, l),
+                          "oracle": reads[function](prof, k, l)}
+            else:  # every route but the oracle and every relation, if two or more
+                methods = [m for m in METHODS_FOR[function] if m != "oracle"]
+                relations = _RELATIONS.get(function, {})
+                if len(methods) + len(relations) < 2:
+                    continue
+                values = {m: route((function, m), k, l) for m in methods}
+                values.update((label, rel(n, k, l)) for label, rel in relations.items())
+            yield function, n, k, l, values
 
 
 def cmd_verify(args) -> int:
@@ -377,10 +347,14 @@ def cmd_verify(args) -> int:
     selected = SUITES[:-1] if args.suite == "all" else (args.suite,)
     first_failure = None
     for suite in selected:
-        checks, failures = _run_suite(suite, args.max)
-        print(f"{suite}: {checks - len(failures)}/{checks} pass")
-        if failures and first_failure is None:
-            first_failure = failures[0]
+        checks = failures = 0
+        for n in range(1, args.max + 1):
+            for check in _checks(suite, n):
+                checks += 1
+                if len(set(check[4].values())) > 1:
+                    failures += 1
+                    first_failure = first_failure or check
+        print(f"{suite}: {checks - failures}/{checks} pass")
     if first_failure is not None:
         function, n, k, l, values = first_failure
         detail = " ".join(f"{m}={v}" for m, v in sorted(values.items()))

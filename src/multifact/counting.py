@@ -46,6 +46,7 @@ from .arith import (
     first_primes,
     kappa,
 )
+from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError
 from .partitions import (
     compositions_of,
     mu_beta,
@@ -148,6 +149,21 @@ def _colored_classes(k: int, top: int):
                 stack.append((rest - v, v, b, *node))
 
 
+def _largest_k_within_budget() -> int:
+    """The largest k with at most ``DEFAULT_MAX_FACTORIZATIONS`` partitions, by
+    Euler's pentagonal recurrence p(m) = sum_{i>=1} (-1)**(i+1) * (p(m - g)
+    + p(m - g - i)), g = i(3i-1)/2, each term 0 once its argument is < 0."""
+    p = [1]
+    while p[-1] <= DEFAULT_MAX_FACTORIZATIONS:
+        m, total, i = len(p), 0, 1
+        while (g := i * (3 * i - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - i] if g + i <= m else 0)
+            total += term if i & 1 else -term
+            i += 1
+        p.append(total)
+    return len(p) - 2
+
+
 def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     """The partition-sum route `name`, memoized in `memo`: the sum over the
     partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
@@ -156,12 +172,16 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     :func:`_colored_classes`, never from :func:`partitions.euler_transform`,
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
     final division is always exact; a nonzero remainder raises
-    :class:`IntegrityError`."""
+    :class:`IntegrityError`.  A k past the oracle's budget of partitions
+    (k > 60) raises :class:`OracleLimitError` before any work."""
     letter = name[-1]
+    max_k = _largest_k_within_budget()
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
             return 0
+        if k > max_k:
+            raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {k}")
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -204,12 +224,16 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 
     H(alpha) is 1 over the product of the prefix sums of alpha; each term is
     summed as the integer k! * H(alpha), and the total is divided once by k!,
-    with a nonzero remainder raising :class:`IntegrityError`.
+    with a nonzero remainder raising :class:`IntegrityError`.  A k past the
+    oracle's budget of compositions (k > 20) raises :class:`OracleLimitError`
+    before any work.
     """
     if k < 0:
         return 0
     if k == 0:
         return 1 if n.value == 1 else 0
+    if k - 1 >= DEFAULT_MAX_FACTORIZATIONS.bit_length():  # 2**(k-1) > budget
+        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} compositions of {k}")
     key = (n.signature, k)
     hit = _FED.get(key)
     if hit is not None:

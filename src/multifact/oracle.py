@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 class OracleLimitError(RuntimeError):
-    """Enumeration would exceed the factorization or partition budget."""
+    """A walk would pass ``DEFAULT_MAX_FACTORIZATIONS`` items: the oracle's, or
+    the partitions or compositions of k that partition-sum and fedorov sum over."""
 
 
 def _sorted_divisors(n: int) -> list[int]:
@@ -88,8 +89,7 @@ def enumerate_factorizations(
         count += 1
         if count > max_count:
             raise OracleLimitError(
-                f"more than {max_count} factorizations of {n}; raise max_count to proceed"
-            )
+                f"more than {max_count} factorizations of {n}")
         yield parts
 
 

@@ -22,19 +22,6 @@ from .counting import big_F, big_G, f_k_rec, f_total_rec
 from .partitions import (centralizer_order, compositions_of, multiplicity_vector,
                          partitions_of, prefix_product)
 
-IDENTITIES = (
-    "stirling-partial-sum",
-    "bell-partition-sum",
-    "stirling-adjacent-sum",
-    "choose2-plus-one",
-    "composition-aggregate",
-    "primorial-stirling",
-    "primorial-bell",
-)
-
-_K_INDEXED_IDENTITIES = frozenset({"stirling-partial-sum", "stirling-adjacent-sum",
-                                   "primorial-stirling"})
-
 __all__ = [
     "IDENTITIES",
     "IdentityReport",
@@ -253,15 +240,48 @@ def bell(n: int) -> BigCount:
     return sum(_stirling_row_at(n))
 
 
+def _composition_aggregate(n: int) -> int:
+    """The multiplicity vectors beta of n whose compositions' weights
+    n! / prod(prefix sums) sum to the class size n! / z_beta."""
+    n_fact = factorial(n)
+    sums = Counter()
+    for comp in compositions_of(n):
+        sums[multiplicity_vector(comp)] += n_fact // prefix_product(comp)
+    return sum(1 for b in map(multiplicity_vector, partitions_of(n))
+               if sums[b] == n_fact // centralizer_order(b))
+
+
+# each identity: (lhs(n, k), rhs(n, k), whether k is an index, the largest n
+# that verify checks it at); verify runs them in this order
+_IDENTITY_TABLE = {
+    "bell-partition-sum": (lambda n, k: bell(n),
+                           lambda n, k: big_F(primorial(n), n), False, 20),
+    "stirling-partial-sum": (lambda n, k: sum(stirling2(n, i) for i in range(1, k + 1)),
+                             lambda n, k: big_F(primorial(n), k), True, 20),
+    "choose2-plus-one": (lambda n, k: comb(n, 2) + 1,
+                         lambda n, k: big_G(primorial(n), n), False, 20),
+    "stirling-adjacent-sum": (lambda n, k: stirling2(n, k) + stirling2(n, k - 1),
+                              lambda n, k: big_G(primorial(n), k), True, 20),
+    "composition-aggregate": (lambda n, k: _composition_aggregate(n),
+                              lambda n, k: sum(1 for _ in partitions_of(n)), False, 12),
+    "primorial-stirling": (lambda n, k: f_k_rec(primorial(n), k),
+                           lambda n, k: stirling2(n, k), True, 10),
+    "primorial-bell": (lambda n, k: f_total_rec(primorial(n)),
+                       lambda n, k: bell(n), False, 10),
+}
+
+IDENTITIES = tuple(_IDENTITY_TABLE)
+
+
 def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
     """Evaluate both sides of one named identity with exact arithmetic.
 
     With P = primorial(n), the product of the first n primes:
 
-    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  big_F(P, k)
     - ``bell-partition-sum``: B_n  ==  big_F(P, n)
-    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  big_G(P, k)
+    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  big_F(P, k)
     - ``choose2-plus-one``: C(n, 2) + 1  ==  big_G(P, n)
+    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  big_G(P, k)
     - ``composition-aggregate``: per multiplicity vector beta of n, the weights
       n! / prod(prefix sums) of its compositions sum to the class size
       n! / z_beta; lhs counts the vectors that match, rhs = p(n)
@@ -270,42 +290,17 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
 
     The first four read the partition-sum route, the last two the divisor
     recursion, so ``bell-partition-sum`` and ``primorial-bell`` check B_n by
-    two different routes.
+    two different routes.  Every side reads the routes by their module names
+    at call time.
 
     k-indexed identities require 1 <= k <= n.
     """
-    if identity not in IDENTITIES:
+    if identity not in _IDENTITY_TABLE:
         raise ValueError(f"unknown identity {identity!r}")
-    if identity in _K_INDEXED_IDENTITIES:
-        if k is None or not 1 <= k <= n:
-            raise ValueError(f"{identity} requires 1 <= k <= n, got k={k}, n={n}")
-    else:
+    lhs, rhs, k_indexed, _ = _IDENTITY_TABLE[identity]
+    if not k_indexed:
         k = None
-
-    if identity == "stirling-partial-sum":
-        lhs = sum(stirling2(n, i) for i in range(1, k + 1))
-        rhs = big_F(primorial(n), k)
-    elif identity == "bell-partition-sum":
-        lhs = bell(n)
-        rhs = big_F(primorial(n), n)
-    elif identity == "stirling-adjacent-sum":
-        lhs = stirling2(n, k) + stirling2(n, k - 1)
-        rhs = big_G(primorial(n), k)
-    elif identity == "choose2-plus-one":
-        lhs = comb(n, 2) + 1
-        rhs = big_G(primorial(n), n)
-    elif identity == "composition-aggregate":
-        n_fact = factorial(n)
-        sums = Counter()
-        for comp in compositions_of(n):
-            sums[multiplicity_vector(comp)] += n_fact // prefix_product(comp)
-        betas = [multiplicity_vector(p) for p in partitions_of(n)]
-        lhs = sum(1 for b in betas if sums[b] == n_fact // centralizer_order(b))
-        rhs = len(betas)
-    elif identity == "primorial-stirling":
-        lhs = f_k_rec(primorial(n), k)
-        rhs = stirling2(n, k)
-    else:  # primorial-bell
-        lhs = f_total_rec(primorial(n))
-        rhs = bell(n)
-    return IdentityReport(identity, n, k, lhs, rhs, lhs == rhs)
+    elif k is None or not 1 <= k <= n:
+        raise ValueError(f"{identity} requires 1 <= k <= n, got k={k}, n={n}")
+    left, right = lhs(n, k), rhs(n, k)
+    return IdentityReport(identity, n, k, left, right, left == right)

@@ -405,6 +405,40 @@ def test_partition_oracle_refuses_past_its_budget_with_one_line(capsys, within_a
                                     "consistent: 1 methods agree"]
 
 
+def test_fedorov_and_partition_sum_refuse_past_the_budget_with_one_line(capsys,
+                                                                       within_a_second):
+    for method, items, k in (("fedorov", "compositions", "40"),
+                             ("partition-sum", "partitions", "61")):
+        code, out, err = run(capsys, "compute", "F_k", "2", "--k", k, "--method", method)
+        assert (code, out, err) == (2, "", f"error: more than 1000000 {items} of {k}\n")
+    code, out, err = run(capsys, "compute", "F_k", "2", "--k", "61", "--all-methods")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "recursion 1", "kappa-recursion 1", "oracle 1",
+        "partition-sum skipped: more than 1000000 partitions of 61",
+        "fedorov skipped: more than 1000000 compositions of 61",
+        "consistent: 3 methods agree",
+    ]
+    # the default route of F_k is partition-sum, so bfile stops before its first line
+    code, out, err = run(capsys, "bfile", "F_k", "--max", "5", "--k", "61")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: more than 1000000 partitions of 61"
+
+
+def test_the_query_cap_message_holds_for_every_k_function(capsys):
+    # past Omega + 1 no count changes with k: F_k stays at f, the others are 0
+    code, out, err = run(capsys, "compute", "f_k", "36", "--k", "69")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "query cap" in err
+    assert "no count of n changes with k past Omega(n) + 1" in err
+    omega = cli.factorize(36).big_omega
+    for k in (omega + 2, omega + 64):
+        assert cli.evaluate("F_k", "recursion", 36, k) == cli.evaluate("f", "recursion", 36)
+        for function in ("f_k", "g_k", "G_k"):
+            assert cli.evaluate(function, "recursion", 36, k) == 0
+        assert cli.evaluate("f_kl", "recursion", 36, k, 1) == 0
+
+
 def test_compute_oracle_alone_over_its_budget_exits_2(capsys, monkeypatch):
     def over_budget(n, *args, **kwargs):
         raise oracle.OracleLimitError("over budget")

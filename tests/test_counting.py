@@ -217,6 +217,27 @@ def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
         fedorov_F(FI_P, 3)
 
 
+@pytest.mark.parametrize("route, k, items", [
+    (fedorov_F, 21, "compositions"),  # 2**20 > 10**6
+    (fedorov_F, 40, "compositions"),
+    (big_F, 61, "partitions"),  # p(61) = 1121505
+    (big_G, 61, "partitions"),
+])
+def test_formula_routes_refuse_past_the_oracle_budget_at_once(route, k, items,
+                                                              within_a_second):
+    counting.clear_caches()
+    message = f"^more than {oracle.DEFAULT_MAX_FACTORIZATIONS} {items} of {k}$"
+    with pytest.raises(oracle.OracleLimitError, match=message):
+        route(FI36, k)
+
+
+def test_formula_routes_answer_at_the_last_k_within_the_oracle_budget():
+    # 2**19 compositions of 20 and p(60) = 966467 partitions of 60
+    counting.clear_caches()
+    assert fedorov_F(FI1, 20) == 1
+    assert big_F(FI1, 60) == 1
+
+
 # ---------------------------------------------------------------- recursions
 
 def test_f_k_rec_paper_values():
