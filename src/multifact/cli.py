@@ -3,13 +3,16 @@ cross-method verification sweeps, and micro-benchmarks.
 
 Every route of every function is one entry of a route table:
 ``_FACTOR_ROUTES`` for the functions of a factored n (f, g, f_k, g_k, F_k,
-G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl, r_l,
-r_lj, stirling2, bell), the oracle included.  Every oracle route but r_lj's reads
-one enumeration of n through ``_ORACLE_READS`` (factorization functions) or
-``_PARTITION_READS`` (p_kl, r_l); ``verify`` reads every value it compares
-from these four tables, ``_RELATIONS`` or ``check_identity``.  The function lists, each
-function's methods in order (the first is its default) and the ``--method``
-choices derive from the route tables; ``NEEDS`` holds each function's indices.
+G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl,
+r_l, r_lj, stirling2, bell), the oracle included.  Every oracle route but
+r_lj's reads one enumeration of n, its factorizations or its partitions,
+through the one read table ``_ORACLE_READS``; both count by (parts, distinct
+values), so p_kl and r_l read as f_kl and h_l do.  ``verify`` reads every
+value it compares from these three tables, ``_RELATIONS`` or
+``check_identity``, and leaves out a route over its budget as ``compute
+--all-methods`` does.  The function lists, each function's methods in order
+(the first is its default) and the ``--method`` choices derive from the
+route tables; ``NEEDS`` holds each function's indices.
 
 Exit codes: 0 success, 1 verification or internal integrity failure, 2 usage
 error.  All stdout is deterministic for fixed arguments, except the timing
@@ -61,23 +64,27 @@ class UsageError(Exception):
 # --------------------------------------------------------------------------
 # route tables
 
-# each factorization function read off the oracle's profile of n
-_ORACLE_READS = {
-    "f": lambda prof, k, l: prof.f,
-    "g": lambda prof, k, l: prof.g,
-    "f_k": lambda prof, k, l: prof.f_k.get(k, 0),
-    "g_k": lambda prof, k, l: prof.g_k.get(k, 0),
-    "F_k": lambda prof, k, l: prof.F_k(k),
-    "G_k": lambda prof, k, l: prof.G_k(k),
-    "h_l": lambda prof, k, l: prof.h_l.get(l, 0),
-    "f_kl": lambda prof, k, l: prof.f_kl.get((k, l), 0),
-}
+def _cells(keep):
+    """An oracle read: the sum of a profile's counts whose key (parts,
+    values) passes keep(parts, values, k, l)."""
+    return lambda prof, k, l: sum(c for (p, v), c in prof.items() if keep(p, v, k, l))
 
-# p_kl and r_l read off the oracle's partition profile of n
-_PARTITION_READS = {
-    "p_kl": lambda pp, k, l: pp.get((k, l), 0),
-    "r_l": lambda pp, k, l: sum(v for (_, ll), v in pp.items() if ll == l),
+
+# each function as a cell, a row, a column, a diagonal or a row-prefix sum of
+# the oracle's profile, a dict from (parts, distinct values) to a count
+_ORACLE_READS = {
+    "f": _cells(lambda p, v, k, l: True),
+    "g": _cells(lambda p, v, k, l: p == v),
+    "f_k": _cells(lambda p, v, k, l: p == k),
+    "g_k": _cells(lambda p, v, k, l: p == v == k),
+    "F_k": _cells(lambda p, v, k, l: p <= k),
+    "G_k": _cells(lambda p, v, k, l: p == v and k - 1 <= p <= k),
+    "h_l": _cells(lambda p, v, k, l: v == l),
+    "f_kl": _cells(lambda p, v, k, l: p == k and v == l),
 }
+# p_kl(n) = f_kl(2**n) and r_l(n) = h_l(2**n): the partition profile of n is
+# the factorization profile of 2**n
+_ORACLE_READS.update(p_kl=_ORACLE_READS["f_kl"], r_l=_ORACLE_READS["h_l"])
 
 
 def _oracle_route(read):
@@ -115,8 +122,8 @@ _FACTOR_ROUTES = {
     ),
     ("h_l", "recursion"): lambda fi, k, l: counting.h_l(fi, l),
     ("f_kl", "recursion"): lambda fi, k, l: counting.f_kl(fi, k, l),
-    **{(function, "oracle"): _oracle_route(read)
-       for function, read in _ORACLE_READS.items()},
+    **{(function, "oracle"): _oracle_route(_ORACLE_READS[function])
+       for function in ("f", "g", "f_k", "g_k", "F_k", "G_k", "h_l", "f_kl")},
 }
 
 _PARTITION_ROUTES = {
@@ -125,8 +132,8 @@ _PARTITION_ROUTES = {
     ("r_lj", "recursion"): lambda n, k, l, j: partition_counts.r_lj(n, l, j),
     ("stirling2", "recursion"): lambda n, k, l, j: partition_counts.stirling2(n, k),
     ("bell", "recursion"): lambda n, k, l, j: partition_counts.bell(n),
-    **{(function, "oracle"): _oracle_partition_route(read)
-       for function, read in _PARTITION_READS.items()},
+    **{(function, "oracle"): _oracle_partition_route(_ORACLE_READS[function])
+       for function in ("p_kl", "r_l")},
     # parts >= j with exactly l distinct values
     ("r_lj", "oracle"): lambda n, k, l, j: sum(
         1
@@ -185,6 +192,19 @@ def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | Non
     return fi
 
 
+def _within_budget(methods, route):
+    """Each method's value by route(method), leaving out a method whose route
+    raises OracleLimitError; also one "<method> skipped: <reason>" line for
+    each method left out."""
+    values, skipped = {}, []
+    for m in methods:
+        try:
+            values[m] = route(m)
+        except OracleLimitError as exc:
+            skipped.append(f"{m} skipped: {exc}")
+    return values, skipped
+
+
 def _clear_all_caches() -> None:
     counting.clear_caches()
     partition_counts.clear_caches()
@@ -198,38 +218,30 @@ def cmd_compute(args) -> int:
     fi = _validate_query(function, args.n, args.k, args.l, args.j, args.method)
     if args.all_methods and args.method:
         raise UsageError("--method and --all-methods cannot be combined")
+
+    def route(m):
+        if fi is None:
+            return evaluate(function, m, args.n, args.k, args.l, args.j)
+        return _FACTOR_ROUTES[(function, m)](fi, args.k, args.l)
+
     if args.all_methods:
-        methods = METHODS_FOR[function]
-    else:
-        methods = (args.method or DEFAULT_METHOD[function],)
-    records = []  # (method, value)
-    skipped = []  # one "<method> skipped: <reason>" line per method over its budget
-    for m in methods:
-        try:
-            if fi is None:
-                value = evaluate(function, m, args.n, args.k, args.l, args.j)
-            else:
-                value = _FACTOR_ROUTES[(function, m)](fi, args.k, args.l)
-        except OracleLimitError as exc:
-            if not args.all_methods:
-                raise
-            skipped.append(f"{m} skipped: {exc}")
-            continue
-        records.append((m, value))
+        records, skipped = _within_budget(METHODS_FOR[function], route)
+    else:  # one method: over its budget the query fails
+        method = args.method or DEFAULT_METHOD[function]
+        records, skipped = {method: route(method)}, []
     if args.format == "json":
-        for m, value in records:
+        for m, value in records.items():
             print(json.dumps({"function": function, "n": str(args.n), "k": args.k,
                               "l": args.l, "j": args.j, "value": str(value), "method": m}))
     elif args.all_methods:
-        for m, value in records:
+        for m, value in records.items():
             print(f"{m} {value}")
     else:
-        print(records[0][1])
+        print(records[method])
     for line in skipped:  # empty unless --all-methods
         print(line, file=sys.stderr if args.format == "json" else sys.stdout)
     if args.all_methods:
-        values = {value for _, value in records}
-        if len(values) > 1:
+        if len(set(records.values())) > 1:
             print("MISMATCH: methods disagree", file=sys.stderr)
             return 1
         if args.format != "json":
@@ -249,10 +261,11 @@ def cmd_bfile(args) -> int:
     for n in (args.max, start):
         _validate_query(function, n, args.k, args.l, args.j, args.method)
     method = args.method or DEFAULT_METHOD[function]
-    print(f"offset {start}", file=sys.stderr)
     out = sys.stdout
     for n in range(start, args.max + 1):
         value = evaluate(function, method, n, args.k, args.l, args.j)
+        if n == start:  # a query that fails at its first n prints one line
+            print(f"offset {start}", file=sys.stderr)
         out.write(f"{n} {value}\n")
     return 0
 
@@ -314,30 +327,31 @@ def _checks(suite: str, n: int):
                 yield identity, n, k, None, {"lhs": rep.lhs, "rhs": rep.rhs}
         return
     first = 0 if suite == "routes" else 1
-    sides = []  # (grid, route(key, k, l), oracle read table, oracle enumeration)
+    sides = []  # (grid, route(key, k, l), oracle enumeration)
     if n >= 2:
         fi = factorize(n)
         sides.append((_factor_grid(fi, first),
-                      lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
-                      _ORACLE_READS, oracle.profile))
+                      lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l), oracle.profile))
     if n <= 40:
         sides.append((_partition_grid(n, first),
                       lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
-                      _PARTITION_READS, oracle.partition_profile))
-    for grid, route, reads, enumerate_n in sides:
+                      oracle.partition_profile))
+    for grid, route, enumerate_n in sides:
         prof = enumerate_n(n) if suite == "oracle" else None
         for function, k, l in grid:
             if prof is not None:  # the default route against the enumeration
                 method = DEFAULT_METHOD[function]
                 values = {method: route((function, method), k, l),
-                          "oracle": reads[function](prof, k, l)}
-            else:  # every route but the oracle and every relation, if two or more
+                          "oracle": _ORACLE_READS[function](prof, k, l)}
+            else:  # every route within budget but the oracle and every relation
                 methods = [m for m in METHODS_FOR[function] if m != "oracle"]
                 relations = _RELATIONS.get(function, {})
                 if len(methods) + len(relations) < 2:
                     continue
-                values = {m: route((function, m), k, l) for m in methods}
+                values, _ = _within_budget(methods, lambda m: route((function, m), k, l))
                 values.update((label, rel(n, k, l)) for label, rel in relations.items())
+                if len(values) < 2:
+                    continue
             yield function, n, k, l, values
 
 

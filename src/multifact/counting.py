@@ -563,11 +563,12 @@ def f_from_F(n: FactoredInt, k: int) -> BigCount:
 
 
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
-    """g_k recovered as the alternating sum of G_1..G_k."""
+    """g_k recovered as the alternating sum of G_k..G_1, from G_k down, so a
+    k past partition-sum's budget is refused before any sum is computed."""
     if k < 1:
         return 1 if (k == 0 and n.value == 1) else 0
     total = 0
-    for i in range(1, k + 1):
+    for i in range(k, 0, -1):
         term = big_G(n, i)
         total += term if (k - i) % 2 == 0 else -term
     return total

@@ -4,6 +4,12 @@ Deliberately naive and kept independent of the formula and recursion modules:
 everything here works from first principles (divisor scans, part-by-part
 descent) so that agreement with the fast routes is meaningful evidence.
 
+:func:`profile` and :func:`partition_profile` return one shape: a dict from
+(number of parts, number of distinct part values) to a count, over the
+factorizations of n and the partitions of n.  Every count the oracle checks
+is a sum of cells of that dict, and the factorizations of 2**n give the same
+dict as the partitions of n.
+
 Two cuts keep the enumeration to the work whose result it uses, and neither
 outlives a call.  Each call of :func:`enumerate_factorizations` scans the
 divisors of a cofactor at most once, in a dict local to that call; every
@@ -19,7 +25,6 @@ at once.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, isqrt
 
 from .arith import BigCount
@@ -29,7 +34,6 @@ DEFAULT_MAX_FACTORIZATIONS = 1_000_000
 __all__ = [
     "DEFAULT_MAX_FACTORIZATIONS",
     "OracleLimitError",
-    "OracleProfile",
     "colored_partition_count",
     "enumerate_factorizations",
     "enumerate_partitions",
@@ -93,46 +97,15 @@ def enumerate_factorizations(
         yield parts
 
 
-@dataclass
-class OracleProfile:
-    """Exhaustive counts for one n, classified every way at once.
-
-    ``f_k`` maps part-count k to a count, ``g_k`` the same restricted to
-    all-distinct factorizations, ``f_kl`` maps (parts, distinct values), and
-    ``h_l`` maps the number of distinct values.  Absent keys mean zero.
-    """
-
-    n: int
-    f: BigCount
-    g: BigCount
-    f_k: dict[int, BigCount]
-    g_k: dict[int, BigCount]
-    f_kl: dict[tuple[int, int], BigCount]
-    h_l: dict[int, BigCount]
-
-    def F_k(self, k: int) -> BigCount:
-        """Factorizations with exactly k parts >= 1 (pad with 1s)."""
-        return sum(self.f_k.get(i, 0) for i in range(k + 1))
-
-    def G_k(self, k: int) -> BigCount:
-        """Factorizations with exactly k distinct parts >= 1."""
-        return self.g_k.get(k, 0) + self.g_k.get(k - 1, 0)
+def _classify(items) -> dict[tuple[int, int], BigCount]:
+    """Count tuples by (number of parts, number of distinct part values)."""
+    return dict(Counter((len(parts), len(set(parts))) for parts in items))
 
 
-def profile(n: int) -> OracleProfile:
-    """Enumerate all factorizations of n and classify them into every counter."""
+def profile(n: int) -> dict[tuple[int, int], BigCount]:
+    """Factorization counts of n keyed by (number of parts, distinct part values)."""
     # the unit has one factorization, the empty one
-    items = enumerate_factorizations(n) if n != 1 else [()]
-    f_kl = Counter((len(parts), len(set(parts))) for parts in items)
-    f_k: Counter = Counter()
-    h_l: Counter = Counter()
-    for (k, l), count in f_kl.items():
-        f_k[k] += count
-        h_l[l] += count
-    g_k = {k: count for (k, l), count in f_kl.items() if k == l}
-    return OracleProfile(
-        n, sum(f_kl.values()), sum(g_k.values()), dict(f_k), g_k, dict(f_kl), dict(h_l)
-    )
+    return _classify(enumerate_factorizations(n) if n != 1 else [()])
 
 
 def _refuse_over_partition_budget(n: int) -> None:
@@ -196,7 +169,7 @@ def enumerate_partitions(n: int):
 
 def partition_profile(n: int) -> dict[tuple[int, int], BigCount]:
     """Partition counts of n keyed by (number of parts, distinct part values)."""
-    return dict(Counter((len(parts), len(set(parts))) for parts in enumerate_partitions(n)))
+    return _classify(enumerate_partitions(n))
 
 
 def colored_partition_count(beta, m: int) -> BigCount:

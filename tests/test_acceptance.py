@@ -64,22 +64,26 @@ def test_criterion_01_worked_example_every_route():
     t0 = time.perf_counter()
     fi = factorize(36)
     prof = profile(36)
+    read = cli._ORACLE_READS
 
     assert (
         f_total(fi) == f_total_rec(fi) == f_total_kappa(fi)
-        == f_total_fedorov(fi) == prof.f == 9
+        == f_total_fedorov(fi) == read["f"](prof, None, None) == 9
     )
-    assert g_total(fi) == g_total_rec(fi) == g_total_kappa(fi) == prof.g == 5
+    assert (
+        g_total(fi) == g_total_rec(fi) == g_total_kappa(fi)
+        == read["g"](prof, None, None) == 5
+    )
     assert (
         f_k_rec(fi, 2) == f_k_kappa(fi, 2) == f_from_F(fi, 2)
-        == fedorov_F(fi, 2) - fedorov_F(fi, 1) == prof.f_k[2] == 4
+        == fedorov_F(fi, 2) - fedorov_F(fi, 1) == read["f_k"](prof, 2, None) == 4
     )
     assert (
         g_k_rec(fi, 2) == g_k_kappa(fi, 2) == g_from_G(fi, 2)
-        == prof.g_k[2] == 3
+        == read["g_k"](prof, 2, None) == 3
     )
-    assert h_l(fi, 2) == prof.h_l[2] == 6
-    assert f_kl(fi, 3, 2) == prof.f_kl[(3, 2)] == 2
+    assert h_l(fi, 2) == read["h_l"](prof, None, 2) == 6
+    assert f_kl(fi, 3, 2) == prof[(3, 2)] == 2
 
     elapsed = _report("criterion 1 (worked example, all routes)", t0)
     assert elapsed < 1.0
@@ -90,6 +94,7 @@ def test_criterion_02_route_agreement_sweep():
     other and the enumeration profile, for 2 <= n <= 2000, 0 <= k <= Omega+2;
     single-threaded, under 60 s."""
     t0 = time.perf_counter()
+    read = cli._ORACLE_READS
     for n in range(2, 2001):
         fi = factorize(n)
         prof = profile(n)
@@ -100,7 +105,7 @@ def test_criterion_02_route_agreement_sweep():
                 fedorov_F(fi, k),
                 sum(f_k_rec(fi, i) for i in range(1, k + 1)),
                 sum(f_k_kappa(fi, i) for i in range(1, k + 1)),
-                prof.F_k(k),
+                read["F_k"](prof, k, None),
             }
             assert f_routes == {F}, (n, k, f_routes)
             fk = f_k_rec(fi, k)
@@ -109,15 +114,15 @@ def test_criterion_02_route_agreement_sweep():
                 f_k_kappa(fi, k),
                 f_from_F(fi, k),
                 fedorov_F(fi, k) - fedorov_F(fi, k - 1) if k >= 1 else fk,
-                prof.f_k.get(k, 0),
+                read["f_k"](prof, k, None),
             }
             assert fk_routes == {fk}, (n, k, fk_routes)
             gk = g_k_rec(fi, k)
-            gk_routes = {gk, g_k_kappa(fi, k), g_from_G(fi, k), prof.g_k.get(k, 0)}
+            gk_routes = {gk, g_k_kappa(fi, k), g_from_G(fi, k), read["g_k"](prof, k, None)}
             assert gk_routes == {gk}, (n, k, gk_routes)
             G = big_G(fi, k)
             g_pair = g_k_rec(fi, k) + g_k_rec(fi, k - 1) if k >= 1 else int(n == 1)
-            assert {G, g_pair, prof.G_k(k) if k >= 1 else G} == {G}, (n, k)
+            assert {G, g_pair, read["G_k"](prof, k, None) if k >= 1 else G} == {G}, (n, k)
     elapsed = _report("criterion 2 (route agreement, n <= 2000)", t0)
     assert elapsed < 60.0
 
@@ -132,9 +137,9 @@ def test_criterion_03_fkl_hl_against_oracle():
         om = fi.big_omega
         for k in range(1, om + 1):
             for l in range(1, k + 1):
-                assert f_kl(fi, k, l) == prof.f_kl.get((k, l), 0), (n, k, l)
+                assert f_kl(fi, k, l) == prof.get((k, l), 0), (n, k, l)
         for l in range(1, om + 2):
-            assert h_l(fi, l) == prof.h_l.get(l, 0), (n, l)
+            assert h_l(fi, l) == cli._ORACLE_READS["h_l"](prof, None, l), (n, l)
     elapsed = _report("criterion 3 (f_kl/h_l vs oracle, n <= 1000)", t0)
     assert elapsed < 60.0
 

@@ -240,8 +240,9 @@ def test_verify_routes_reads_the_k_sum_and_difference_helpers(capsys, monkeypatc
 
 @pytest.mark.parametrize("function", ["p_kl", "r_l"])
 def test_verify_oracle_reads_the_partition_read_table(capsys, monkeypatch, function):
-    right = cli._PARTITION_READS[function]
-    monkeypatch.setitem(cli._PARTITION_READS, function,
+    # p_kl and r_l share their reads with f_kl and h_l, but each is its own key
+    right = cli._ORACLE_READS[function]
+    monkeypatch.setitem(cli._ORACLE_READS, function,
                         lambda pp, k, l: right(pp, k, l) + 1)
     code, out, err = run(capsys, "verify", "--max", "10", "--suite", "oracle")
     assert code == 1
@@ -249,16 +250,32 @@ def test_verify_oracle_reads_the_partition_read_table(capsys, monkeypatch, funct
 
 
 def test_partition_oracle_routes_read_the_partition_read_table():
+    assert cli._ORACLE_READS["p_kl"] is cli._ORACLE_READS["f_kl"]
+    assert cli._ORACLE_READS["r_l"] is cli._ORACLE_READS["h_l"]
     for n in range(0, 13):
         profile = oracle.partition_profile(n)
         for l in range(0, 5):
             assert (cli.evaluate("r_l", "oracle", n, None, l)
-                    == cli._PARTITION_READS["r_l"](profile, None, l)
+                    == cli._ORACLE_READS["r_l"](profile, None, l)
                     == partition_counts.r_l(n, l)), (n, l)
             for k in range(0, n + 2):
                 assert (cli.evaluate("p_kl", "oracle", n, k, l)
-                        == cli._PARTITION_READS["p_kl"](profile, k, l)
+                        == cli._ORACLE_READS["p_kl"](profile, k, l)
                         == partition_counts.p_kl(n, k, l)), (n, k, l)
+
+
+def test_verify_routes_leaves_out_a_route_over_its_budget(capsys, monkeypatch):
+    # the suite skips the route as compute --all-methods does, and f_k keeps
+    # three routes at every point, so the number of checks does not move
+    code, out, err = run(capsys, "verify", "--max", "30", "--suite", "routes")
+    assert (code, err) == (0, "")
+    unpatched = out
+
+    def over_budget(fi, k, l):
+        raise oracle.OracleLimitError("more than 1000000 compositions of 21")
+
+    monkeypatch.setitem(cli._FACTOR_ROUTES, ("f_k", "fedorov"), over_budget)
+    assert run(capsys, "verify", "--max", "30", "--suite", "routes") == (0, unpatched, "")
 
 
 @pytest.mark.parametrize("max_n", ["-3", "0"])
@@ -422,7 +439,21 @@ def test_fedorov_and_partition_sum_refuse_past_the_budget_with_one_line(capsys,
     # the default route of F_k is partition-sum, so bfile stops before its first line
     code, out, err = run(capsys, "bfile", "F_k", "--max", "5", "--k", "61")
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == "error: more than 1000000 partitions of 61"
+    assert err == "error: more than 1000000 partitions of 61\n"
+
+
+def test_g_k_by_partition_sum_refuses_past_the_budget_before_any_sum(capsys,
+                                                                   within_a_second):
+    code, out, err = run(capsys, "compute", "g_k", "2", "--k", "61",
+                         "--method", "partition-sum")
+    assert (code, out, err) == (2, "", "error: more than 1000000 partitions of 61\n")
+    code, out, err = run(capsys, "compute", "g_k", "2", "--k", "61", "--all-methods")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "recursion 0", "kappa-recursion 0", "oracle 0",
+        "partition-sum skipped: more than 1000000 partitions of 61",
+        "consistent: 3 methods agree",
+    ]
 
 
 def test_the_query_cap_message_holds_for_every_k_function(capsys):

@@ -279,12 +279,13 @@ def test_kappa_anchor_changes_the_weights_not_the_values():
     columns = {tuple(entry[4][c] for entry in table) for c in range(3)}
     assert len(columns) == 3
     prof = oracle.profile(600)
+    read = cli._ORACLE_READS
     om = fi.big_omega
     expected = (
-        [prof.f_k.get(k, 0) for k in range(om + 2)],
-        [prof.g_k.get(k, 0) for k in range(om + 2)],
-        [prof.f_kl.get((k, l), 0) for k in range(om + 2) for l in range(k + 1)],
-        [prof.h_l.get(l, 0) for l in range(om + 2)],
+        [read["f_k"](prof, k, None) for k in range(om + 2)],
+        [read["g_k"](prof, k, None) for k in range(om + 2)],
+        [prof.get((k, l), 0) for k in range(om + 2) for l in range(k + 1)],
+        [read["h_l"](prof, None, l) for l in range(om + 2)],
     )
     for pi in (2, 3, 5):
         counting.clear_caches()
@@ -554,19 +555,20 @@ def test_route_agreement_sweep():
     for n in range(2, 401):
         fi = factorize(n)
         prof = oracle.profile(n)
+        read = cli._ORACLE_READS
         for k in range(0, fi.big_omega + 3):
             F = big_F(fi, k)
             assert fedorov_F(fi, k) == F
-            assert prof.F_k(k) == F
+            assert read["F_k"](prof, k, None) == F
             fk = f_k_rec(fi, k)
             assert f_k_kappa(fi, k) == fk
             assert f_from_F(fi, k) == fk
-            assert prof.f_k.get(k, 0) == fk
+            assert read["f_k"](prof, k, None) == fk
             gk = g_k_rec(fi, k)
             assert g_k_kappa(fi, k) == gk
             assert g_from_G(fi, k) == gk
-            assert prof.g_k.get(k, 0) == gk
-            assert big_G(fi, k) == prof.G_k(k)
+            assert read["g_k"](prof, k, None) == gk
+            assert big_G(fi, k) == read["G_k"](prof, k, None)
 
 
 def test_two_index_counts_aggregate_consistently():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from multifact import cli
 from multifact.oracle import (
     DEFAULT_MAX_FACTORIZATIONS,
     OracleLimitError,
@@ -12,6 +13,13 @@ from multifact.oracle import (
     profile,
 )
 from multifact.partitions import euler_transform, multiplicity_vector, partitions_of
+
+READS = cli._ORACLE_READS
+
+
+def read(function, prof, k=None, l=None):
+    return READS[function](prof, k, l)
+
 
 # the complete factorization list for 36, as multisets
 FACTORIZATIONS_36 = {
@@ -62,13 +70,13 @@ def test_enumerate_min_part():
 
 def test_profile_36():
     prof = profile(36)
-    assert prof.f == 9
-    assert prof.g == 5
-    assert prof.f_k[2] == 4
-    assert prof.g_k[2] == 3
-    assert prof.h_l == {1: 2, 2: 6, 3: 1}
-    assert prof.f_kl[(3, 2)] == 2
-    assert prof.f_kl[(2, 2)] == 3
+    assert read("f", prof) == 9
+    assert read("g", prof) == 5
+    assert read("f_k", prof, k=2) == 4
+    assert read("g_k", prof, k=2) == 3
+    assert [read("h_l", prof, l=l) for l in range(5)] == [0, 2, 6, 1, 0]
+    assert prof[(3, 2)] == read("f_kl", prof, 3, 2) == 2
+    assert prof[(2, 2)] == read("f_kl", prof, 2, 2) == 3
 
 
 def test_profile_h2_members():
@@ -83,18 +91,18 @@ def test_profile_h2_members():
 
 def test_profile_prime_square():
     prof = profile(49)
-    assert prof.f == 2
-    assert prof.f_k == {1: 1, 2: 1}
-    assert prof.g_k.get(2, 0) == 0
+    assert read("f", prof) == 2
+    assert [read("f_k", prof, k=k) for k in range(4)] == [0, 1, 1, 0]
+    assert read("g_k", prof, k=2) == 0
 
 
 def test_profile_derived_F_and_G():
     prof = profile(36)
-    assert prof.F_k(2) == 5  # f_1 + f_2
-    assert prof.G_k(2) == 4  # g_2 + g_1
-    assert prof.G_k(1) == 1
+    assert read("F_k", prof, k=2) == 5  # f_1 + f_2
+    assert read("G_k", prof, k=2) == 4  # g_2 + g_1
+    assert read("G_k", prof, k=1) == 1
     # F stabilizes at f for k >= big_omega
-    assert prof.F_k(4) == prof.F_k(9) == prof.f
+    assert read("F_k", prof, k=4) == read("F_k", prof, k=9) == read("f", prof)
 
 
 @pytest.mark.parametrize("n", [2, 24, 36, 96, 720, 1024])
@@ -114,23 +122,30 @@ def test_no_duplicates_and_products(n):
 def test_profile_internal_identities_sweep():
     for n in range(2, 5001):
         prof = profile(n)
-        assert prof.f == sum(prof.f_k.values())
-        assert prof.g == sum(prof.g_k.values())
-        for l, count in prof.h_l.items():
-            assert count == sum(v for (k, ll), v in prof.f_kl.items() if ll == l)
-        for k, count in prof.g_k.items():
-            assert count == prof.f_kl.get((k, k), 0)
-        for k, count in prof.f_k.items():
-            assert count == sum(v for (kk, l), v in prof.f_kl.items() if kk == k)
+        top = max(k for k, _ in prof) + 1
+        assert read("f", prof) == sum(read("f_k", prof, k=k) for k in range(top))
+        assert read("g", prof) == sum(read("g_k", prof, k=k) for k in range(top))
+        for i in range(top):
+            assert read("h_l", prof, l=i) == sum(read("f_kl", prof, k, i) for k in range(top))
+            assert read("g_k", prof, k=i) == read("f_kl", prof, i, i)
+            assert read("f_k", prof, k=i) == sum(read("f_kl", prof, i, l) for l in range(top))
 
 
 def test_profiles_invariant_under_prime_relabeling():
     pairs = [(12, 75), (36, 225), (24, 375), (30, 1001), (48, 1875)]
     for a, b in pairs:
         pa, pb = profile(a), profile(b)
-        assert (pa.f, pa.g, pa.f_k, pa.g_k, pa.f_kl, pa.h_l) == (
-            pb.f, pb.g, pb.f_k, pb.g_k, pb.f_kl, pb.h_l,
-        )
+        assert pa == pb
+        for function in cli.FACTOR_FUNCTIONS:
+            for k in range(6):
+                assert READS[function](pa, k, k) == READS[function](pb, k, k)
+
+
+def test_factorizations_of_a_power_of_two_are_the_partitions_of_its_exponent():
+    # two enumerations, one by divisor descent and one by ascending
+    # compositions, must give the same (parts, distinct values) counts
+    for n in range(0, 31):
+        assert profile(2**n) == partition_profile(n), n
 
 
 def test_enumerate_partitions_counts():

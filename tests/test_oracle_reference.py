@@ -92,7 +92,22 @@ def test_order_matches_reference_min_part(min_part):
 
 
 def profile_fields(prof):
-    return prof.f, prof.g, prof.f_k, prof.g_k, prof.f_kl, prof.h_l
+    """The oracle's reads of one profile, as reference_profile lays them out:
+    f, g, then f_k, g_k, f_kl and h_l as dicts without their zero entries."""
+    read = cli._ORACLE_READS
+    indices = range(max(k for k, _ in prof) + 2)
+
+    def nonzero(items):
+        return {key: value for key, value in items if value}
+
+    return (
+        read["f"](prof, None, None),
+        read["g"](prof, None, None),
+        nonzero((k, read["f_k"](prof, k, None)) for k in indices),
+        nonzero((k, read["g_k"](prof, k, None)) for k in indices),
+        nonzero(((k, l), read["f_kl"](prof, k, l)) for k in indices for l in indices),
+        nonzero((l, read["h_l"](prof, None, l)) for l in indices),
+    )
 
 
 def test_profile_matches_reference():

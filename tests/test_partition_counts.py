@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 import references
 
-from multifact import counting, oracle, partition_counts
+from multifact import cli, counting, oracle, partition_counts
 from multifact.arith import IntegrityError, prime_power, primorial
 from multifact.partition_counts import (
     IDENTITIES,
@@ -71,8 +71,9 @@ def test_stirling_keeps_one_row_and_rebuilds_it_for_a_smaller_n():
 
 def test_stirling_against_oracle_primorials():
     # k-block set partitions match k-part factorizations of squarefree numbers
-    assert oracle.profile(30).g_k[2] == stirling2(3, 2) == 3
-    assert oracle.profile(210).f_k[2] == stirling2(4, 2) == 7
+    read = cli._ORACLE_READS
+    assert read["g_k"](oracle.profile(30), 2, None) == stirling2(3, 2) == 3
+    assert read["f_k"](oracle.profile(210), 2, None) == stirling2(4, 2) == 7
 
 
 def test_bell_values():
@@ -80,8 +81,8 @@ def test_bell_values():
     assert bell(0) == 1
     assert bell(4) == 15
     assert [bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
-    assert bell(3) == oracle.profile(30).f
-    assert bell(4) == oracle.profile(210).f
+    assert bell(3) == cli._ORACLE_READS["f"](oracle.profile(30), None, None)
+    assert bell(4) == cli._ORACLE_READS["f"](oracle.profile(210), None, None)
 
 
 def test_bell_overflows_64_bits_fine():
