@@ -78,11 +78,6 @@ class FactoredInt:
         object.__setattr__(self, "big_omega", sum(exponents))
 
     @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.factors)
 

@@ -10,7 +10,8 @@ through the one read table ``_ORACLE_READS``; both count by (parts, distinct
 values), so p_kl and r_l read as f_kl and h_l do.  ``verify`` reads every
 value it compares from these three tables, ``_RELATIONS`` or
 ``check_identity``, and leaves out a route over its budget as ``compute
---all-methods`` does.  The function lists, each function's methods in order
+--all-methods`` does, and in the oracle suite a side of n whose enumeration
+is over its budget.  The function lists, each function's methods in order
 (the first is its default) and the ``--method`` choices derive from the
 route tables; ``NEEDS`` holds each function's indices.
 
@@ -317,7 +318,8 @@ _RELATIONS = {
 
 def _checks(suite: str, n: int):
     """Yield one suite's checks at n: each identity up to its own largest n,
-    the factorization side from n = 2 and the partition side up to n = 40."""
+    the factorization side from n = 2 and the partition side up to n = 40,
+    the oracle suite leaving out a side whose enumeration is over budget."""
     if suite == "identities":
         for identity, (_, _, k_indexed, top) in partition_counts._IDENTITY_TABLE.items():
             if n > top:
@@ -337,7 +339,10 @@ def _checks(suite: str, n: int):
                       lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
                       oracle.partition_profile))
     for grid, route, enumerate_n in sides:
-        prof = enumerate_n(n) if suite == "oracle" else None
+        try:
+            prof = enumerate_n(n) if suite == "oracle" else None
+        except OracleLimitError:
+            continue
         for function, k, l in grid:
             if prof is not None:  # the default route against the enumeration
                 method = DEFAULT_METHOD[function]

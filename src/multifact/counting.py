@@ -9,14 +9,14 @@ through its prime signature, so every cache here is keyed on
 The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): every divisor power d**i of n,
 grouped by i and the signature of n / d**i, with the group's size and its
-per-prime sums of kappa_p(d), built in one pass per power i that walks the
-vectors of n / d**i and of d in step.  Each group's n / d**i is passed on as
-the canonical representative of its signature (:func:`canonical`: the first
-primes, largest exponent on 2), so the recursions never build or factor the
-integer n / d**i.  The kappa routes anchor at the prime `pi` passed to the
-top-level call (default: the smallest prime of n); each recursive call
-anchors at its own smallest prime.  The routes share no formula: each applies
-its own weights and its own exact division.
+sum of kappa_pi(d) for the prime pi that carries n's largest exponent, built
+in one pass per power i that walks the vectors of n / d**i and of d in step.
+Each group's n / d**i is passed on as the canonical representative of its
+signature (:func:`canonical`: the first primes, largest exponent on 2), so
+the recursions never build or factor the integer n / d**i.  The kappa routes
+anchor every call at that prime pi, which is 2 on every recursive call.  The
+routes share no formula: each applies its own weights and its own exact
+division.
 
 The partition sum walks the partitions of k once per memo miss
 (:func:`_colored_classes`), carrying each class size and the colored
@@ -46,7 +46,7 @@ from .arith import (
     first_primes,
     kappa,
 )
-from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError
+from .oracle import DEFAULT_MAX_FACTORIZATIONS, MAX_PARTITION_N, OracleLimitError
 from .partitions import (
     compositions_of,
     mu_beta,
@@ -149,21 +149,6 @@ def _colored_classes(k: int, top: int):
                 stack.append((rest - v, v, b, *node))
 
 
-def _largest_k_within_budget() -> int:
-    """The largest k with at most ``DEFAULT_MAX_FACTORIZATIONS`` partitions, by
-    Euler's pentagonal recurrence p(m) = sum_{i>=1} (-1)**(i+1) * (p(m - g)
-    + p(m - g - i)), g = i(3i-1)/2, each term 0 once its argument is < 0."""
-    p = [1]
-    while p[-1] <= DEFAULT_MAX_FACTORIZATIONS:
-        m, total, i = len(p), 0, 1
-        while (g := i * (3 * i - 1) // 2) <= m:
-            term = p[m - g] + (p[m - g - i] if g + i <= m else 0)
-            total += term if i & 1 else -term
-            i += 1
-        p.append(total)
-    return len(p) - 2
-
-
 def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     """The partition-sum route `name`, memoized in `memo`: the sum over the
     partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
@@ -173,14 +158,14 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
     final division is always exact; a nonzero remainder raises
     :class:`IntegrityError`.  A k past the oracle's budget of partitions
-    (k > 60) raises :class:`OracleLimitError` before any work."""
+    (:data:`oracle.MAX_PARTITION_N`) raises :class:`OracleLimitError` before
+    any work."""
     letter = name[-1]
-    max_k = _largest_k_within_budget()
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
             return 0
-        if k > max_k:
+        if k > MAX_PARTITION_N:
             raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {k}")
         key = (n.signature, k)
         hit = memo.get(key)
@@ -275,16 +260,15 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
 
     Each nonzero divisor exponent vector c and power i with i * c <= sig is one
     pair (d, i) of the divisor recursions.  Pairs are grouped by i and the
-    signature of n / d**i; an entry is (i, rest, Omega(rest), count,
-    anchor_weights), with rest the canonical representative, count the number
-    of pairs in the group and anchor_weights[j] the sum of c[j] over them,
-    which is the group's total of kappa_pi(d) when pi carries sig[j].
+    signature of n / d**i; an entry is (i, rest, Omega(rest), count, weight),
+    with rest the canonical representative, count the number of pairs in the
+    group and weight the sum of c[0] over them, which is the group's total of
+    kappa_pi(d) when pi carries sig[0], the largest exponent.
 
     One pass per power i walks the exponent vectors sig - i * c and the
     divisor vectors c in step, both from :func:`itertools.product`, and groups
-    the c by the sorted exponent vector; a group of one takes its c as its
-    weights.  The entries come out in ascending i, unsorted within one i; the
-    unit's table is empty.
+    the c[0] by the sorted exponent vector.  The entries come out in
+    ascending i, unsorted within one i; the unit's table is empty.
     """
     table = _TABLES.get(sig)
     if table is not None:
@@ -298,11 +282,10 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
         next(pairs)
         groups: dict = {}
         for r, c in pairs:
-            groups.setdefault(tuple(sorted(r)), []).append(c)
-        for rest, cs in groups.items():
+            groups.setdefault(tuple(sorted(r)), []).append(c[0])
+        for rest, c0s in groups.items():
             rest = rest[rest.count(0):][::-1]
-            weights = cs[0] if len(cs) == 1 else tuple(map(sum, zip(*cs)))
-            entries.append((i, canonical(rest), sum(rest), len(cs), weights))
+            entries.append((i, canonical(rest), sum(rest), len(c0s), sum(c0s)))
     table = _TABLES[sig] = tuple(entries)
     return table
 
@@ -367,32 +350,16 @@ g_k_rec = _divisor_recursion("g_k_rec", _GK_REC, True, """Factorizations into
 # prime-exponent (kappa) recursions
 #
 # These replace the 1/k division by a division by kappa_pi(n), the exponent of
-# a prime pi in n.  Any prime dividing n is valid, and each call may pick its
-# own: pi anchors only the call it is passed to (default: the smallest prime
-# of n), and the recursive calls, on canonical representatives, anchor at
-# their own smallest prime, which carries their largest exponent.  The
-# resulting values are pi-independent, which the route-agreement tests
-# enforce.
+# a prime pi in n.  Any prime dividing n is valid; every call anchors at the
+# prime that carries n's largest exponent, so the reduction table's one
+# weight per entry is the sum of kappa_pi(d) the call needs.  On the
+# canonical representatives of the recursive calls that prime is 2.
 
-def _check_anchor(n: FactoredInt, pi: int) -> None:
-    """Refuse, with a ``ValueError``, an explicit pi that is not one of n's
-    primes.  The routes call this first, before any early return or memo
-    lookup, so the answer does not depend on the index or on what the memo
-    holds; the recursive calls pass no pi and skip it."""
-    if all(p != pi for p, _ in n.factors):
-        raise ValueError(f"anchor prime {pi} is not a prime factor of {n.value}")
-
-
-def _anchor(n: FactoredInt, pi: int | None) -> tuple[int, int]:
-    """The reduction-table weight column of the anchor prime, and kappa_pi(n),
-    for a pi already passed by :func:`_check_anchor`.
-
-    The column is the first coordinate of the signature equal to kappa_pi(n);
-    coordinates of equal exponent have equal weights, by symmetry."""
-    if pi is None:
-        pi = n.factors[0][0]
-    kap_n = kappa(pi, n.value)
-    return n.signature.index(kap_n), kap_n
+def _anchor(n: FactoredInt) -> int:
+    """kappa_pi(n) for the anchor pi: the first prime of n that carries n's
+    largest exponent."""
+    top = n.signature[0]
+    return kappa(next(p for p, e in n.factors if e == top), n.value)
 
 
 def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
@@ -404,9 +371,7 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
     through the module-level `name`, one stack frame per level."""
     letter = name[0]
 
-    def route(n: FactoredInt, k: int, pi: int | None = None) -> BigCount:
-        if pi is not None:
-            _check_anchor(n, pi)
+    def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
             return 0
         if n.value == 1:
@@ -417,13 +382,12 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        col, kap_n = _anchor(n, pi)
+        kap_n = _anchor(n)
         recurse = globals()[name]
         total = 0
-        for i, rest, rest_omega, _, weights in reduction_table(n.signature):
+        for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
             if i > k:
                 break
-            kap_d = weights[col]
             if kap_d and k - i <= rest_omega:
                 sub = memo.get((rest.signature, k - i))
                 if sub is None:
@@ -449,7 +413,7 @@ g_k_kappa = _kappa_recursion("g_k_kappa", _GK_KAP, True, """g_k via the signed
     kappa recursion.""")
 
 
-def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
+def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
     """Factorizations with exactly k parts >= 2 of which exactly l are
     different, via the corrected double recursion in kappa form:
 
@@ -459,8 +423,6 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
 
     Boundary: f_{k,l}(1) = [k == l == 0]; any negative index gives 0.
     """
-    if pi is not None:
-        _check_anchor(n, pi)
     if k < 0 or l < 0:
         return 0
     if n.value == 1:
@@ -471,12 +433,11 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
     hit = _FKL.get(key)
     if hit is not None:
         return hit
-    col, kap_n = _anchor(n, pi)
+    kap_n = _anchor(n)
     total = 0
-    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
+    for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
         if i > k:
             break
-        kap_d = weights[col]
         if not kap_d or k - i > rest_omega:
             continue
         # f_{k-i,l-j}(rest) is 0 unless 1 <= l - j <= k - i; at k == i only
@@ -498,11 +459,9 @@ def f_kl(n: FactoredInt, k: int, l: int, pi: int | None = None) -> BigCount:
     return q
 
 
-def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
+def h_l(n: FactoredInt, l: int) -> BigCount:
     """Factorizations with exactly l different part values >= 2, same recursion
     shape as :func:`f_kl` without the part-count index."""
-    if pi is not None:
-        _check_anchor(n, pi)
     if l < 0:
         return 0
     if n.value == 1:
@@ -513,10 +472,9 @@ def h_l(n: FactoredInt, l: int, pi: int | None = None) -> BigCount:
     hit = _HL.get(key)
     if hit is not None:
         return hit
-    col, kap_n = _anchor(n, pi)
+    kap_n = _anchor(n)
     total = 0
-    for i, rest, rest_omega, _, weights in reduction_table(n.signature):
-        kap_d = weights[col]
+    for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
         if not kap_d:
             continue
         # h_{l-j}(rest) is 0 once l - j > Omega(rest), and h_0(rest) is 0

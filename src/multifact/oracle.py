@@ -19,13 +19,13 @@ cofactor m // d is then smaller than d, so no nondecreasing completion
 exists, and (m,) itself is yielded last.
 
 Both enumerations stop at ``DEFAULT_MAX_FACTORIZATIONS`` items.  The
-factorizations are counted as they are yielded, and the partitions of n are
-counted before the first one is, so an n with too many partitions is refused
-at once.
+factorizations are counted as they are yielded.  The partitions are counted
+once, at import: :data:`MAX_PARTITION_N` is the largest n with at most that
+many partitions, so an n past it is refused at once.
 """
 
 from collections import Counter
-from math import comb, isqrt
+from math import isqrt
 
 from .arith import BigCount
 
@@ -33,8 +33,8 @@ DEFAULT_MAX_FACTORIZATIONS = 1_000_000
 
 __all__ = [
     "DEFAULT_MAX_FACTORIZATIONS",
+    "MAX_PARTITION_N",
     "OracleLimitError",
-    "colored_partition_count",
     "enumerate_factorizations",
     "enumerate_partitions",
     "partition_profile",
@@ -75,25 +75,22 @@ def _descend(m: int, lo: int, divisors: dict[int, list[int]]):
         yield (m,)
 
 
-def enumerate_factorizations(
-    n: int, min_part: int = 2, max_count: int = DEFAULT_MAX_FACTORIZATIONS
-):
-    """Yield every unordered factorization of n into parts >= min_part.
+def enumerate_factorizations(n: int):
+    """Yield every unordered factorization of n into parts >= 2.
 
     Each factorization appears exactly once, as a nondecreasing tuple, in a
-    deterministic order.  Raises :class:`OracleLimitError` past ``max_count``
-    factorizations rather than running unbounded.
+    deterministic order.  Raises :class:`OracleLimitError` past
+    ``DEFAULT_MAX_FACTORIZATIONS`` factorizations, read as the walk runs,
+    rather than running unbounded.
     """
     if n < 2:
         raise ValueError(f"enumerate_factorizations requires n >= 2, got {n}")
-    if min_part < 2:
-        raise ValueError(f"min_part must be >= 2, got {min_part}")
     count = 0
-    for parts in _descend(n, min_part, {}):
+    for parts in _descend(n, 2, {}):
         count += 1
-        if count > max_count:
+        if count > DEFAULT_MAX_FACTORIZATIONS:
             raise OracleLimitError(
-                f"more than {max_count} factorizations of {n}")
+                f"more than {DEFAULT_MAX_FACTORIZATIONS} factorizations of {n}")
         yield parts
 
 
@@ -108,40 +105,37 @@ def profile(n: int) -> dict[tuple[int, int], BigCount]:
     return _classify(enumerate_factorizations(n) if n != 1 else [()])
 
 
-def _refuse_over_partition_budget(n: int) -> None:
-    """Raise :class:`OracleLimitError` if n has more than
-    ``DEFAULT_MAX_FACTORIZATIONS`` partitions.
+def _largest_n_within_budget() -> int:
+    """The largest n with at most ``DEFAULT_MAX_FACTORIZATIONS`` partitions,
+    by Euler's pentagonal recurrence p(m) = sum_{i>=1} (-1)**(i+1) * (p(m - g)
+    + p(m - g - i)), g = i(3i-1)/2, each term 0 once its argument is < 0."""
+    p = [1]
+    while p[-1] <= DEFAULT_MAX_FACTORIZATIONS:
+        m, total, i = len(p), 0, 1
+        while (g := i * (3 * i - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - i] if g + i <= m else 0)
+            total += term if i & 1 else -term
+            i += 1
+        p.append(total)
+    return len(p) - 2
 
-    Row m of the table counts the partitions of m into parts <= j, for
-    j = 0..m.  Rows are added for m = 1, 2, ... until m reaches n or the row's
-    total p(m) passes the budget; p never falls as m grows, so p(n) >= p(m)
-    then.  That stops at m = 61 for any n, since p(61) = 1,121,505.
-    """
-    rows = [[1]]
-    for m in range(1, n + 1):
-        row = [0]
-        for j in range(1, m + 1):
-            # parts <= j - 1, plus those with a part j and the rest m - j in
-            # parts <= j
-            row.append(row[j - 1] + rows[m - j][min(j, m - j)])
-        if row[m] > DEFAULT_MAX_FACTORIZATIONS:
-            raise OracleLimitError(
-                f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}"
-            )
-        rows.append(row)
+
+# 60, since p(60) = 966,467 and p(61) = 1,121,505
+MAX_PARTITION_N = _largest_n_within_budget()
 
 
 def enumerate_partitions(n: int):
     """Yield every partition of n exactly once, as a nonincreasing tuple.
 
     Uses the ascending-composition algorithm, a different code path from the
-    descending recursive iterator in :mod:`multifact.partitions`.  An n with
-    more than ``DEFAULT_MAX_FACTORIZATIONS`` partitions (n > 60) raises
-    :class:`OracleLimitError` before the first partition.
+    descending recursive iterator in :mod:`multifact.partitions`.  An n past
+    :data:`MAX_PARTITION_N` raises :class:`OracleLimitError` before the first
+    partition.
     """
     if n < 0:
         raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")
-    _refuse_over_partition_budget(n)
+    if n > MAX_PARTITION_N:
+        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}")
     if n == 0:
         yield ()
         return
@@ -170,29 +164,3 @@ def enumerate_partitions(n: int):
 def partition_profile(n: int) -> dict[tuple[int, int], BigCount]:
     """Partition counts of n keyed by (number of parts, distinct part values)."""
     return _classify(enumerate_partitions(n))
-
-
-def colored_partition_count(beta, m: int) -> BigCount:
-    """Partitions of m into parts i with beta_i >= 1, counted with colors.
-
-    A part value i used c times contributes comb(beta_i + c - 1, c) ways to
-    pick a multiset of c colors out of beta_i.  This reproduces the Euler
-    transform by direct enumeration, with no shared code.
-    """
-    if m < 0:
-        return 0
-    allowed = [i for i, b in enumerate(beta, 1) if b > 0]
-
-    def count(rem: int, idx: int) -> int:
-        if rem == 0:
-            return 1
-        if idx == len(allowed):
-            return 0
-        i = allowed[idx]
-        colors = beta[i - 1]
-        total = 0
-        for c in range(rem // i + 1):
-            total += comb(colors + c - 1, c) * count(rem - c * i, idx + 1)
-        return total
-
-    return count(m, 0)

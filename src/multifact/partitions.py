@@ -2,9 +2,8 @@
 
 Provides the iterators over partitions and compositions, the weights attached
 to them (as the integer denominators z_beta and prefix products that the
-counting routes divide k! by), the sign exponent, and the Euler transform of
-a multiplicity vector together with its multiplicative extension to factored
-integers.
+counting routes divide k! by), and the Euler transform of a multiplicity
+vector together with its multiplicative extension to factored integers.
 """
 
 from math import factorial
@@ -25,10 +24,8 @@ __all__ = [
     "euler_transform",
     "mu_beta",
     "multiplicity_vector",
-    "nu_beta",
     "partitions_of",
     "prefix_product",
-    "theta_sign",
 ]
 
 
@@ -100,15 +97,6 @@ def centralizer_order(beta) -> BigCount:
     return z
 
 
-def theta_sign(beta) -> int:
-    """(-1) to the power sum_i (1+i)*beta_i.
-
-    Only the terms of even i are odd, so the parity is that of the number of
-    even parts, beta_2 + beta_4 + ...
-    """
-    return -1 if sum(beta[1::2]) & 1 else 1
-
-
 def euler_transform(beta, m_max: int) -> list[BigCount]:
     """Values nu_beta(1..m_max) of the Euler transform of beta.
 
@@ -138,13 +126,6 @@ def euler_transform(beta, m_max: int) -> list[BigCount]:
             )
         nu.append(q)
     return nu
-
-
-def nu_beta(beta, m: int) -> BigCount:
-    """Single Euler-transform value; nu_beta(0) == 1 (the empty partition)."""
-    if m == 0:
-        return 1
-    return euler_transform(beta, m)[-1]
 
 
 def mu_beta(beta, fi: FactoredInt) -> BigCount:

@@ -12,10 +12,9 @@ from multifact.arith import MAX_N, BigCount, FactoredInt, IntegrityError
 from multifact.counting import canonical
 from multifact.partitions import (
     centralizer_order,
+    euler_transform,
     multiplicity_vector,
-    nu_beta,
     partitions_of,
-    theta_sign,
 )
 
 
@@ -52,8 +51,8 @@ def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredIn
 def reduction_table(sig: tuple[int, ...]) -> tuple:
     """The reference for ``counting.reduction_table``: the same entries,
     built by one pass over the exponent vectors sig - i * c of all powers i,
-    grouped by (i, signature) and sorted, each group's weights recovered from
-    the member vectors r as sum of (sig[j] - r[j]) / i.  Uncached."""
+    grouped by (i, signature) and sorted, each group's weight recovered from
+    the member vectors r as the sum of (sig[0] - r[0]) / i.  Uncached."""
     groups: dict = {}
     for i in range(1, max(sig, default=0) + 1):
         # the exponent vectors sig - i * c; the first has c = 0
@@ -65,10 +64,9 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     for (i, rest), members in sorted(groups.items()):
         count = len(members)
         rest = rest[:len(rest) - rest.count(0)]
-        # sum of c[j] = sum of (sig[j] - r[j]) / i over the group
-        weights = tuple((count * e - total) // i
-                        for e, total in zip(sig, map(sum, zip(*members))))
-        entries.append((i, canonical(rest), sum(rest), count, weights))
+        # sum of c[0] = sum of (sig[0] - r[0]) / i over the group
+        weight = (count * sig[0] - sum(r[0] for r in members)) // i
+        entries.append((i, canonical(rest), sum(rest), count, weight))
     return tuple(entries)
 
 
@@ -121,12 +119,15 @@ def trial_factorize(n: int) -> FactoredInt:
 @lru_cache(maxsize=None)
 def _classes(k: int) -> tuple:
     """(beta, k! / z_beta, theta(beta)) for each partition of k, as cycle
-    types: k! / z_beta permutations of k objects have cycle type beta."""
+    types: k! / z_beta permutations of k objects have cycle type beta.  The
+    sign theta(beta) = (-1)**(sum_i (1+i) * beta_i) has the parity of the
+    number of even parts, beta_2 + beta_4 + ..."""
     k_fact = factorial(k)
     out = []
     for p in partitions_of(k):
         beta = multiplicity_vector(p)
-        out.append((beta, k_fact // centralizer_order(beta), theta_sign(beta)))
+        sign = -1 if sum(beta[1::2]) & 1 else 1
+        out.append((beta, k_fact // centralizer_order(beta), sign))
     return tuple(out)
 
 
@@ -141,7 +142,7 @@ def class_table_partition_sum(n: FactoredInt, k: int, signed: bool) -> int:
     total = 0
     for beta, size, sign in _classes(k):
         for e, mult in powers:
-            v = nu_beta(beta, e)
+            v = euler_transform(beta, e)[e - 1]
             if not v:
                 break
             size *= v**mult
@@ -260,3 +261,29 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
         total += r_lj(n - i * j, l - 1, j + 1)
     _REF_R_LJ[key] = total
     return total
+
+
+def colored_partition_count(beta, m: int) -> BigCount:
+    """Partitions of m into parts i with beta_i >= 1, counted with colors.
+
+    A part value i used c times contributes comb(beta_i + c - 1, c) ways to
+    pick a multiset of c colors out of beta_i.  This reproduces the Euler
+    transform by direct enumeration, with no shared code.
+    """
+    if m < 0:
+        return 0
+    allowed = [i for i, b in enumerate(beta, 1) if b > 0]
+
+    def count(rem: int, idx: int) -> int:
+        if rem == 0:
+            return 1
+        if idx == len(allowed):
+            return 0
+        i = allowed[idx]
+        colors = beta[i - 1]
+        total = 0
+        for c in range(rem // i + 1):
+            total += comb(colors + c - 1, c) * count(rem - c * i, idx + 1)
+        return total
+
+    return count(m, 0)

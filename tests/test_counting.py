@@ -52,7 +52,6 @@ from multifact.partitions import (
     multiplicity_vector,
     partitions_of,
     prefix_product,
-    theta_sign,
 )
 from references import class_table_partition_sum, divisor_power_reductions
 from references import reduction_table as grouped_reduction_table
@@ -169,8 +168,7 @@ def test_partition_sum_and_fedorov_share_no_nu_code(monkeypatch):
     def refuse(*args):
         raise _SharedNuCode
 
-    for name in ("nu_beta", "mu_beta", "euler_transform", "partitions_of",
-                 "centralizer_order"):
+    for name in ("mu_beta", "euler_transform", "partitions_of", "centralizer_order"):
         monkeypatch.setattr(partitions, name, refuse)
         monkeypatch.setattr(counting, name, refuse, raising=False)
     assert big_F(FI36, 6) == expected_F
@@ -260,42 +258,36 @@ def test_kappa_recursions():
     assert f_k_kappa(factorize(8), 2) == 1  # (2, 4)
 
 
-def test_kappa_recursion_prime_choice_is_value_irrelevant():
-    # the same counts come out whichever prime anchors the recursion
-    counting.clear_caches()
-    via_2 = f_kl(FI36, 3, 2, pi=2)
-    counting.clear_caches()
-    via_3 = f_kl(FI36, 3, 2, pi=3)
-    assert via_2 == via_3 == 2
-    counting.clear_caches()
-
-
-def test_kappa_anchor_changes_the_weights_not_the_values():
-    # 600 = 2^3 * 3 * 5^2: each anchor prime carries a different exponent, so
-    # each picks a different weight column of the reduction table
-    fi = factorize(600)
-    assert [kappa(pi, 600) for pi in (2, 3, 5)] == [3, 1, 2]
-    table = reduction_table(fi.signature)
-    columns = {tuple(entry[4][c] for entry in table) for c in range(3)}
-    assert len(columns) == 3
-    prof = oracle.profile(600)
+def test_kappa_routes_anchor_at_the_prime_of_the_largest_exponent(monkeypatch):
+    # 600 = 2^3 * 3 * 5^2, 1350 = 2 * 3^3 * 5^2 and 540 = 2^2 * 3^3 * 5 share
+    # one signature and one reduction table; each top-level call divides by
+    # the exponent of the prime that carries the largest exponent, wherever
+    # that prime stands, and every recursive call divides by the exponent of 2
+    anchors = []
+    monkeypatch.setattr(counting, "kappa", lambda p, n: anchors.append((p, n)) or kappa(p, n))
     read = cli._ORACLE_READS
-    om = fi.big_omega
-    expected = (
-        [read["f_k"](prof, k, None) for k in range(om + 2)],
-        [read["g_k"](prof, k, None) for k in range(om + 2)],
-        [prof.get((k, l), 0) for k in range(om + 2) for l in range(k + 1)],
-        [read["h_l"](prof, None, l) for l in range(om + 2)],
-    )
-    for pi in (2, 3, 5):
-        counting.clear_caches()
-        values = (
-            [f_k_kappa(fi, k, pi) for k in range(om + 2)],
-            [g_k_kappa(fi, k, pi) for k in range(om + 2)],
-            [f_kl(fi, k, l, pi) for k in range(om + 2) for l in range(k + 1)],
-            [h_l(fi, l, pi) for l in range(om + 2)],
+    for n, top in ((600, 2), (1350, 3), (540, 3)):
+        fi = factorize(n)
+        assert fi.signature == (3, 2, 1)
+        prof = oracle.profile(n)
+        om = fi.big_omega
+        expected = (
+            [read["f_k"](prof, k, None) for k in range(om + 2)],
+            [read["g_k"](prof, k, None) for k in range(om + 2)],
+            [prof.get((k, l), 0) for k in range(om + 2) for l in range(k + 1)],
+            [read["h_l"](prof, None, l) for l in range(om + 2)],
         )
-        assert values == expected, pi
+        counting.clear_caches()
+        anchors.clear()
+        values = (
+            [f_k_kappa(fi, k) for k in range(om + 2)],
+            [g_k_kappa(fi, k) for k in range(om + 2)],
+            [f_kl(fi, k, l) for k in range(om + 2) for l in range(k + 1)],
+            [h_l(fi, l) for l in range(om + 2)],
+        )
+        assert values == expected, n
+        assert {p for p, m in anchors if m == n} == {top}, n
+        assert {p for p, m in anchors if m != n} == {2}, n
     counting.clear_caches()
 
 
@@ -353,41 +345,6 @@ def test_every_recursion_call_past_the_early_returns_adds_a_memo_entry(monkeypat
     counting.clear_caches()
 
 
-def test_kappa_anchor_must_divide_n():
-    counting.clear_caches()
-    with pytest.raises(ValueError):
-        f_k_kappa(FI36, 2, pi=5)
-
-
-@pytest.mark.parametrize("n", [72, 12])
-@pytest.mark.parametrize("pi", [1, 4, 6])
-def test_kappa_anchor_must_be_a_prime_factor(n, pi, within_a_second):
-    # pi = 1 once divided n forever; composite pi failed with an index error
-    # or landed on some column by accident
-    counting.clear_caches()
-    with pytest.raises(ValueError, match=f"anchor prime {pi} is not a prime factor of {n}"):
-        f_k_kappa(factorize(n), 2, pi=pi)
-
-
-@pytest.mark.parametrize("route, indices", [
-    (f_k_kappa, (2,)), (g_k_kappa, (2,)), (f_kl, (3, 2)), (h_l, (2,)),
-])
-@pytest.mark.parametrize("n, pi", [(72, 4), (72, 5), (200, 1)])
-def test_kappa_anchor_is_refused_on_a_warm_cache_too(route, indices, n, pi):
-    fi = factorize(n)
-    message = f"anchor prime {pi} is not a prime factor of {n}"
-    counting.clear_caches()
-    with pytest.raises(ValueError, match=message):
-        route(fi, *indices, pi=pi)
-    assert route(fi, *indices)  # the memo now holds this key
-    with pytest.raises(ValueError, match=message):
-        route(fi, *indices, pi=pi)
-    # nor at an index whose value needs no recursion
-    with pytest.raises(ValueError, match=message):
-        route(fi, *(0 for _ in indices), pi=pi)
-    counting.clear_caches()
-
-
 # ---------------------------------------------------------------- reduction tables
 
 def _deep_pool_signatures():
@@ -438,13 +395,13 @@ def check_table(fi):
     assert by_power(table) == by_power(grouped_reduction_table(sig)), sig
     groups = reference_groups(fi)
     assert len(table) == len(groups)
-    for i, rest, rest_omega, count, weights in table:
+    for i, rest, rest_omega, count, weight in table:
         assert rest is canonical(rest.signature) and rest_omega == rest.big_omega
         ref_count, ref_weights = groups[(i, rest.signature)]
         assert count == ref_count, (sig, i, rest.signature)
         for p, e in fi.factors:
-            # primes of one exponent share a column: their sums are equal
-            assert weights[sig.index(e)] == ref_weights[p], (sig, i, rest.signature, p)
+            if e == sig[0]:  # each prime of the largest exponent has the same sum
+                assert weight == ref_weights[p], (sig, i, rest.signature, p)
 
 
 def test_reduction_table_matches_the_reference_up_to_2000():
@@ -717,7 +674,7 @@ def reference_F(fi, k, signed=False):
     total = Fraction(0)
     for parts in oracle.enumerate_partitions(k):
         beta = multiplicity_vector(parts)
-        sign = theta_sign(beta) if signed else 1
+        sign = -1 if signed and sum(beta[1::2]) & 1 else 1
         total += sign * Fraction(1, centralizer_order(beta)) * _mu(beta, fi)
     assert total.denominator == 1
     return int(total)

@@ -2,17 +2,17 @@
 
 import pytest
 
-from multifact import cli
+from multifact import cli, oracle
 from multifact.oracle import (
     DEFAULT_MAX_FACTORIZATIONS,
     OracleLimitError,
-    colored_partition_count,
     enumerate_factorizations,
     enumerate_partitions,
     partition_profile,
     profile,
 )
 from multifact.partitions import euler_transform, multiplicity_vector, partitions_of
+from references import colored_partition_count
 
 READS = cli._ORACLE_READS
 
@@ -54,18 +54,20 @@ def test_enumerate_rejects_unit():
         list(enumerate_factorizations(1))
 
 
-def test_enumerate_respects_budget():
-    # exactly max_count items come out; the next pull raises
-    items = enumerate_factorizations(36, max_count=5)
+def test_enumerate_respects_budget(monkeypatch):
+    # exactly the budget's items come out; the next pull raises
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_FACTORIZATIONS", 5)
+    items = enumerate_factorizations(36)
     handed = [next(items) for _ in range(5)]
     assert len(set(handed)) == 5 and set(handed) <= FACTORIZATIONS_36
-    # the message names the budget and n only: the CLI cannot raise max_count
+    # the message names the budget and n only: the CLI cannot raise the budget
     with pytest.raises(OracleLimitError, match="^more than 5 factorizations of 36$"):
         next(items)
 
 
 def test_enumerate_min_part():
-    assert list(enumerate_factorizations(36, min_part=4)) == [(4, 9), (6, 6), (36,)]
+    # the descent below a least part d walks the cofactor with parts >= d
+    assert list(oracle._descend(36, 4, {})) == [(4, 9), (6, 6), (36,)]
 
 
 def test_profile_36():

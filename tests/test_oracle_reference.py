@@ -77,18 +77,19 @@ HIGHLY_COMPOSITE = (720720, 1081080, 1441440)
 
 def test_order_matches_reference_small_n():
     for n in range(2, 3001):
-        assert list(enumerate_factorizations(n, 2)) == list(reference_descend(n, 2)), n
+        assert list(enumerate_factorizations(n)) == list(reference_descend(n, 2)), n
 
 
 @pytest.mark.parametrize("n", HIGHLY_COMPOSITE)
 def test_order_matches_reference_highly_composite(n):
-    assert list(enumerate_factorizations(n, 2)) == list(reference_descend(n, 2))
+    assert list(enumerate_factorizations(n)) == list(reference_descend(n, 2))
 
 
 @pytest.mark.parametrize("min_part", [3, 4, 7, 10**6])
 def test_order_matches_reference_min_part(min_part):
+    # the descent on a cofactor, with its least part as the floor
     n = 720720
-    assert list(enumerate_factorizations(n, min_part)) == list(reference_descend(n, min_part))
+    assert list(oracle._descend(n, min_part, {})) == list(reference_descend(n, min_part))
 
 
 def profile_fields(prof):

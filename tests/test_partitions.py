@@ -14,10 +14,8 @@ from multifact.partitions import (
     euler_transform,
     mu_beta,
     multiplicity_vector,
-    nu_beta,
     partitions_of,
     prefix_product,
-    theta_sign,
 )
 
 # p(0)..p(40), OEIS A000041; the first 13 are also checked against the
@@ -144,13 +142,6 @@ def test_h_weight_sums_to_one():
         assert total == factorial(k)
 
 
-def test_theta_sign():
-    assert theta_sign((1, 1)) == -1
-    assert theta_sign((3,)) == 1
-    assert theta_sign((0, 0, 1)) == 1
-    assert theta_sign(()) == 1
-
-
 def test_euler_transform_colored_example():
     assert euler_transform((0, 2, 1), 7) == [0, 2, 1, 3, 2, 5, 3]
 
@@ -166,7 +157,6 @@ def test_euler_transform_first_value_is_beta1():
 
 def test_euler_transform_of_empty_vector_is_zero():
     assert euler_transform((), 6) == [0] * 6
-    assert nu_beta((), 0) == 1
 
 
 def _series_coefficients(beta, m_max):
@@ -194,26 +184,27 @@ def test_euler_transform_matches_series_expansion():
     st.data(),
 )
 def test_nu_beta_with_parts_above_m_matches_the_untruncated_transform(beta, data):
-    # nu_beta(m) sieves only the parts <= m; it must equal the transform of
-    # the whole beta
+    # nu_beta(m) = euler_transform(beta, m)[m - 1] sieves only the parts
+    # <= m; it must equal the transform of the whole beta
     beta = tuple(beta)
     m = data.draw(st.integers(min_value=1, max_value=len(beta) - 1))
-    truncated = [nu_beta(beta, i) for i in range(1, m + 1)]
+    truncated = [euler_transform(beta, i)[i - 1] for i in range(1, m + 1)]
     whole = euler_transform(beta, len(beta) + 3)
     assert truncated == whole[:m] == _series_coefficients(beta, m)
     assert euler_transform(beta, len(beta) + 3) == whole
-    assert [nu_beta(beta, i) for i in range(1, m + 1)] == whole[:m]
+    assert [euler_transform(beta, i)[i - 1] for i in range(1, m + 1)] == whole[:m]
 
 
 def test_vectors_that_differ_above_m_agree_at_m():
-    assert nu_beta((1, 0, 0, 5), 2) == nu_beta((1, 0, 2), 2) == nu_beta((1,), 2) == 1
+    assert (euler_transform((1, 0, 0, 5), 2)[1] == euler_transform((1, 0, 2), 2)[1]
+            == euler_transform((1,), 2)[1] == 1)
 
 
 def test_euler_transform_division_check_still_fires(monkeypatch):
     # one extra unit in gamma(1) * nu(1) makes 2 * nu(2) = 3 for beta = (1,)
     monkeypatch.setattr(partitions, "mul", lambda a, b: a * b + 1)
     with pytest.raises(IntegrityError):
-        nu_beta((1,), 2)
+        euler_transform((1,), 2)
 
 
 def test_euler_transform_all_ones_counts_bounded_partitions():
