@@ -32,6 +32,7 @@ __all__ = [
     "prime_power",
     "prime_signature",
     "primorial",
+    "settle",
 ]
 
 
@@ -41,6 +42,20 @@ class IntegrityError(RuntimeError):
     Firing signals an implementation bug, never bad user input, so this is a
     mandatory runtime check rather than a debug-only assert.
     """
+
+
+def settle(memo: dict, key: tuple, total: int, divisor: int, route: str) -> int:
+    """Store and return total // divisor as memo[key], the one exact division
+    that ends every memoized counting route.
+
+    A remainder raises :class:`IntegrityError` naming the route and the key,
+    and stores nothing, so the same call raises again.
+    """
+    q, r = divmod(total, divisor)
+    if r:
+        raise IntegrityError(f"{route}{key}: sum {total} not divisible by {divisor}")
+    memo[key] = q
+    return q
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ by different algorithms.
 
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
-public name, memo dict and IntegrityError message, and a recursion recurses
-through its own module-level name, one stack frame per level.  Each
-recursion reads a memo hit of a sub-state inline and calls that name only on
-a miss, so from cold caches every call that gets past the early returns adds
-one memo entry.
+public name and memo dict, and a recursion recurses through its own
+module-level name, one stack frame per level.  Each recursion reads a memo hit
+of a sub-state inline and calls that name only on a miss, so from cold caches
+every call that gets past the early returns adds one memo entry.  Every
+memoized route ends in :func:`arith.settle`, its one checked exact division.
 """
 
 from collections import Counter
@@ -42,9 +42,9 @@ from math import comb, factorial, prod
 from .arith import (
     BigCount,
     FactoredInt,
-    IntegrityError,
     first_primes,
     kappa,
+    settle,
 )
 from .oracle import DEFAULT_MAX_FACTORIZATIONS, MAX_PARTITION_N, OracleLimitError
 from .partitions import (
@@ -156,11 +156,9 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     divided once by k!.  The classes and their nu come from one pass of
     :func:`_colored_classes`, never from :func:`partitions.euler_transform`,
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
-    final division is always exact; a nonzero remainder raises
-    :class:`IntegrityError`.  A k past the oracle's budget of partitions
-    (:data:`oracle.MAX_PARTITION_N`) raises :class:`OracleLimitError` before
-    any work."""
-    letter = name[-1]
+    final division goes through :func:`arith.settle`.  A k past the oracle's
+    budget of partitions (:data:`oracle.MAX_PARTITION_N`) raises
+    :class:`OracleLimitError` before any work."""
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
@@ -181,13 +179,7 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
                 size *= v**mult
             else:
                 total += -size if signed and evens & 1 else size
-        value, r = divmod(total, factorial(k))
-        if r:
-            raise IntegrityError(
-                f"{letter}_{k}({n.value}) partition sum {total} not divisible by {k}!"
-            )
-        memo[key] = value
-        return value
+        return settle(memo, key, total, factorial(k), name)
 
     route.__name__ = route.__qualname__ = name
     route.__doc__ = doc
@@ -208,10 +200,9 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
     all 2**(k-1) compositions alpha of k.
 
     H(alpha) is 1 over the product of the prefix sums of alpha; each term is
-    summed as the integer k! * H(alpha), and the total is divided once by k!,
-    with a nonzero remainder raising :class:`IntegrityError`.  A k past the
-    oracle's budget of compositions (k > 20) raises :class:`OracleLimitError`
-    before any work.
+    summed as the integer k! * H(alpha), and the total is divided once by k!
+    through :func:`arith.settle`.  A k past the oracle's budget of
+    compositions (k > 20) raises :class:`OracleLimitError` before any work.
     """
     if k < 0:
         return 0
@@ -233,13 +224,7 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
             m = mus[beta] = mu_beta(beta, n)
         if m:
             total += k_fact // prefix_product(comp) * m
-    value, r = divmod(total, k_fact)
-    if r:
-        raise IntegrityError(
-            f"F_{k}({n.value}) composition sum {total} not divisible by {k}!"
-        )
-    _FED[key] = value
-    return value
+    return settle(_FED, key, total, k_fact, "fedorov_F")
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +286,6 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
     with s_i = 1, or (-1)**(i+1) when `signed`.  The route recurses through
     the module-level `name`, one stack frame per level, so a wrapper put in
     its place sees every call."""
-    letter = name[0]
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
@@ -324,13 +308,7 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
                 if sub is None:
                     sub = recurse(rest, k - i)
                 total += (-count if signed and not i & 1 else count) * sub
-        q, r = divmod(total, k)
-        if r:
-            raise IntegrityError(
-                f"{letter}_{k}({n.value}) recursion sum {total} not divisible by {k}"
-            )
-        memo[key] = q
-        return q
+        return settle(memo, key, total, k, name)
 
     route.__name__ = route.__qualname__ = name
     route.__doc__ = doc
@@ -369,7 +347,6 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
 
     with s_i as in :func:`_divisor_recursion`.  Like it, the route recurses
     through the module-level `name`, one stack frame per level."""
-    letter = name[0]
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
@@ -393,13 +370,7 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
                 if sub is None:
                     sub = recurse(rest, k - i)
                 total += (-kap_d if signed and not i & 1 else kap_d) * sub
-        q, r = divmod(total, kap_n)
-        if r:
-            raise IntegrityError(
-                f"{letter}_{k}({n.value}) kappa sum {total} not divisible by {kap_n}"
-            )
-        memo[key] = q
-        return q
+        return settle(memo, key, total, kap_n, name)
 
     route.__name__ = route.__qualname__ = name
     route.__doc__ = doc
@@ -450,13 +421,7 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
             if sub:
                 term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term
-    q, r = divmod(total, kap_n)
-    if r:
-        raise IntegrityError(
-            f"f_{{{k},{l}}}({n.value}) kappa sum {total} not divisible by {kap_n}"
-        )
-    _FKL[key] = q
-    return q
+    return settle(_FKL, key, total, kap_n, "f_kl")
 
 
 def h_l(n: FactoredInt, l: int) -> BigCount:
@@ -487,13 +452,7 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
             if sub:
                 term = comb(i, j) * sub * kap_d
                 total += term if j & 1 else -term
-    q, r = divmod(total, kap_n)
-    if r:
-        raise IntegrityError(
-            f"h_{l}({n.value}) kappa sum {total} not divisible by {kap_n}"
-        )
-    _HL[key] = q
-    return q
+    return settle(_HL, key, total, kap_n, "h_l")
 
 
 # --------------------------------------------------------------------------

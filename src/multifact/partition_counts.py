@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .arith import BigCount, IntegrityError, primorial
+from .arith import BigCount, primorial, settle
 from .counting import big_F, big_G, f_k_rec, f_total_rec
 from .partitions import (centralizer_order, compositions_of, multiplicity_vector,
                          partitions_of, prefix_product)
@@ -107,11 +107,7 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
                         part += comb(i, j) * sub
                 inner += d * part
         total += inner if j & 1 else -inner
-    q, r = divmod(total, n)
-    if r:
-        raise IntegrityError(f"p_{{{k},{l}}}({n}) sum {total} not divisible by {n}")
-    _P_KL[key] = q
-    return q
+    return settle(_P_KL, key, total, n, "p_kl")
 
 
 def r_l(n: int, l: int) -> BigCount:
@@ -150,11 +146,7 @@ def r_l(n: int, l: int) -> BigCount:
                     part += comb(i, j) * sub
                 inner += d * part
         total += inner if j & 1 else -inner
-    q, r = divmod(total, n)
-    if r:
-        raise IntegrityError(f"r_{l}({n}) sum {total} not divisible by {n}")
-    _R_L[key] = q
-    return q
+    return settle(_R_L, key, total, n, "r_l")
 
 
 def r_lj(n: int, l: int, j: int) -> BigCount:

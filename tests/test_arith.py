@@ -12,12 +12,14 @@ from multifact import arith, partitions
 from multifact.arith import (
     MAX_N,
     FactoredInt,
+    IntegrityError,
     factorize,
     first_primes,
     kappa,
     prime_power,
     prime_signature,
     primorial,
+    settle,
 )
 from references import divisor_power_reductions, trial_factorize
 
@@ -241,3 +243,18 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert not any(name.split(".")[0] == "fractions" for name in names), path.name
+
+
+def test_settle_stores_and_returns_an_exact_quotient():
+    memo = {}
+    assert settle(memo, ((2,), 2), 6, 3, "f_k_rec") == 2
+    assert memo == {((2,), 2): 2}
+
+
+def test_settle_raises_on_a_remainder_and_stores_nothing():
+    memo = {((1,), 1): 1}
+    for _ in range(2):  # nothing was stored, so the same call raises again
+        with pytest.raises(IntegrityError,
+                           match=r"^f_k_rec\(\(2,\), 2\): sum 3 not divisible by 2$"):
+            settle(memo, ((2,), 2), 3, 2, "f_k_rec")
+        assert memo == {((1,), 1): 1}

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from multifact import cli, counting, oracle, partition_counts
+from test_counting import plant_off_by_one_entry
 
 
 def run(capsys, *argv):
@@ -490,6 +491,18 @@ def test_compute_oracle_alone_over_its_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "profile", over_budget)
     code, out, err = run(capsys, "compute", "f", "36", "--method", "oracle")
     assert (code, out, err) == (2, "", "error: over budget\n")
+
+
+@pytest.mark.parametrize("flags, count, weight, message", [
+    (("--method", "recursion"), 1, 0, "f_k_rec((2,), 2): sum 3 not divisible by 2"),
+    # recursion and partition-sum agree first; kappa-recursion then fails
+    (("--all-methods",), 0, 1, "f_k_kappa((2,), 2): sum 3 not divisible by 2"),
+])
+def test_compute_integrity_failure_exits_1_with_one_line(capsys, monkeypatch, flags,
+                                                         count, weight, message):
+    plant_off_by_one_entry(monkeypatch, 2, (), count, weight)
+    code, out, err = run(capsys, "compute", "f_k", "4", "--k", "2", *flags)
+    assert (code, out, err) == (1, "", f"internal error: {message}\n")
 
 
 def test_compute_factors_n_once_for_all_methods(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -128,13 +129,13 @@ def test_big_F_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
     # in the (1, 1) class, the only class of 3 with an even part, leaves
     # remainder 1
     _corrupt_one_class_size(monkeypatch, 3, 1)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"^big_F\(\(1,\), 3\): sum 7 not divisible by 6$"):
         big_F(FI_P, 3)
 
 
 def test_big_G_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
     _corrupt_one_class_size(monkeypatch, 3, 1)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"^big_G\(\(1,\), 3\): sum -1 not divisible by 6$"):
         big_G(FI_P, 3)
 
 
@@ -211,8 +212,36 @@ def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
     monkeypatch.setattr(
         counting, "prefix_product", lambda comp: 6 if comp == (1, 2) else real(comp)
     )
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError,
+                       match=r"^fedorov_F\(\(1,\), 3\): sum 5 not divisible by 6$"):
         fedorov_F(FI_P, 3)
+
+
+def plant_off_by_one_entry(monkeypatch, i, rest, count=1, weight=1):
+    """Add `count` to the count and `weight` to the weight of the entry at
+    power i, rest signature `rest`, of the reduction table of p**2, after
+    clearing every cache."""
+    counting.clear_caches()
+    monkeypatch.setitem(counting._TABLES, (2,), tuple(
+        (j, r, om, c + count, w + weight) if (j, r.signature) == (i, rest) else (j, r, om, c, w)
+        for j, r, om, c, w in reduction_table((2,))))
+
+
+# the memo key of each route is (signature, *indices); n = p**2 has entries
+# (i, rest) = (1, p), (1, 1) and (2, 1)
+@pytest.mark.parametrize("route, indices, i, rest, message", [
+    (f_k_rec, (2,), 2, (), "f_k_rec((2,), 2): sum 3 not divisible by 2"),
+    (g_k_rec, (2,), 2, (), "g_k_rec((2,), 2): sum -1 not divisible by 2"),
+    (f_k_kappa, (2,), 2, (), "f_k_kappa((2,), 2): sum 3 not divisible by 2"),
+    (g_k_kappa, (2,), 2, (), "g_k_kappa((2,), 2): sum -1 not divisible by 2"),
+    (f_kl, (2, 2), 1, (1,), "f_kl((2,), 2, 2): sum 1 not divisible by 2"),
+    (h_l, (1,), 1, (), "h_l((2,), 1): sum 5 not divisible by 2"),
+])
+def test_recursion_integrity_check_fires_on_an_off_by_one_table_entry(
+        monkeypatch, route, indices, i, rest, message):
+    plant_off_by_one_entry(monkeypatch, i, rest)
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        route(prime_power(2, 2), *indices)
 
 
 @pytest.mark.parametrize("route, k, items", [

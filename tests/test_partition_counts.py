@@ -1,5 +1,6 @@
 """Tests for partition-side counts, Stirling/Bell numbers, and identities."""
 
+import re
 import sys
 from collections import Counter
 from math import comb, factorial
@@ -196,6 +197,20 @@ def test_partition_power_sum_integrity_check_fires(monkeypatch):
     monkeypatch.setattr(counting, "_colored_classes", corrupted)
     with pytest.raises(IntegrityError):
         check_identity("bell-partition-sum", 3)
+
+
+@pytest.mark.parametrize("memo, planted, route, args, message", [
+    ("_P_KL", ((2, 1, 1), 2), p_kl, (3, 2, 2), "p_kl(3, 2, 2): sum 4 not divisible by 3"),
+    ("_R_L", ((2, 1), 3), r_l, (3, 2), "r_l(3, 2): sum 4 not divisible by 3"),
+])
+def test_partition_recursion_integrity_check_fires_on_an_off_by_one_sub_state(
+        monkeypatch, memo, planted, route, args, message):
+    # the sub-state is one more than its count: p_{1,1}(2) = 1, r_1(2) = 2
+    partition_counts.clear_caches()
+    monkeypatch.setitem(getattr(partition_counts, memo), *planted)
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        route(*args)
+    partition_counts.clear_caches()
 
 
 def test_check_identity_validation():
