@@ -36,7 +36,6 @@ from .partitions import (
     compositions_of,
     euler_transform,
     mu_beta,
-    partitions_of,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "h_l",
     "mu_beta",
     "p_kl",
-    "partitions_of",
     "prime_power",
     "prime_signature",
     "primorial",

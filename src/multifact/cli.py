@@ -30,10 +30,6 @@ from .arith import FactoredInt, IntegrityError, factorize, prime_power
 from .oracle import OracleLimitError
 from .partition_counts import check_identity
 
-# reject k beyond big_omega + margin: the k-sum routes loop over k, and past
-# big_omega + 1 no count changes with k (F_k stays at f, the others are 0)
-K_QUERY_CAP_MARGIN = 64
-
 # reject stirling2 and bell past this n: the Stirling row takes O(n**2)
 # big-int steps to build; bfile bell --max 2500 takes 6.5 s on a 2-vCPU VM
 STIRLING_MAX_N = 2500
@@ -184,13 +180,7 @@ def _validate_query(function: str, n: int, k, l, j, method) -> FactoredInt | Non
         return None
     if n < 1:
         raise UsageError(f"{function} requires n >= 1")
-    fi = factorize(n)
-    if k is not None and k > fi.big_omega + K_QUERY_CAP_MARGIN:
-        raise UsageError(
-            f"k={k} exceeds the query cap (number of prime factors + "
-            f"{K_QUERY_CAP_MARGIN}); no count of n changes with k past Omega(n) + 1"
-        )
-    return fi
+    return factorize(n)
 
 
 def _within_budget(methods, route):
@@ -257,10 +247,8 @@ def cmd_bfile(args) -> int:
     function = args.function
     if args.max < 2:
         raise UsageError("--max must be >= 2")
+    _validate_query(function, args.max, args.k, args.l, args.j, args.method)
     start = 2 if function in FACTOR_FUNCTIONS else 1
-    # --max must be a valid n; the k cap is lowest at the first n (least Omega)
-    for n in (args.max, start):
-        _validate_query(function, n, args.k, args.l, args.j, args.method)
     method = args.method or DEFAULT_METHOD[function]
     out = sys.stdout
     for n in range(start, args.max + 1):

@@ -462,8 +462,9 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
 # name at call time, so a wrapper put in a route's place sees every call.
 
 def _k_sum(route, n: FactoredInt, k: int) -> BigCount:
-    """[n == 1] + x_1(n) + ... + x_k(n), the x_i read from the k-part route."""
-    return int(n.value == 1) + sum(route(n, i) for i in range(1, k + 1))
+    """[n == 1] + x_1(n) + ... + x_k(n), the x_i read from the k-part route;
+    x_i(n) is 0 past Omega(n), so the sum stops there."""
+    return int(n.value == 1) + sum(route(n, i) for i in range(1, min(k, n.big_omega) + 1))
 
 
 def _k_difference(route, n: FactoredInt, k: int) -> BigCount:
@@ -480,13 +481,14 @@ def f_from_F(n: FactoredInt, k: int) -> BigCount:
 
 
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
-    """g_k recovered as the alternating sum of G_k..G_1, from G_k down, so a
-    k past partition-sum's budget is refused before any sum is computed."""
+    """g_k recovered as the alternating sum of G_k, ..., G_1 and G_0 = [n == 1].
+    G_k comes first, so a k past partition-sum's budget is refused before any
+    other term; G_i(n) is 0 for Omega(n) + 1 < i < k, so those are left out."""
     if k < 1:
         return 1 if (k == 0 and n.value == 1) else 0
-    total = 0
-    for i in range(k, 0, -1):
-        term = big_G(n, i)
+    total = big_G(n, k)
+    for i in range(min(k - 1, n.big_omega + 1), -1, -1):
+        term = big_G(n, i) if i else int(n.value == 1)
         total += term if (k - i) % 2 == 0 else -term
     return total
 

@@ -127,10 +127,9 @@ MAX_PARTITION_N = _largest_n_within_budget()
 def enumerate_partitions(n: int):
     """Yield every partition of n exactly once, as a nonincreasing tuple.
 
-    Uses the ascending-composition algorithm, a different code path from the
-    descending recursive iterator in :mod:`multifact.partitions`.  An n past
-    :data:`MAX_PARTITION_N` raises :class:`OracleLimitError` before the first
-    partition.
+    Uses the ascending-composition algorithm of Kelleher and O'Sullivan.  An
+    n past :data:`MAX_PARTITION_N` raises :class:`OracleLimitError` before the
+    first partition.
     """
     if n < 0:
         raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")

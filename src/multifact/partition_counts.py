@@ -19,8 +19,8 @@ from math import comb, factorial
 
 from .arith import BigCount, primorial, settle
 from .counting import big_F, big_G, f_k_rec, f_total_rec
-from .partitions import (centralizer_order, compositions_of, multiplicity_vector,
-                         partitions_of, prefix_product)
+from .oracle import enumerate_partitions
+from .partitions import centralizer_order, compositions_of, multiplicity_vector, prefix_product
 
 __all__ = [
     "IDENTITIES",
@@ -233,14 +233,14 @@ def bell(n: int) -> BigCount:
 
 
 def _composition_aggregate(n: int) -> int:
-    """The multiplicity vectors beta of n whose compositions' weights
-    n! / prod(prefix sums) sum to the class size n! / z_beta."""
+    """The multiplicity vectors beta of the compositions of n whose weights
+    n! / prod(prefix sums) sum to the class size n! / z_beta.  It reads no
+    partitions, so a vector missing on either side fails the identity."""
     n_fact = factorial(n)
     sums = Counter()
     for comp in compositions_of(n):
         sums[multiplicity_vector(comp)] += n_fact // prefix_product(comp)
-    return sum(1 for b in map(multiplicity_vector, partitions_of(n))
-               if sums[b] == n_fact // centralizer_order(b))
+    return sum(1 for b, s in sums.items() if s == n_fact // centralizer_order(b))
 
 
 # each identity: (lhs(n, k), rhs(n, k), whether k is an index, the largest n
@@ -255,7 +255,7 @@ _IDENTITY_TABLE = {
     "stirling-adjacent-sum": (lambda n, k: stirling2(n, k) + stirling2(n, k - 1),
                               lambda n, k: big_G(primorial(n), k), True, 20),
     "composition-aggregate": (lambda n, k: _composition_aggregate(n),
-                              lambda n, k: sum(1 for _ in partitions_of(n)), False, 12),
+                              lambda n, k: sum(1 for _ in enumerate_partitions(n)), False, 12),
     "primorial-stirling": (lambda n, k: f_k_rec(primorial(n), k),
                            lambda n, k: stirling2(n, k), True, 10),
     "primorial-bell": (lambda n, k: f_total_rec(primorial(n)),
@@ -276,7 +276,8 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
     - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  big_G(P, k)
     - ``composition-aggregate``: per multiplicity vector beta of n, the weights
       n! / prod(prefix sums) of its compositions sum to the class size
-      n! / z_beta; lhs counts the vectors that match, rhs = p(n)
+      n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
+      :func:`oracle.enumerate_partitions`
     - ``primorial-stirling``: f_k_rec(P, k)  ==  S(n, k)
     - ``primorial-bell``: f_total_rec(P)  ==  B_n
 

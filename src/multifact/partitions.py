@@ -1,8 +1,8 @@
 """Partition and composition combinatorics of the part-count index k.
 
-Provides the iterators over partitions and compositions, the weights attached
-to them (as the integer denominators z_beta and prefix products that the
-counting routes divide k! by), and the Euler transform of a multiplicity
+Provides the iterator over compositions, the weights attached to partitions
+and compositions (as the integer denominators z_beta and prefix products that
+the counting routes divide k! by), and the Euler transform of a multiplicity
 vector together with its multiplicative extension to factored integers.
 """
 
@@ -11,66 +11,17 @@ from operator import mul
 
 from .arith import BigCount, FactoredInt, IntegrityError
 
-Partition = tuple[int, ...]
-MultiplicityVector = tuple[int, ...]
-Composition = tuple[int, ...]
-
 __all__ = [
-    "Composition",
-    "MultiplicityVector",
-    "Partition",
     "centralizer_order",
     "compositions_of",
     "euler_transform",
     "mu_beta",
     "multiplicity_vector",
-    "partitions_of",
     "prefix_product",
 ]
 
 
-def partitions_of(k: int):
-    """Yield every partition of k exactly once, as a nonincreasing tuple.
-
-    Order is descending lexicographic: (k), (k-1, 1), ..., (1,)*k.  The empty
-    partition is the single partition of 0.  Iterative, by algorithm ZS1 of
-    Zoghbi and Stojmenovic (Int. J. Comput. Math. 70, 1998): `x` holds the
-    current partition padded with 1s, `h` indexes its last part above 1.
-    """
-    if k < 0:
-        raise ValueError(f"partitions_of requires k >= 0, got {k}")
-    if k == 0:
-        yield ()
-        return
-    x = [1] * k
-    x[0] = k
-    m, h = 1, 0  # number of parts; index of the last part > 1
-    yield (k,)
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            # lower x[h] by one and spread it and the trailing 1s in parts <= r
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
-
-
-def multiplicity_vector(parts) -> MultiplicityVector:
+def multiplicity_vector(parts) -> tuple[int, ...]:
     """Count how many parts equal each value 1..max(parts).
 
     Order of the input parts is irrelevant, so this accepts partitions and

@@ -10,12 +10,8 @@ from math import comb, factorial, isqrt
 
 from multifact.arith import MAX_N, BigCount, FactoredInt, IntegrityError
 from multifact.counting import canonical
-from multifact.partitions import (
-    centralizer_order,
-    euler_transform,
-    multiplicity_vector,
-    partitions_of,
-)
+from multifact.oracle import enumerate_partitions
+from multifact.partitions import centralizer_order, euler_transform, multiplicity_vector
 
 
 def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
@@ -124,7 +120,7 @@ def _classes(k: int) -> tuple:
     number of even parts, beta_2 + beta_4 + ..."""
     k_fact = factorial(k)
     out = []
-    for p in partitions_of(k):
+    for p in enumerate_partitions(k):
         beta = multiplicity_vector(p)
         sign = -1 if sum(beta[1::2]) & 1 else 1
         out.append((beta, k_fact // centralizer_order(beta), sign))

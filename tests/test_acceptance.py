@@ -35,14 +35,13 @@ from multifact.counting import (
     g_total_rec,
     h_l,
 )
-from multifact.oracle import profile
+from multifact.oracle import enumerate_partitions, profile
 from multifact.partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
 from multifact.partitions import (
     centralizer_order,
     compositions_of,
     euler_transform,
     multiplicity_vector,
-    partitions_of,
     prefix_product,
 )
 from references import colored_partition_count
@@ -155,7 +154,7 @@ def test_criterion_04_composition_aggregation():
         sums = Counter()
         for comp in compositions_of(k):
             sums[multiplicity_vector(comp)] += factorial(k) // prefix_product(comp)
-        for p in partitions_of(k):
+        for p in enumerate_partitions(k):
             beta = multiplicity_vector(p)
             assert sums[beta] == factorial(k) // centralizer_order(beta), (k, beta)
     elapsed = _report("criterion 4 (composition aggregation, k <= 12)", t0)
@@ -168,7 +167,7 @@ def test_criterion_05_euler_transform_dual_oracle():
     t0 = time.perf_counter()
     assert colored_partition_count((0, 2, 1), 7) == 3
     for k in range(0, 9):
-        for p in partitions_of(k):
+        for p in enumerate_partitions(k):
             beta = multiplicity_vector(p)
             values = euler_transform(beta, 25)
             for m in range(1, 26):
@@ -303,7 +302,7 @@ def test_criterion_10_integrality_sentinels_never_fire():
             for l in range(0, 9):
                 r_l(n, l), r_lj(n, l, 1)
         for k in range(0, 15):
-            for p in partitions_of(k):
+            for p in enumerate_partitions(k):
                 euler_transform(multiplicity_vector(p), 30)
     except IntegrityError as exc:  # pragma: no cover - failure path
         fired.append(exc)

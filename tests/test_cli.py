@@ -33,13 +33,13 @@ def test_compute_F_k_at_unit(capsys):
     code, out, _ = run(capsys, "compute", "F_k", "1", "--k", "5")
     assert code == 0
     assert out == "1\n"
-    # the oracle classifies the unit's empty factorization like every route
+    # every route, the oracle with its empty factorization included, agrees
+    # at the unit
     for function in cli.FACTOR_FUNCTIONS:
-        for k in range(4) if "k" in cli.NEEDS[function] else (None,):
-            for l in range(4) if "l" in cli.NEEDS[function] else (None,):
-                assert cli.evaluate(function, "oracle", 1, k, l) == cli.evaluate(
-                    function, cli.DEFAULT_METHOD[function], 1, k, l
-                ), (function, k, l)
+        for k in range(5) if "k" in cli.NEEDS[function] else (None,):
+            for l in range(5) if "l" in cli.NEEDS[function] else (None,):
+                values = {m: cli.evaluate(function, m, 1, k, l) for m in cli.METHODS_FOR[function]}
+                assert len(set(values.values())) == 1, (function, k, l, values)
 
 
 def test_compute_all_methods_text(capsys):
@@ -137,14 +137,10 @@ def test_bfile_format_is_clean(capsys):
     assert "\n\n" not in out
 
 
-def test_bfile_checks_the_k_cap_at_its_first_n(capsys):
-    # n = 2 has one prime factor, so its cap is k <= 65 whatever --max is
-    code, out, err = run(capsys, "bfile", "F_k", "--max", "4", "--k", "66")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and "query cap" in err
-    code, out, _ = run(capsys, "bfile", "F_k", "--max", "4", "--k", "65",
-                       "--method", "recursion")
-    assert code == 0 and out == "2 1\n3 1\n4 2\n"
+def test_bfile_takes_a_k_past_omega(capsys, within_a_second):
+    code, out, err = run(capsys, "bfile", "F_k", "--max", "4", "--k", "66",
+                         "--method", "recursion")
+    assert (code, out, err) == (0, "2 1\n3 1\n4 2\n", "offset 2\n")
 
 
 def test_bfile_max_above_max_n_exits_2_before_any_line(capsys):
@@ -470,18 +466,23 @@ def test_g_k_by_partition_sum_refuses_past_the_budget_before_any_sum(capsys,
     ]
 
 
-def test_the_query_cap_message_holds_for_every_k_function(capsys):
-    # past Omega + 1 no count changes with k: F_k stays at f, the others are 0
-    code, out, err = run(capsys, "compute", "f_k", "36", "--k", "69")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "query cap" in err
-    assert "no count of n changes with k past Omega(n) + 1" in err
-    omega = cli.factorize(36).big_omega
-    for k in (omega + 2, omega + 64):
-        assert cli.evaluate("F_k", "recursion", 36, k) == cli.evaluate("f", "recursion", 36)
-        for function in ("f_k", "g_k", "G_k"):
-            assert cli.evaluate(function, "recursion", 36, k) == 0
-        assert cli.evaluate("f_kl", "recursion", 36, k, 1) == 0
+@pytest.mark.parametrize("k", [cli.factorize(36).big_omega + 65, 10**30])
+def test_a_k_past_omega_gets_its_exact_value_or_the_route_refusal(capsys, within_a_second, k):
+    # past Omega + 1 no count changes with k: F_k stays at f = 9, the others are 0
+    refusals = {"partition-sum": f"more than 1000000 partitions of {k}",
+                "fedorov": f"more than 1000000 compositions of {k}"}
+    for function in ("f_k", "g_k", "F_k", "G_k", "f_kl"):
+        query = ("compute", function, "36", "--k", str(k),
+                 *(("--l", "1") if function == "f_kl" else ()))
+        expected = 9 if function == "F_k" else 0
+        methods = cli.METHODS_FOR[function]
+        kept = [m for m in methods if m not in refusals]
+        assert run(capsys, *query, "--all-methods") == (0, "".join(
+            [*(f"{m} {expected}\n" for m in kept),
+             *(f"{m} skipped: {refusals[m]}\n" for m in methods if m in refusals),
+             f"consistent: {len(kept)} methods agree\n"]), ""), function
+        for method in refusals.keys() & set(methods):
+            assert run(capsys, *query, "--method", method) == (2, "", f"error: {refusals[method]}\n")
 
 
 def test_compute_oracle_alone_over_its_budget_exits_2(capsys, monkeypatch):
@@ -620,12 +621,6 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bfile", "f", "--max", "1")[0] == 2
     assert run(capsys, "bench", "f", "36", "--repeat", "0")[0] == 2
     assert run(capsys, "compute", "g", "36", "--method", "fedorov")[0] == 2
-
-
-def test_k_query_cap(capsys):
-    code, _, err = run(capsys, "compute", "F_k", "12", "--k", "100")
-    assert code == 2
-    assert "cap" in err
 
 
 def test_argparse_bad_function_exits_2(capsys):

@@ -51,7 +51,6 @@ from multifact.partitions import (
     centralizer_order,
     euler_transform,
     multiplicity_vector,
-    partitions_of,
     prefix_product,
 )
 from references import class_table_partition_sum, divisor_power_reductions
@@ -93,9 +92,9 @@ def test_big_G_boundaries():
 
 def _class_reference(k, top):
     """The (class size, even parts, nu) of every partition of k, from the
-    partition iterator, z_beta and the Euler recurrence."""
+    oracle's partition enumerator, z_beta and the Euler recurrence."""
     out = []
-    for p in partitions_of(k):
+    for p in oracle.enumerate_partitions(k):
         beta = multiplicity_vector(p)
         nu = [1] + (euler_transform(beta, top) if top else [])
         out.append((factorial(k) // centralizer_order(beta), sum(beta[1::2]), nu))
@@ -169,7 +168,7 @@ def test_partition_sum_and_fedorov_share_no_nu_code(monkeypatch):
     def refuse(*args):
         raise _SharedNuCode
 
-    for name in ("mu_beta", "euler_transform", "partitions_of", "centralizer_order"):
+    for name in ("mu_beta", "euler_transform", "centralizer_order"):
         monkeypatch.setattr(partitions, name, refuse)
         monkeypatch.setattr(counting, name, refuse, raising=False)
     assert big_F(FI36, 6) == expected_F
@@ -486,6 +485,23 @@ def test_f_from_F():
 def test_g_from_G():
     assert g_from_G(FI36, 2) == 3
     assert g_from_G(FI36, 1) == 1
+
+
+def test_g_from_G_reads_no_G_past_omega_plus_one(monkeypatch):
+    # G_45 first, for the budget check, then G_11 down to G_1; G_0 is [n == 1]
+    calls = []
+    real = counting.big_G
+    monkeypatch.setattr(counting, "big_G", lambda n, k: calls.append(k) or real(n, k))
+    fi = factorize(1024)
+    assert g_from_G(fi, 45) == 0
+    assert len(calls) <= fi.big_omega + 2 and calls[0] == 45
+
+
+def test_g_from_G_equals_the_recursion_past_omega():
+    for n in range(1, 3001):
+        fi = factorize(n)
+        for k in range(0, fi.big_omega + 4):
+            assert g_from_G(fi, k) == g_k_rec(fi, k), (n, k)
 
 
 def test_totals():

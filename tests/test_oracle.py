@@ -11,7 +11,7 @@ from multifact.oracle import (
     partition_profile,
     profile,
 )
-from multifact.partitions import euler_transform, multiplicity_vector, partitions_of
+from multifact.partitions import euler_transform, multiplicity_vector
 from references import colored_partition_count
 
 READS = cli._ORACLE_READS
@@ -201,7 +201,7 @@ def test_colored_count_restricted_parts_example():
 
 def test_colored_count_matches_euler_transform():
     for k in range(0, 9):
-        for p in partitions_of(k):
+        for p in enumerate_partitions(k):
             beta = multiplicity_vector(p)
             values = euler_transform(beta, 25)
             for m in range(1, 26):

@@ -183,6 +183,26 @@ def test_check_identity_all_pass_small():
         assert check_identity("primorial-stirling", n, max(1, n // 2)).passed
 
 
+@pytest.mark.parametrize("sabotage", ["drop a composition", "z off by one", "drop a partition"])
+def test_composition_aggregate_fails_on_a_broken_side(monkeypatch, sabotage):
+    def drop_the_second(name):
+        # the second composition, (1, ..., 1, 2), shares its multiplicity
+        # vector with (1, ..., 2, 1), so that class's sum falls short
+        real = getattr(partition_counts, name)
+        monkeypatch.setattr(partition_counts, name,
+                            lambda n: (x for i, x in enumerate(real(n)) if i != 1))
+
+    if sabotage == "drop a composition":
+        drop_the_second("compositions_of")
+    elif sabotage == "drop a partition":
+        drop_the_second("enumerate_partitions")
+    else:
+        real = partition_counts.centralizer_order
+        monkeypatch.setattr(partition_counts, "centralizer_order", lambda beta: real(beta) + 1)
+    for n in range(3, 11):
+        assert not check_identity("composition-aggregate", n).passed, n
+
+
 def test_partition_power_sum_integrity_check_fires(monkeypatch):
     # B_3 = big_F(2*3*5, 3) = (1 * 3**3 + 3 * 1**3 + 2 * 0**3) / 3!; with the
     # size of the class (2, 1) dropped from 3 to 2 the sum 29 leaves

