@@ -4,14 +4,14 @@ cross-method verification sweeps, and micro-benchmarks.
 Every route of every function is one entry of a route table:
 ``_FACTOR_ROUTES`` for the functions of a factored n (f, g, f_k, g_k, F_k,
 G_k, h_l, f_kl) and ``_PARTITION_ROUTES`` for those of a plain int (p_kl,
-r_l, r_lj, stirling2, bell), the oracle included.  Every oracle route but
-r_lj's reads one enumeration of n, its factorizations or its partitions,
-through the one read table ``_ORACLE_READS``; both count by (parts, distinct
-values), so p_kl and r_l read as f_kl and h_l do.  ``verify`` reads every
-value it compares from these three tables, ``_RELATIONS`` or
-``check_identity``, and leaves out a route over its budget as ``compute
---all-methods`` does, and in the oracle suite a side of n whose enumeration
-is over its budget.  The function lists, each function's methods in order
+r_l, r_lj, stirling2, bell), the oracle included.  Every oracle route reads
+one enumeration of n, its factorizations or its partitions (r_lj's, those
+into parts >= j), through the one read table ``_ORACLE_READS``; both count
+by (parts, distinct values), so p_kl reads as f_kl does and r_l and r_lj as
+h_l does.  ``verify`` reads every value it compares from these three tables,
+``_RELATIONS`` or ``check_identity``, and leaves out a route over its budget
+as ``compute --all-methods`` does, and in the oracle suite a side of n whose
+enumeration is over its budget.  The function lists, each function's methods in order
 (the first is its default) and the ``--method`` choices derive from the
 route tables; ``NEEDS`` holds each function's indices.
 
@@ -131,12 +131,9 @@ _PARTITION_ROUTES = {
     ("bell", "recursion"): lambda n, k, l, j: partition_counts.bell(n),
     **{(function, "oracle"): _oracle_partition_route(_ORACLE_READS[function])
        for function in ("p_kl", "r_l")},
-    # parts >= j with exactly l distinct values
-    ("r_lj", "oracle"): lambda n, k, l, j: sum(
-        1
-        for parts in oracle.enumerate_partitions(n)
-        if (not parts or parts[-1] >= j) and len(set(parts)) == l
-    ),
+    # r_l over the partitions into parts >= j
+    ("r_lj", "oracle"): lambda n, k, l, j: _ORACLE_READS["r_l"](
+        oracle.partition_profile(n, j), k, l),
 }
 
 _ROUTE_KEYS = (*_FACTOR_ROUTES, *_PARTITION_ROUTES)

@@ -2,7 +2,9 @@
 
 Deliberately naive and kept independent of the formula and recursion modules:
 everything here works from first principles (divisor scans, part-by-part
-descent) so that agreement with the fast routes is meaningful evidence.
+walks) so that agreement with the fast routes is meaningful evidence.  Each
+walk visits every item it counts once; nothing is memoized and no range of
+items is counted by a formula.
 
 :func:`profile` and :func:`partition_profile` return one shape: a dict from
 (number of parts, number of distinct part values) to a count, over the
@@ -10,13 +12,25 @@ factorizations of n and the partitions of n.  Every count the oracle checks
 is a sum of cells of that dict, and the factorizations of 2**n give the same
 dict as the partitions of n.
 
-Two cuts keep the enumeration to the work whose result it uses, and neither
-outlives a call.  Each call of :func:`enumerate_factorizations` scans the
-divisors of a cofactor at most once, in a dict local to that call; every
-cofactor divides n, so that is at most one trial-division scan per divisor
-of n.  And the descent stops at the first least part d with d * d > m: the
-cofactor m // d is then smaller than d, so no nondecreasing completion
-exists, and (m,) itself is yielded last.
+The factorizations come from a walk on an explicit stack that commits the
+least part d first and then walks the cofactor m // d with parts >= d.  It
+builds each factorization's tuple once, and :func:`profile` classifies that
+tuple by its length and its set of values.  Two cuts keep the walk to the
+work whose result it uses, and neither outlives a call.  Each call of
+:func:`enumerate_factorizations` scans the divisors of a cofactor at most
+once, in a dict local to that call; every cofactor divides n, so that is at
+most one trial-division scan per divisor of n.  And the walk stops at the
+first least part d with d * d > m: the cofactor m // d is then smaller than
+d, so no nondecreasing completion exists, and (m,) itself comes last.
+
+The partitions come from the ascending walk of Kelleher and O'Sullivan
+("Generating all partitions: a comparison of two encodings", 2009), which
+fixes a prefix of ascending parts and then closes it with every tail of one
+or two parts.  :func:`enumerate_partitions` builds a tuple per partition;
+:func:`partition_profile` builds none.  It keeps the number of distinct
+values of each prefix length, updated only where the walk changed the
+prefix, and adds each partition to its cell from the prefix's counts and the
+tail's parts.
 
 Both enumerations stop at ``DEFAULT_MAX_FACTORIZATIONS`` items.  The
 factorizations are counted as they are yielded.  The partitions are counted
@@ -59,20 +73,38 @@ def _sorted_divisors(n: int) -> list[int]:
 
 
 def _descend(m: int, lo: int, divisors: dict[int, list[int]]):
-    # nondecreasing parts: commit the least part d first, then recurse on the
-    # cofactor m // d; a d past sqrt(m) leaves a cofactor below d, so stop
-    # there and close with the one-part factorization (m,)
-    if m not in divisors:
-        divisors[m] = _sorted_divisors(m)
-    for d in divisors[m]:
-        if d < lo:
-            continue
-        if d * d > m:
+    # nondecreasing parts: commit the least part d first, then walk the
+    # cofactor m // d with parts >= d; a d past sqrt(m) leaves a cofactor below
+    # d, so stop there and close with the one-part factorization (m,).  Each
+    # frame is (cofactor, its least part, its divisors not yet tried).
+    def frame(c: int, least: int):
+        if c not in divisors:
+            divisors[c] = _sorted_divisors(c)
+        return c, least, iter(divisors[c])
+
+    parts = []  # the least part committed above each frame but the first
+    frames = [frame(m, lo)]
+    while frames:
+        m, least, tried = top = frames[-1]
+        for d in tried:
+            if d < least:
+                continue
+            if d * d <= m:
+                c = m // d
+                if d * d > c:
+                    # the walk of c with parts >= d would yield (c,) alone
+                    yield (*parts, d, c)
+                    continue
+                parts.append(d)
+                frames.append(frame(c, d))
             break
-        for rest in _descend(m // d, d, divisors):
-            yield (d, *rest)
-    if m >= lo:
-        yield (m,)
+        if frames[-1] is top:
+            # the divisors of m are spent or past sqrt(m)
+            frames.pop()
+            if m >= least:
+                yield (*parts, m)
+            if frames:
+                parts.pop()
 
 
 def enumerate_factorizations(n: int):
@@ -94,15 +126,11 @@ def enumerate_factorizations(n: int):
         yield parts
 
 
-def _classify(items) -> dict[tuple[int, int], BigCount]:
-    """Count tuples by (number of parts, number of distinct part values)."""
-    return dict(Counter((len(parts), len(set(parts))) for parts in items))
-
-
 def profile(n: int) -> dict[tuple[int, int], BigCount]:
     """Factorization counts of n keyed by (number of parts, distinct part values)."""
     # the unit has one factorization, the empty one
-    return _classify(enumerate_factorizations(n) if n != 1 else [()])
+    items = enumerate_factorizations(n) if n != 1 else [()]
+    return dict(Counter((len(parts), len(set(parts))) for parts in items))
 
 
 def _largest_n_within_budget() -> int:
@@ -124,6 +152,42 @@ def _largest_n_within_budget() -> int:
 MAX_PARTITION_N = _largest_n_within_budget()
 
 
+def _ascending(n: int, least: int):
+    """The ascending walk of Kelleher and O'Sullivan over the partitions of
+    n >= 1 into parts >= least, one step per fixed prefix.
+
+    Yields (a, i, k, x, s): the parts a[:k] are fixed and ascending, and only
+    a[i:k] changed since the last step; the partitions with that prefix are
+    a[:k] followed by (x', s - x') for each x <= x' <= s // 2, then by (s,).
+    Here x >= a[k - 1] and s > a[k - 1]: a partition whose two largest parts
+    are equal ends in a two-part tail.  a[n] is never written, so a[k - 1]
+    reads 0, below every part, at k = 0.
+    """
+    a = [0] * (n + 1)
+    a[0] = least - 1
+    k = 1
+    y = n - least
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        i = k
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        s = x + y
+        yield a, i, k, x, s
+        a[k] = s
+        y = s - 1
+
+
+def _check_partition_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")
+    if n > MAX_PARTITION_N:
+        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}")
+
+
 def enumerate_partitions(n: int):
     """Yield every partition of n exactly once, as a nonincreasing tuple.
 
@@ -131,35 +195,43 @@ def enumerate_partitions(n: int):
     n past :data:`MAX_PARTITION_N` raises :class:`OracleLimitError` before the
     first partition.
     """
-    if n < 0:
-        raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")
-    if n > MAX_PARTITION_N:
-        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}")
+    _check_partition_n(n)
     if n == 0:
         yield ()
         return
-    a = [0] * (n + 1)
-    k = 1
-    y = n - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        last = k + 1
-        while x <= y:
-            a[k] = x
-            a[last] = y
-            yield tuple(a[last::-1])
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield tuple(a[k::-1])
+    for a, _, k, x, s in _ascending(n, 1):
+        rest = tuple(a[k - 1::-1]) if k else ()
+        for x in range(x, s // 2 + 1):
+            yield (s - x, x) + rest
+        yield (s,) + rest
 
 
-def partition_profile(n: int) -> dict[tuple[int, int], BigCount]:
-    """Partition counts of n keyed by (number of parts, distinct part values)."""
-    return _classify(enumerate_partitions(n))
+def partition_profile(n: int, least: int = 1) -> dict[tuple[int, int], BigCount]:
+    """Counts of the partitions of n into parts >= least, keyed by (number of
+    parts, distinct part values).
+
+    Each partition adds one to its cell, read off the walk's state: the
+    prefix a[:k] has k parts and distinct[k] values, and each part of a tail
+    adds a value unless it repeats a[k - 1] or the tail's other part.  An n of
+    0 has one partition, the empty one, at every least.
+    """
+    _check_partition_n(n)
+    if n == 0:
+        return {(0, 0): 1}
+    least = max(least, 1)
+    if least > n:
+        return {}
+    grid = [[0] * (n + 1) for _ in range(n + 2)]
+    distinct = [0] * (n + 1)  # distinct[i]: distinct values in a[:i]
+    for a, i, k, x, s in _ascending(n, least):
+        for j in range(i, k):
+            distinct[j + 1] = distinct[j] + (a[j] != a[j - 1])
+        v = distinct[k]
+        last = a[k - 1]
+        pairs = grid[k + 2]
+        for x in range(x, s // 2 + 1):
+            pairs[v + (x != last) + (x + x != s)] += 1
+        grid[k + 1][v + 1] += 1
+    return {(parts, values): count
+            for parts, row in enumerate(grid)
+            for values, count in enumerate(row) if count}

@@ -1,10 +1,13 @@
-"""Pin the oracle's output to its earlier, unpruned code.
+"""Pin the oracle's output to plain recursive references.
 
-The references below are the oracle's enumeration and classification as
-they stood before the per-call divisor table and the d * d > m cut: a fresh
-divisor scan at every node, every divisor tried as the least part, and one
-counter update per item.  The oracle must yield the same tuples in the same
-order and classify them into the same counts.
+The factorization references are the oracle's enumeration and
+classification as they stood before the per-call divisor table, the
+d * d > m cut and the explicit stack: a fresh divisor scan at every node,
+every divisor tried as the least part, nested generators, and one counter
+update per item.  The oracle must yield the same tuples in the same order
+and classify them into the same counts.  The partition reference is the
+same recursion on sums, so the ascending walk's counts are checked against
+an enumeration that shares none of its code.
 """
 
 from collections import Counter
@@ -65,9 +68,19 @@ def reference_profile(n):
     return f, g, dict(f_k), dict(g_k), dict(f_kl), dict(h_l)
 
 
-def reference_partition_profile(n):
+def reference_partitions(m, least):
+    # the additive twin of reference_descend: nondecreasing parts >= least,
+    # the least part first, then recurse on the rest
+    if m == 0:
+        yield ()
+    for d in range(least, m + 1):
+        for rest in reference_partitions(m - d, d):
+            yield (d, *rest)
+
+
+def reference_partition_profile(n, least):
     counts = Counter()
-    for parts in enumerate_partitions(n):
+    for parts in reference_partitions(n, least):
         counts[(len(parts), len(set(parts)))] += 1
     return dict(counts)
 
@@ -90,6 +103,12 @@ def test_order_matches_reference_min_part(min_part):
     # the descent on a cofactor, with its least part as the floor
     n = 720720
     assert list(oracle._descend(n, min_part, {})) == list(reference_descend(n, min_part))
+
+
+@pytest.mark.parametrize("m", [36, 720, 720720])
+def test_order_matches_reference_every_floor(m):
+    for lo in range(2, 51):
+        assert list(oracle._descend(m, lo, {})) == list(reference_descend(m, lo)), lo
 
 
 def profile_fields(prof):
@@ -118,7 +137,8 @@ def test_profile_matches_reference():
 
 def test_partition_profile_matches_reference():
     for n in range(0, 41):
-        assert partition_profile(n) == reference_partition_profile(n), n
+        for least in range(1, n + 2):
+            assert partition_profile(n, least) == reference_partition_profile(n, least), (n, least)
 
 
 def test_r_lj_oracle_route_matches_min_filter():
