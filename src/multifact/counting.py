@@ -20,11 +20,18 @@ division.
 
 The partition sum walks the partitions of k once per memo miss
 (:func:`_colored_classes`), carrying each class size and the colored
-partition counts nu_beta down the walk; it keeps no table sized by p(k) and
-never calls :func:`partitions.euler_transform`, the Euler recurrence that
-gives the composition sum (:func:`fedorov_F`) its nu_beta through
+partition counts nu_beta down the walk.  nu_beta at n's exponents depends
+only on the parts of beta up to n's largest exponent, top, so the walk takes
+parts up to top only, and closes every node whose rest of k exceeds top with
+one block of larger parts, weighted by a count of permutations with long
+cycles (:func:`_long_cycles`); for top >= k it visits every partition of k.
+It keeps no table sized by p(k) and never calls
+:func:`partitions.euler_transform`, the Euler recurrence that gives the
+composition sum (:func:`fedorov_F`) its nu_beta through
 :func:`partitions.mu_beta`, so the two formula routes of F_k compute nu_beta
-by different algorithms.
+by different algorithms.  The composition sum still visits all 2**(k-1)
+compositions, but builds each multiplicity vector and its mu_beta once per
+partition of k.
 
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
@@ -107,21 +114,60 @@ def clear_caches() -> None:
 # --------------------------------------------------------------------------
 # partition-sum route
 
-def _colored_classes(k: int, top: int):
-    """Yield (k! / z_beta, number of even parts, nu) once for each partition
-    beta of k, with nu[m] for m = 0..top the coefficient of x**m in
-    prod_i (1 - x**i)**(-beta_i): the number of partitions of m in which part
-    i comes in beta_i colors.
+def _long_cycles(m_max: int, top: int, signed: bool) -> list:
+    """D(m) for m = 0..m_max: the number of permutations of m objects whose
+    cycles are all longer than top, each counted with the sign
+    (-1)**(number of even cycles) when `signed`.
+
+    The cycle through the first object has some length v > top, and its other
+    v - 1 objects can be picked in order in (m-1)! / (m-v)! ways, so
+    D(0) = 1 and D(m) = sum over v > top of s_v * (m-1)! / (m-v)! * D(m-v),
+    with s_v = -1 for an even v when `signed` and 1 otherwise: the exponential
+    formula for permutations with restricted cycle lengths (Flajolet and
+    Sedgewick, Analytic Combinatorics, II.4), with no division.
+    """
+    d = [1]
+    for m in range(1, m_max + 1):
+        total, ways = 0, 1  # ways = (m-1)! / (m-v)!
+        for v in range(1, m + 1):
+            if v > top:
+                term = ways * d[m - v]
+                total += -term if signed and not v & 1 else term
+            ways *= m - v
+        d.append(total)
+    return d
+
+
+def _colored_classes(k: int, top: int, signed: bool):
+    """Yield (weight, nu) for the partitions beta of k, grouped by their parts
+    <= top: the small parts.  nu[m] for m = 0..top is the coefficient of x**m
+    in prod over the small parts i of (1 - x**i)**(-beta_i), the number of
+    partitions of m in which part i comes in beta_i colors; a part > top
+    leaves nu[0..top] unchanged.  The weight is the sum of k! / z_beta over
+    the partitions beta of k with those small parts, each with the sign
+    theta(beta) = (-1)**(number of even parts) when `signed`.
 
     One depth-first pass with an explicit stack; nothing sized by p(k) is
     kept.  The parts 1 come first, so (1 - x)**(-r) is built once for each
-    count r of them; the parts >= 2 follow in nondecreasing order.  Adding a
-    part v multiplies a copy of the parent's coefficients by 1 / (1 - x**v),
-    one stride-v prefix sum; a part v > top leaves them unchanged.  The class
-    size starts at k! and is divided by v * b when the b-th part v is added.
-    Each of those divisions is exact: the z of a prefix of beta divides
-    z_beta, which divides k!.
+    count r of them; the small parts >= 2 follow in nondecreasing order.
+    Adding a part v multiplies a copy of the parent's coefficients by
+    1 / (1 - x**v), one stride-v prefix sum.  The class size starts at k! and
+    is divided by v * b when the b-th part v is added; each of those divisions
+    is exact, as the z of a prefix of beta divides z_beta, which divides k!.
+
+    A node whose rest r of k is larger than top also closes with one block of
+    parts > top, summed in closed form: with s = k - r the small parts' sum,
+    k! / z_small = C(k, r) * (s! / z_small) * r!, so the block's weight is the
+    exact quotient (k! / z_small) // r! times D(r) of :func:`_long_cycles`.
+    For top >= k no block closes and every partition of k is yielded on its
+    own, p(k) of them; at top = 1 only the parts 1 are walked, and k weights
+    come out where the walk over every partition yields p(k).
     """
+    if not top:  # every part is > top: one block of k
+        yield _long_cycles(k, 0, signed)[k], [1]
+        return
+    blocks = (tuple(zip(map(factorial, range(k + 1)), _long_cycles(k, top, signed)))
+              if top < k else ())
     # (rest of k, least next part, count of that part so far, size, evens, nu)
     stack = []
     nu, size = [1] + [0] * top, factorial(k)
@@ -130,31 +176,38 @@ def _colored_classes(k: int, top: int):
             stack.append((k - r, 2, 0, size, 0, nu))
         nu = list(accumulate(nu))
         size //= r + 1
-    yield size, 0, nu  # beta = (1,)*k, the empty partition when k = 0
+    yield size, nu  # beta = (1,)*k, the empty partition when k = 0
     while stack:
         rest, low, mult, size, evens, nu = stack.pop()
-        # the next part v is the whole rest, or leaves a rest of at least v
-        for v in (*range(low, rest // 2 + 1), rest):
+        if rest > top:
+            rest_fact, d = blocks[rest]
+            weight = size // rest_fact * d
+            yield (-weight if signed and evens & 1 else weight), nu
+            # the next small part leaves a rest of at least itself
+            parts = range(low, min(rest // 2, top) + 1)
+        else:
+            # the next part is the whole rest, or leaves a rest of at least itself
+            parts = (*range(low, rest // 2 + 1), rest)
+        for v in parts:
             b = mult + 1 if v == low else 1
-            if v <= top:
-                child = nu[:]
-                for i in range(v, top + 1):
-                    child[i] += child[i - v]
-            else:
-                child = nu
-            node = (size // (v * b), evens + (not v & 1), child)
+            child = nu[:]
+            for i in range(v, top + 1):
+                child[i] += child[i - v]
+            size_v, evens_v = size // (v * b), evens + (not v & 1)
             if v == rest:
-                yield node
+                yield (-size_v if signed and evens_v & 1 else size_v), child
             else:
-                stack.append((rest - v, v, b, *node))
+                stack.append((rest - v, v, b, size_v, evens_v, child))
 
 
 def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     """The partition-sum route `name`, memoized in `memo`: the sum over the
     partitions beta of k of (k! / z_beta) * prod_j nu_beta(e_j), each term
     with the sign theta(beta) = (-1)**(number of even parts) when `signed`,
-    divided once by k!.  The classes and their nu come from one pass of
-    :func:`_colored_classes`, never from :func:`partitions.euler_transform`,
+    divided once by k!.  nu_beta(e_j) depends only on the parts of beta up to
+    the largest exponent, so the classes sharing those parts come as one
+    weight, with their nu, from one pass of :func:`_colored_classes`, never
+    from :func:`partitions.euler_transform`,
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
     final division goes through :func:`arith.settle`.  A k past the oracle's
     budget of partitions (:data:`oracle.MAX_PARTITION_N`) raises
@@ -171,14 +224,14 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
             return hit
         powers = _exponent_counts(n)
         total = 0
-        for size, evens, nu in _colored_classes(k, max(n.signature, default=0)):
+        for weight, nu in _colored_classes(k, max(n.signature, default=0), signed):
             for e, mult in powers:
                 v = nu[e]
                 if not v:
                     break
-                size *= v**mult
+                weight *= v**mult
             else:
-                total += -size if signed and evens & 1 else size
+                total += weight
         return settle(memo, key, total, factorial(k), name)
 
     route.__name__ = route.__qualname__ = name
@@ -201,7 +254,10 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 
     H(alpha) is 1 over the product of the prefix sums of alpha; each term is
     summed as the integer k! * H(alpha), and the total is divided once by k!
-    through :func:`arith.settle`.  A k past the oracle's budget of
+    through :func:`arith.settle`.  mu_beta(n) is cached per partition of k,
+    keyed by the composition's sorted parts, so the multiplicity vector and
+    mu_beta are built once per partition, p(k) times, and each composition
+    costs a sort and a prefix product.  A k past the oracle's budget of
     compositions (k > 20) raises :class:`OracleLimitError` before any work.
     """
     if k < 0:
@@ -215,13 +271,13 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
     if hit is not None:
         return hit
     k_fact = factorial(k)
-    mus: dict = {}  # mu_beta(n) per multiplicity vector
+    mus: dict = {}  # mu_beta(n) per partition of k, as the sorted parts
     total = 0
     for comp in compositions_of(k):
-        beta = multiplicity_vector(comp)
-        m = mus.get(beta)
+        parts = tuple(sorted(comp))
+        m = mus.get(parts)
         if m is None:
-            m = mus[beta] = mu_beta(beta, n)
+            m = mus[parts] = mu_beta(multiplicity_vector(comp), n)
         if m:
             total += k_fact // prefix_product(comp) * m
     return settle(_FED, key, total, k_fact, "fedorov_F")

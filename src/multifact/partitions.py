@@ -6,7 +6,8 @@ the counting routes divide k! by), and the Euler transform of a multiplicity
 vector together with its multiplicative extension to factored integers.
 """
 
-from math import factorial
+from itertools import accumulate
+from math import factorial, prod
 from operator import mul
 
 from .arith import BigCount, FactoredInt, IntegrityError
@@ -117,10 +118,5 @@ def prefix_product(comp) -> BigCount:
     The prefix sums of a composition of k are distinct integers in 1..k, so
     this product divides k!.
     """
-    denom = 1
-    acc = 0
-    for part in comp:
-        acc += part
-        denom *= acc
-    return denom
+    return prod(accumulate(comp))
 

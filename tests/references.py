@@ -5,7 +5,7 @@ They live here, not in the package, because no library code calls them.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from math import comb, factorial, isqrt
 
 from multifact.arith import MAX_N, BigCount, FactoredInt, IntegrityError
@@ -149,6 +149,67 @@ def class_table_partition_sum(n: FactoredInt, k: int, signed: bool) -> int:
         raise IntegrityError(
             f"partition sum {total} of {n.value} at k = {k} not divisible by {k}!"
         )
+    return value
+
+
+# The partition-sum walk over every partition of k, one node per partition
+# whatever n's largest exponent, as ``counting._colored_classes`` ran before it
+# closed the parts larger than top in one block; the tests check the shipped
+# walk's sums against it.
+def colored_classes(k: int, top: int):
+    """Yield (k! / z_beta, number of even parts, nu) once for each partition
+    beta of k, with nu[m] for m = 0..top the coefficient of x**m in
+    prod_i (1 - x**i)**(-beta_i): the number of partitions of m in which part
+    i comes in beta_i colors.
+
+    One depth-first pass with an explicit stack; nothing sized by p(k) is
+    kept.  The parts 1 come first, so (1 - x)**(-r) is built once for each
+    count r of them; the parts >= 2 follow in nondecreasing order.  Adding a
+    part v multiplies a copy of the parent's coefficients by 1 / (1 - x**v),
+    one stride-v prefix sum; a part v > top leaves them unchanged.  The class
+    size starts at k! and is divided by v * b when the b-th part v is added.
+    Each of those divisions is exact: the z of a prefix of beta divides
+    z_beta, which divides k!.
+    """
+    # (rest of k, least next part, count of that part so far, size, evens, nu)
+    stack = []
+    nu, size = [1] + [0] * top, factorial(k)
+    for r in range(k):  # r parts 1 so far
+        if k - r > 1:  # no part >= 2 makes up a rest of 1
+            stack.append((k - r, 2, 0, size, 0, nu))
+        nu = list(accumulate(nu))
+        size //= r + 1
+    yield size, 0, nu  # beta = (1,)*k, the empty partition when k = 0
+    while stack:
+        rest, low, mult, size, evens, nu = stack.pop()
+        # the next part v is the whole rest, or leaves a rest of at least v
+        for v in (*range(low, rest // 2 + 1), rest):
+            b = mult + 1 if v == low else 1
+            if v <= top:
+                child = nu[:]
+                for i in range(v, top + 1):
+                    child[i] += child[i - v]
+            else:
+                child = nu
+            node = (size // (v * b), evens + (not v & 1), child)
+            if v == rest:
+                yield node
+            else:
+                stack.append((rest - v, v, b, *node))
+
+
+def walk_partition_sum(n: FactoredInt, k: int, signed: bool) -> int:
+    """F_k(n), or G_k(n) when `signed`, summed over :func:`colored_classes`
+    as the partition-sum route summed it, divided once by k!."""
+    powers = tuple(sorted(Counter(n.signature).items()))
+    total = 0
+    for size, evens, nu in colored_classes(k, max(n.signature, default=0)):
+        for e, mult in powers:
+            size *= nu[e] ** mult
+        total += -size if signed and evens & 1 else size
+    value, r = divmod(total, factorial(k))
+    if r:
+        raise IntegrityError(f"walk sum {total} of {n.value} at k = {k} not divisible by {k}!")
     return value
 
 

@@ -9,7 +9,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from itertools import permutations
+from math import factorial, inf, prod
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,7 @@ from multifact.partitions import (
     multiplicity_vector,
     prefix_product,
 )
-from references import class_table_partition_sum, divisor_power_reductions
+from references import class_table_partition_sum, divisor_power_reductions, walk_partition_sum
 from references import reduction_table as grouped_reduction_table
 from test_partitions import PARTITION_COUNTS
 
@@ -90,50 +91,116 @@ def test_big_G_boundaries():
     assert big_G(FI36, 0) == 0
 
 
-def _class_reference(k, top):
-    """The (class size, even parts, nu) of every partition of k, from the
-    oracle's partition enumerator, z_beta and the Euler recurrence."""
-    out = []
+def _class_reference(k, top, signed):
+    """The (weight, nu) of every group of the partitions of k that share their
+    parts <= top, from the oracle's partition enumerator, z_beta and the
+    Euler recurrence: a group's weight sums theta(beta) * k! / z_beta over it
+    (theta only when `signed`), and its nu is that of the parts <= top."""
+    weights = Counter()
     for p in oracle.enumerate_partitions(k):
         beta = multiplicity_vector(p)
-        nu = [1] + (euler_transform(beta, top) if top else [])
-        out.append((factorial(k) // centralizer_order(beta), sum(beta[1::2]), nu))
-    return out
+        sign = -1 if signed and sum(beta[1::2]) & 1 else 1
+        weights[tuple(x for x in p if x <= top)] += sign * factorial(k) // centralizer_order(beta)
+    return [(w, [1] + (euler_transform(multiplicity_vector(small), top) if top else []))
+            for small, w in weights.items()]
 
 
 def test_class_sizes_count_the_permutations():
     for k in range(0, 21):
-        for top in (0, 1, 4):
-            classes = list(counting._colored_classes(k, top))
-            assert len(classes) == PARTITION_COUNTS[k]
-            assert sum(size for size, _, _ in classes) == factorial(k)
-            assert sorted(classes) == sorted(_class_reference(k, top))
+        for top in sorted({0, 1, 4, k - 1, k, k + 1} - {-1}):
+            classes = list(counting._colored_classes(k, top, False))
+            # the weights count the k! permutations of k objects by cycle type
+            assert sum(w for w, _ in classes) == factorial(k)
+            if top >= k:
+                assert len(classes) == PARTITION_COUNTS[k]
+            assert sorted(classes) == sorted(_class_reference(k, top, False))
+            signed = list(counting._colored_classes(k, top, True))
+            # sum of the signs of the permutations of k objects
+            assert sum(w for w, _ in signed) == (k <= 1)
+            assert sorted(signed) == sorted(_class_reference(k, top, True))
 
 
-def _corrupt_one_class_size(monkeypatch, k, evens):
-    """Add 1 to the size of the class of k with `evens` even parts, in the
-    classes the partition sums read."""
+def test_the_walk_closes_the_parts_past_top_in_one_block():
+    # at top = 1 every node with a rest > 1 closes, and only the parts 1 are
+    # walked: k nodes, each yielding once, where the full walk yields p(k)
+    for k in range(2, 40):
+        assert len(list(counting._colored_classes(k, 1, False))) == k
+    assert list(counting._colored_classes(30, 0, False)) == [(factorial(30), [1])]
+
+
+def _cycle_shapes(m):
+    """(shortest cycle, number of even cycles is odd) of every permutation of
+    range(m), counted; the identity of range(0) has no cycle."""
+    shapes = Counter()
+    for perm in permutations(range(m)):
+        seen, lengths = set(), []
+        for start in range(m):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        shapes[min(lengths, default=inf), sum(not x & 1 for x in lengths) & 1] += 1
+    return shapes
+
+
+def test_long_cycle_counts_match_brute_force():
+    shapes = [_cycle_shapes(m) for m in range(9)]
+    for top in range(0, 9):
+        for signed in (False, True):
+            # the permutations whose cycles are all longer than top
+            brute = [sum(-c if signed and odd else c
+                         for (shortest, odd), c in shape.items() if shortest > top)
+                     for shape in shapes]
+            assert counting._long_cycles(8, top, signed) == brute, (top, signed)
+
+
+def test_long_cycle_counts_at_top_zero():
+    # every permutation has all its cycles longer than 0; their signs cancel
+    # past one object
+    assert counting._long_cycles(30, 0, False) == [factorial(m) for m in range(31)]
+    assert counting._long_cycles(30, 0, True) == [int(m <= 1) for m in range(31)]
+
+
+@pytest.mark.parametrize("k", range(0, 25))
+def test_partition_sums_equal_the_walk_over_every_partition(k):
+    tops = {t for t in (1, 2, k - 1, k, k + 1) if t >= 1}
+    # n = 1 has top 0; squarefree n has top 1
+    sigs = {(), (1,), (1,) * 6, (2, 2, 1, 1), (12,), (30,),
+            *((t,) for t in tops), *((t, 1, 1) for t in tops), *((t, t) for t in tops)}
+    for sig in sorted(sigs):
+        counting.clear_caches()
+        fi = canonical(sig)
+        assert big_F(fi, k) == walk_partition_sum(fi, k, signed=False), sig
+        assert big_G(fi, k) == walk_partition_sum(fi, k, signed=True), sig
+
+
+def _corrupt_one_class_size(monkeypatch, k, weight):
+    """Move the weight `weight` of k one further from 0, in the classes the
+    partition sums read."""
     counting.clear_caches()
     real = counting._colored_classes
 
-    def corrupted(k_, top):
-        for size, ev, nu in real(k_, top):
-            yield size + (k_ == k and ev == evens), ev, nu
+    def corrupted(k_, top, signed):
+        for w, nu in real(k_, top, signed):
+            yield w + (k_ == k and w == weight) * (1 if w > 0 else -1), nu
 
     monkeypatch.setattr(counting, "_colored_classes", corrupted)
 
 
 def test_big_F_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
-    # F_3(p) = (3 * nu_(1,1)(1) + 1 * nu_(3)(1)) / 3! = (3 + 3) / 6; one more
-    # in the (1, 1) class, the only class of 3 with an even part, leaves
-    # remainder 1
-    _corrupt_one_class_size(monkeypatch, 3, 1)
+    # at top = 1 the walk yields F_3(p) * 3! = 1 * nu_(1,1,1)(1) + 3 * nu_(1)(1)
+    # + 2 * nu_()(1) = 3 + 3 + 0: the weight 3 is the class (2, 1), whose part
+    # 2 is past top; one more in it leaves remainder 1
+    _corrupt_one_class_size(monkeypatch, 3, 3)
     with pytest.raises(IntegrityError, match=r"^big_F\(\(1,\), 3\): sum 7 not divisible by 6$"):
         big_F(FI_P, 3)
 
 
 def test_big_G_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
-    _corrupt_one_class_size(monkeypatch, 3, 1)
+    _corrupt_one_class_size(monkeypatch, 3, -3)
     with pytest.raises(IntegrityError, match=r"^big_G\(\(1,\), 3\): sum -1 not divisible by 6$"):
         big_G(FI_P, 3)
 
@@ -190,14 +257,16 @@ print(json.dumps([out.returncode, out.stdout, peak]))
 
 
 def test_partition_sum_memory_does_not_grow_with_the_partition_count():
-    # p(50) = 204226 classes; a table of them peaked at 72 MB
+    # p(50) = 204226 classes; a table of them peaked at 72 MB.  The largest
+    # exponent 46 keeps nearly all of them in the walk: only the parts > 46
+    # close in one block
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-c", _PEAK_RSS_PROBE, sys.executable, "-m", "multifact.cli",
-           "compute", "F_k", "2", "--k", "50", "--method", "partition-sum"]
+           "compute", "F_k", str(2**46), "--k", "50", "--method", "partition-sum"]
     probe = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     code, output, peak = json.loads(probe.stdout)
-    assert (code, output) == (0, "1\n")
+    assert (code, output) == (0, "105558\n")  # p(46)
     # ru_maxrss is in kilobytes on Linux, bytes on macOS
     peak_mb = peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
     assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
@@ -214,6 +283,24 @@ def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
     with pytest.raises(IntegrityError,
                        match=r"^fedorov_F\(\(1,\), 3\): sum 5 not divisible by 6$"):
         fedorov_F(FI_P, 3)
+
+
+@pytest.mark.parametrize("sig, k", [((12,), 13), ((2, 2, 1, 1), 12), ((1,), 16)])
+def test_fedorov_F_builds_each_multiplicity_vector_once(monkeypatch, sig, k):
+    # mu_beta is cached per partition of k, so of the 2**(k-1) compositions
+    # only the first of each partition builds its multiplicity vector
+    fi = canonical(sig)
+    expected = walk_partition_sum(fi, k, signed=False)
+    calls = []
+
+    def counted(comp):
+        calls.append(comp)
+        return multiplicity_vector(comp)
+
+    counting.clear_caches()
+    monkeypatch.setattr(counting, "multiplicity_vector", counted)
+    assert fedorov_F(fi, k) == expected
+    assert 0 < len(calls) <= PARTITION_COUNTS[k]
 
 
 def plant_off_by_one_entry(monkeypatch, i, rest, count=1, weight=1):

@@ -205,13 +205,13 @@ def test_composition_aggregate_fails_on_a_broken_side(monkeypatch, sabotage):
 
 def test_partition_power_sum_integrity_check_fires(monkeypatch):
     # B_3 = big_F(2*3*5, 3) = (1 * 3**3 + 3 * 1**3 + 2 * 0**3) / 3!; with the
-    # size of the class (2, 1) dropped from 3 to 2 the sum 29 leaves
+    # weight of the class (2, 1) dropped from 3 to 2 the sum 29 leaves
     # remainder 5
     real = counting._colored_classes
 
-    def corrupted(k, top):
-        for size, evens, nu in real(k, top):
-            yield (size - 1 if k == 3 and size == 3 else size), evens, nu
+    def corrupted(k, top, signed):
+        for weight, nu in real(k, top, signed):
+            yield (weight - 1 if k == 3 and weight == 3 else weight), nu
 
     counting.clear_caches()
     monkeypatch.setattr(counting, "_colored_classes", corrupted)
