@@ -92,16 +92,19 @@ def _oracle_partition_route(read):
     return lambda n, k, l, j: read(oracle.partition_profile(n), k, l)
 
 
+# each row reads its base route of `counting` by the module name at call
+# time, so a wrapper put in a route's place sees every call; the totals and
+# the k-part twins are composed here through counting's _k_sum and _k_difference
 _FACTOR_ROUTES = {
-    ("f", "recursion"): lambda fi, k, l: counting.f_total_rec(fi),
+    ("f", "recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_rec, fi, fi.big_omega),
     ("f", "partition-sum"): lambda fi, k, l: counting.f_total(fi),
-    ("f", "kappa-recursion"): lambda fi, k, l: counting.f_total_kappa(fi),
-    ("f", "fedorov"): lambda fi, k, l: counting.f_total_fedorov(fi),
-    ("g", "recursion"): lambda fi, k, l: counting.g_total_rec(fi),
+    ("f", "kappa-recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_kappa, fi, fi.big_omega),
+    ("f", "fedorov"): lambda fi, k, l: counting.fedorov_F(fi, fi.big_omega),
+    ("g", "recursion"): lambda fi, k, l: counting._k_sum(counting.g_k_rec, fi, fi.big_omega),
     ("g", "partition-sum"): lambda fi, k, l: counting.g_total(fi),
-    ("g", "kappa-recursion"): lambda fi, k, l: counting.g_total_kappa(fi),
+    ("g", "kappa-recursion"): lambda fi, k, l: counting._k_sum(counting.g_k_kappa, fi, fi.big_omega),
     ("f_k", "recursion"): lambda fi, k, l: counting.f_k_rec(fi, k),
-    ("f_k", "partition-sum"): lambda fi, k, l: counting.f_from_F(fi, k),
+    ("f_k", "partition-sum"): lambda fi, k, l: counting._k_difference(counting.big_F, fi, k),
     ("f_k", "kappa-recursion"): lambda fi, k, l: counting.f_k_kappa(fi, k),
     ("f_k", "fedorov"): lambda fi, k, l: counting._k_difference(counting.fedorov_F, fi, k),
     ("g_k", "recursion"): lambda fi, k, l: counting.g_k_rec(fi, k),

@@ -25,7 +25,9 @@ only on the parts of beta up to n's largest exponent, top, so the walk takes
 parts up to top only, and closes every node whose rest of k exceeds top with
 one block of larger parts, weighted by a count of permutations with long
 cycles (:func:`_long_cycles`); for top >= k it visits every partition of k.
-It keeps no table sized by p(k) and never calls
+No k past Omega(n) is walked: parts 1 pad a factorization, so F_k(n) is
+F_Omega(n) there, and distinct parts take at most one 1, so G_k(n) is 0 past
+Omega(n) + 1.  It keeps no table sized by p(k) and never calls
 :func:`partitions.euler_transform`, the Euler recurrence that gives the
 composition sum (:func:`fedorov_F`) its nu_beta through
 :func:`partitions.mu_beta`, so the two formula routes of F_k compute nu_beta
@@ -40,6 +42,13 @@ module-level name, one stack frame per level.  Each recursion reads a memo hit
 of a sub-state inline and calls that name only on a miss, so from cold caches
 every call that gets past the early returns adds one memo entry.  Every
 memoized route ends in :func:`arith.settle`, its one checked exact division.
+
+The module keeps only the nine base routes (big_F, big_G, fedorov_F, f_k_rec,
+g_k_rec, f_k_kappa, g_k_kappa, f_kl, h_l) and the few helpers that turn a
+k-part family into its at-most-k-part twin or a total (:func:`_k_sum`,
+:func:`_k_difference`, :func:`g_from_G`, :func:`f_total`, :func:`g_total`).
+The route table of :mod:`multifact.cli` composes every other route from them,
+reading each by its module name at call time.
 """
 
 from collections import Counter
@@ -66,21 +75,15 @@ __all__ = [
     "big_G",
     "canonical",
     "clear_caches",
-    "f_from_F",
     "f_k_kappa",
     "f_k_rec",
     "f_kl",
     "f_total",
-    "f_total_fedorov",
-    "f_total_kappa",
-    "f_total_rec",
     "fedorov_F",
     "g_from_G",
     "g_k_kappa",
     "g_k_rec",
     "g_total",
-    "g_total_kappa",
-    "g_total_rec",
     "h_l",
     "reduction_table",
 ]
@@ -211,13 +214,18 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
     final division goes through :func:`arith.settle`.  A k past the oracle's
     budget of partitions (:data:`oracle.MAX_PARTITION_N`) raises
-    :class:`OracleLimitError` before any work."""
+    :class:`OracleLimitError` before any work; any smaller k past Omega(n) is
+    read as Omega(n), or gives 0 past Omega(n) + 1 when `signed`."""
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
             return 0
         if k > MAX_PARTITION_N:
             raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {k}")
+        if k > n.big_omega + signed:
+            if signed:  # distinct parts take at most one part 1
+                return 0
+            k = n.big_omega  # parts 1 pad a factorization out to any k
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -531,11 +539,6 @@ def _k_difference(route, n: FactoredInt, k: int) -> BigCount:
     return route(n, k) - route(n, k - 1)
 
 
-def f_from_F(n: FactoredInt, k: int) -> BigCount:
-    """f_k recovered as F_k - F_{k-1}."""
-    return _k_difference(big_F, n, k)
-
-
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
     """g_k recovered as the alternating sum of G_k, ..., G_1 and G_0 = [n == 1].
     G_k comes first, so a k past partition-sum's budget is refused before any
@@ -552,21 +555,11 @@ def g_from_G(n: FactoredInt, k: int) -> BigCount:
 def f_total(n: FactoredInt) -> BigCount:
     """All factorizations into parts >= 2: F evaluated at k = Omega(n).
 
-    Any k >= Omega(n) gives the same value, which the stability tests check.
+    Any k >= Omega(n) gives the same value: :func:`big_F` reads such a k as
+    Omega(n), and the stability tests check it on :func:`fedorov_F`, which
+    walks every k within its budget.
     """
     return big_F(n, n.big_omega)
-
-
-def f_total_rec(n: FactoredInt) -> BigCount:
-    return _k_sum(f_k_rec, n, n.big_omega)
-
-
-def f_total_kappa(n: FactoredInt) -> BigCount:
-    return _k_sum(f_k_kappa, n, n.big_omega)
-
-
-def f_total_fedorov(n: FactoredInt) -> BigCount:
-    return fedorov_F(n, n.big_omega)
 
 
 def g_total(n: FactoredInt) -> BigCount:
@@ -576,11 +569,3 @@ def g_total(n: FactoredInt) -> BigCount:
         return 1
     om = n.big_omega
     return sum(big_G(n, om - 2 * i) for i in range((om - 1) // 2 + 1))
-
-
-def g_total_rec(n: FactoredInt) -> BigCount:
-    return _k_sum(g_k_rec, n, n.big_omega)
-
-
-def g_total_kappa(n: FactoredInt) -> BigCount:
-    return _k_sum(g_k_kappa, n, n.big_omega)

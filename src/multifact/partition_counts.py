@@ -9,8 +9,8 @@ The identities are the paper's relations at a squarefree n, where
 nu_beta(1) = beta_1 turns the partition sum into sum_beta beta_1**n / z_beta.
 Their right-hand sides are read from the shipped routes of
 :mod:`multifact.counting` (:func:`big_F`, :func:`big_G`, :func:`f_k_rec`,
-:func:`f_total_rec`) at the primorial, so a wrong route fails them; this
-module keeps no copy of those sums.
+the last also summed over k by :func:`counting._k_sum`) at the primorial, so
+a wrong route fails them; this module keeps no copy of those sums.
 """
 
 from collections import Counter
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .arith import BigCount, primorial, settle
-from .counting import big_F, big_G, f_k_rec, f_total_rec
+from .counting import _k_sum, big_F, big_G, f_k_rec
 from .oracle import enumerate_partitions
 from .partitions import centralizer_order, compositions_of, multiplicity_vector, prefix_product
 
@@ -258,7 +258,7 @@ _IDENTITY_TABLE = {
                               lambda n, k: sum(1 for _ in enumerate_partitions(n)), False, 12),
     "primorial-stirling": (lambda n, k: f_k_rec(primorial(n), k),
                            lambda n, k: stirling2(n, k), True, 10),
-    "primorial-bell": (lambda n, k: f_total_rec(primorial(n)),
+    "primorial-bell": (lambda n, k: _k_sum(f_k_rec, primorial(n), n),
                        lambda n, k: bell(n), False, 10),
 }
 
@@ -279,7 +279,7 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
       n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
       :func:`oracle.enumerate_partitions`
     - ``primorial-stirling``: f_k_rec(P, k)  ==  S(n, k)
-    - ``primorial-bell``: f_total_rec(P)  ==  B_n
+    - ``primorial-bell``: sum_{k<=n} f_k_rec(P, k)  ==  B_n, through _k_sum
 
     The first four read the partition-sum route, the last two the divisor
     recursion, so ``bell-partition-sum`` and ``primorial-bell`` check B_n by

@@ -18,21 +18,15 @@ from multifact.arith import IntegrityError, factorize, prime_power, primorial
 from multifact.counting import (
     big_F,
     big_G,
-    f_from_F,
     f_k_kappa,
     f_k_rec,
     f_kl,
     f_total,
-    f_total_fedorov,
-    f_total_kappa,
-    f_total_rec,
     fedorov_F,
     g_from_G,
     g_k_kappa,
     g_k_rec,
     g_total,
-    g_total_kappa,
-    g_total_rec,
     h_l,
 )
 from multifact.oracle import enumerate_partitions, profile
@@ -63,19 +57,20 @@ def test_criterion_01_worked_example_every_route():
     _clear_all()
     t0 = time.perf_counter()
     fi = factorize(36)
+    om = fi.big_omega
     prof = profile(36)
     read = cli._ORACLE_READS
 
     assert (
-        f_total(fi) == f_total_rec(fi) == f_total_kappa(fi)
-        == f_total_fedorov(fi) == read["f"](prof, None, None) == 9
+        f_total(fi) == counting._k_sum(f_k_rec, fi, om) == counting._k_sum(f_k_kappa, fi, om)
+        == fedorov_F(fi, om) == read["f"](prof, None, None) == 9
     )
     assert (
-        g_total(fi) == g_total_rec(fi) == g_total_kappa(fi)
+        g_total(fi) == counting._k_sum(g_k_rec, fi, om) == counting._k_sum(g_k_kappa, fi, om)
         == read["g"](prof, None, None) == 5
     )
     assert (
-        f_k_rec(fi, 2) == f_k_kappa(fi, 2) == f_from_F(fi, 2)
+        f_k_rec(fi, 2) == f_k_kappa(fi, 2) == counting._k_difference(big_F, fi, 2)
         == fedorov_F(fi, 2) - fedorov_F(fi, 1) == read["f_k"](prof, 2, None) == 4
     )
     assert (
@@ -112,7 +107,7 @@ def test_criterion_02_route_agreement_sweep():
             fk_routes = {
                 fk,
                 f_k_kappa(fi, k),
-                f_from_F(fi, k),
+                counting._k_difference(big_F, fi, k),
                 fedorov_F(fi, k) - fedorov_F(fi, k - 1) if k >= 1 else fk,
                 read["f_k"](prof, k, None),
             }

@@ -211,14 +211,16 @@ def test_verify_routes_reads_the_partition_side_from_the_route_tables(
     ("big_F", "bell-partition-sum"),
     ("big_G", "choose2-plus-one"),
     ("f_k_rec", "primorial-stirling"),
-    ("f_total_rec", "primorial-bell"),
+    ("_k_sum", "primorial-bell"),
 ])
 def test_verify_identities_read_the_shipped_routes(capsys, monkeypatch, route, identity):
-    # one value off on the signature of 2*3*5*7 must fail the identities
+    # one value off on the signature of 2*3*5*7 must fail the identities;
+    # _k_sum takes the k-part route it sums before n
     right = getattr(partition_counts, route)
 
-    def off_by_one(fi, *indices):
-        return right(fi, *indices) + (fi.signature == (1, 1, 1, 1))
+    def off_by_one(*args):
+        fi = args[route == "_k_sum"]
+        return right(*args) + (fi.signature == (1, 1, 1, 1))
 
     monkeypatch.setattr(partition_counts, route, off_by_one)
     code, out, err = run(capsys, "verify", "--max", "20", "--suite", "identities")
@@ -233,6 +235,44 @@ def test_verify_routes_reads_the_k_sum_and_difference_helpers(capsys, monkeypatc
     code, out, err = run(capsys, "verify", "--max", "10", "--suite", "routes")
     assert code == 1
     assert err.startswith("first counterexample: ")
+
+
+# the counting route each formula row is built on
+BASE_ROUTE_OF_ROW = {
+    "f_k_rec": [("f", "recursion"), ("f_k", "recursion"), ("F_k", "recursion")],
+    "g_k_rec": [("g", "recursion"), ("g_k", "recursion"), ("G_k", "recursion")],
+    "f_k_kappa": [("f", "kappa-recursion"), ("f_k", "kappa-recursion"),
+                  ("F_k", "kappa-recursion")],
+    "g_k_kappa": [("g", "kappa-recursion"), ("g_k", "kappa-recursion")],
+    "big_F": [("f", "partition-sum"), ("f_k", "partition-sum"), ("F_k", "partition-sum")],
+    "big_G": [("g", "partition-sum"), ("g_k", "partition-sum"), ("G_k", "partition-sum")],
+    "fedorov_F": [("f", "fedorov"), ("f_k", "fedorov"), ("F_k", "fedorov")],
+    "h_l": [("h_l", "recursion")],
+    "f_kl": [("f_kl", "recursion")],
+}
+
+
+def test_every_formula_row_reads_its_counting_route_by_module_name(monkeypatch):
+    # the benchmark's tracer sees a route only through its module name, so a
+    # row that held the function itself would hide the route's calls; warm
+    # memos keep a recursion from reaching its own name below the row's call
+    fi = cli.factorize(36)
+    rows = [key for key in cli._FACTOR_ROUTES if key[1] != "oracle"]
+    for key in rows:
+        cli._FACTOR_ROUTES[key](fi, 2, 2)
+    called = set()
+    for name in BASE_ROUTE_OF_ROW:
+        right = getattr(counting, name)
+        monkeypatch.setattr(counting, name,
+                            lambda *args, name=name, right=right: called.add(name) or right(*args))
+    readers = {name: [] for name in BASE_ROUTE_OF_ROW}
+    for key in rows:
+        called.clear()
+        cli._FACTOR_ROUTES[key](fi, 2, 2)
+        for name in called:
+            readers[name].append(key)
+    assert readers == BASE_ROUTE_OF_ROW
+    assert sorted(sum(BASE_ROUTE_OF_ROW.values(), [])) == sorted(rows)
 
 
 @pytest.mark.parametrize("function", ["p_kl", "r_l"])

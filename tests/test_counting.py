@@ -30,21 +30,15 @@ from multifact.counting import (
     big_F,
     big_G,
     canonical,
-    f_from_F,
     f_k_kappa,
     f_k_rec,
     f_kl,
     f_total,
-    f_total_fedorov,
-    f_total_kappa,
-    f_total_rec,
     fedorov_F,
     g_from_G,
     g_k_kappa,
     g_k_rec,
     g_total,
-    g_total_kappa,
-    g_total_rec,
     h_l,
     reduction_table,
 )
@@ -191,18 +185,21 @@ def _corrupt_one_class_size(monkeypatch, k, weight):
 
 
 def test_big_F_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
-    # at top = 1 the walk yields F_3(p) * 3! = 1 * nu_(1,1,1)(1) + 3 * nu_(1)(1)
-    # + 2 * nu_()(1) = 3 + 3 + 0: the weight 3 is the class (2, 1), whose part
-    # 2 is past top; one more in it leaves remainder 1
+    # n = pqr has Omega = 3 = k, and top = 1; the walk yields F_3(pqr) * 3! =
+    # 1 * nu_(1,1,1)(1)**3 + 3 * nu_(1)(1)**3 + 2 * nu_()(1)**3 = 27 + 3 + 0:
+    # the weight 3 is the class (2, 1), whose part 2 is past top; one more in
+    # it leaves remainder 1
     _corrupt_one_class_size(monkeypatch, 3, 3)
-    with pytest.raises(IntegrityError, match=r"^big_F\(\(1,\), 3\): sum 7 not divisible by 6$"):
-        big_F(FI_P, 3)
+    with pytest.raises(IntegrityError,
+                       match=r"^big_F\(\(1, 1, 1\), 3\): sum 31 not divisible by 6$"):
+        big_F(canonical((1, 1, 1)), 3)
 
 
 def test_big_G_integrity_check_fires_on_a_corrupted_class_size(monkeypatch):
     _corrupt_one_class_size(monkeypatch, 3, -3)
-    with pytest.raises(IntegrityError, match=r"^big_G\(\(1,\), 3\): sum -1 not divisible by 6$"):
-        big_G(FI_P, 3)
+    with pytest.raises(IntegrityError,
+                       match=r"^big_G\(\(1, 1, 1\), 3\): sum 23 not divisible by 6$"):
+        big_G(canonical((1, 1, 1)), 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -446,9 +443,8 @@ def test_every_recursion_call_past_the_early_returns_adds_a_memo_entry(monkeypat
     counting.clear_caches()
     fi = canonical(sig)
     om = fi.big_omega
-    for total in (counting.f_total_rec, counting.g_total_rec,
-                  counting.f_total_kappa, counting.g_total_kappa):
-        total(fi)
+    for name in ("f_k_rec", "g_k_rec", "f_k_kappa", "g_k_kappa"):
+        counting._k_sum(getattr(counting, name), fi, om)
     for k in range(1, om + 1):
         for l in range(1, k + 1):
             counting.f_kl(fi, k, l)
@@ -563,10 +559,10 @@ def test_clear_caches_drops_the_tables():
 
 # ---------------------------------------------------------------- conversions
 
-def test_f_from_F():
-    assert f_from_F(FI36, 2) == 4
-    assert f_from_F(FI36, 1) == 1
-    assert f_from_F(FI1, 1) == 0
+def test_f_k_as_a_difference_of_F():
+    assert counting._k_difference(big_F, FI36, 2) == 4
+    assert counting._k_difference(big_F, FI36, 1) == 1
+    assert counting._k_difference(big_F, FI1, 1) == 0
 
 
 def test_g_from_G():
@@ -603,13 +599,14 @@ def test_totals():
 def test_total_routes_agree():
     for n in (2, 12, 30, 36, 96, 97, 360, 1024):
         fi = factorize(n)
+        om = fi.big_omega
         assert (
             f_total(fi)
-            == f_total_rec(fi)
-            == f_total_kappa(fi)
-            == f_total_fedorov(fi)
+            == counting._k_sum(f_k_rec, fi, om)
+            == counting._k_sum(f_k_kappa, fi, om)
+            == fedorov_F(fi, om)
         )
-        assert g_total(fi) == g_total_rec(fi) == g_total_kappa(fi)
+        assert g_total(fi) == counting._k_sum(g_k_rec, fi, om) == counting._k_sum(g_k_kappa, fi, om)
 
 
 # ---------------------------------------------------------------- f_kl / h_l
@@ -651,7 +648,7 @@ def test_route_agreement_sweep():
             assert read["F_k"](prof, k, None) == F
             fk = f_k_rec(fi, k)
             assert f_k_kappa(fi, k) == fk
-            assert f_from_F(fi, k) == fk
+            assert counting._k_difference(big_F, fi, k) == fk
             assert read["f_k"](prof, k, None) == fk
             gk = g_k_rec(fi, k)
             assert g_k_kappa(fi, k) == gk
@@ -691,17 +688,44 @@ def test_prime_independence_pairs():
 
 
 def test_big_F_monotone_and_stabilizes():
+    # big_F reads a k past Omega as Omega, so fedorov_F, which walks every k,
+    # is what checks F_k = F_Omega; at every k <= 20 it is checked at n = 36
+    # only, as each signature costs 2**20 compositions there
     for n in range(2, 201):
         fi = factorize(n)
         om = fi.big_omega
         total = f_total(fi)
-        prev = 0
-        for k in range(0, om + 4):
-            cur = big_F(fi, k)
-            assert cur >= prev
-            prev = cur
-            if k >= om:
-                assert cur == total
+        ks = range(0, 21 if n == 36 else om + 4)
+        for route in (big_F, fedorov_F):
+            prev = 0
+            for k in ks:
+                cur = route(fi, k)
+                assert cur >= prev, (route.__name__, n, k)
+                prev = cur
+                if k >= om:
+                    assert cur == total, (route.__name__, n, k)
+
+
+def test_the_partition_sums_stop_at_omega(within_a_second):
+    # F_60(2**20) = F_20(2**20) = p(20), and no 60 distinct parts multiply to
+    # 2**20; neither walks the p(60) partitions of 60
+    counting.clear_caches()
+    fi = factorize(2**20)
+    assert big_F(fi, 60) == 627
+    assert big_G(fi, 60) == 0
+
+
+def test_the_partition_sums_keep_no_memo_key_past_omega():
+    counting.clear_caches()
+    for n in (1, 2, 36, 1024, 30030):
+        fi = factorize(n)
+        for k in range(0, fi.big_omega + 6):
+            for function in ("f", "g", "f_k", "g_k", "F_k", "G_k"):
+                cli.evaluate(function, "partition-sum", n, k)
+    assert counting._F_SUM and counting._G_SUM
+    assert all(k <= sum(sig) for sig, k in counting._F_SUM)
+    assert all(k <= sum(sig) + 1 for sig, k in counting._G_SUM)
+    counting.clear_caches()
 
 
 def test_f_kl_on_prime_powers():
