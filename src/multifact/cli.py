@@ -94,7 +94,8 @@ def _oracle_partition_route(read):
 
 # each row reads its base route of `counting` by the module name at call
 # time, so a wrapper put in a route's place sees every call; the totals and
-# the k-part twins are composed here through counting's _k_sum and _k_difference
+# the k-part twins are composed here, as counting's _k_sum or as the sum or
+# difference of two route calls, and each route gives its own index-0 value
 _FACTOR_ROUTES = {
     ("f", "recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_rec, fi, fi.big_omega),
     ("f", "partition-sum"): lambda fi, k, l: counting.f_total(fi),
@@ -104,9 +105,9 @@ _FACTOR_ROUTES = {
     ("g", "partition-sum"): lambda fi, k, l: counting.g_total(fi),
     ("g", "kappa-recursion"): lambda fi, k, l: counting._k_sum(counting.g_k_kappa, fi, fi.big_omega),
     ("f_k", "recursion"): lambda fi, k, l: counting.f_k_rec(fi, k),
-    ("f_k", "partition-sum"): lambda fi, k, l: counting._k_difference(counting.big_F, fi, k),
+    ("f_k", "partition-sum"): lambda fi, k, l: counting.big_F(fi, k) - counting.big_F(fi, k - 1),
     ("f_k", "kappa-recursion"): lambda fi, k, l: counting.f_k_kappa(fi, k),
-    ("f_k", "fedorov"): lambda fi, k, l: counting._k_difference(counting.fedorov_F, fi, k),
+    ("f_k", "fedorov"): lambda fi, k, l: counting.fedorov_F(fi, k) - counting.fedorov_F(fi, k - 1),
     ("g_k", "recursion"): lambda fi, k, l: counting.g_k_rec(fi, k),
     ("g_k", "partition-sum"): lambda fi, k, l: counting.g_from_G(fi, k),
     ("g_k", "kappa-recursion"): lambda fi, k, l: counting.g_k_kappa(fi, k),
@@ -115,11 +116,7 @@ _FACTOR_ROUTES = {
     ("F_k", "recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_rec, fi, k),
     ("F_k", "kappa-recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_kappa, fi, k),
     ("G_k", "partition-sum"): lambda fi, k, l: counting.big_G(fi, k),
-    ("G_k", "recursion"): lambda fi, k, l: (
-        counting.g_k_rec(fi, k) + counting.g_k_rec(fi, k - 1)
-        if k >= 1
-        else int(fi.value == 1)
-    ),
+    ("G_k", "recursion"): lambda fi, k, l: counting.g_k_rec(fi, k) + counting.g_k_rec(fi, k - 1),
     ("h_l", "recursion"): lambda fi, k, l: counting.h_l(fi, l),
     ("f_kl", "recursion"): lambda fi, k, l: counting.f_kl(fi, k, l),
     **{(function, "oracle"): _oracle_route(_ORACLE_READS[function])

@@ -46,13 +46,15 @@ memoized route ends in :func:`arith.settle`, its one checked exact division.
 The module keeps only the nine base routes (big_F, big_G, fedorov_F, f_k_rec,
 g_k_rec, f_k_kappa, g_k_kappa, f_kl, h_l) and the few helpers that turn a
 k-part family into its at-most-k-part twin or a total (:func:`_k_sum`,
-:func:`_k_difference`, :func:`g_from_G`, :func:`f_total`, :func:`g_total`).
+:func:`g_from_G`, :func:`f_total`, :func:`g_total`).  Each base route is the
+one place that knows its boundary: index 0 gives [n == 1], and a negative
+index gives 0, so the helpers read every term, G_0 included, from a route.
 The route table of :mod:`multifact.cli` composes every other route from them,
 reading each by its module name at call time.
 """
 
 from collections import Counter
-from itertools import accumulate, product
+from itertools import product
 from math import comb, factorial, prod
 
 from .arith import (
@@ -150,13 +152,13 @@ def _colored_classes(k: int, top: int, signed: bool):
     the partitions beta of k with those small parts, each with the sign
     theta(beta) = (-1)**(number of even parts) when `signed`.
 
-    One depth-first pass with an explicit stack; nothing sized by p(k) is
-    kept.  The parts 1 come first, so (1 - x)**(-r) is built once for each
-    count r of them; the small parts >= 2 follow in nondecreasing order.
-    Adding a part v multiplies a copy of the parent's coefficients by
-    1 / (1 - x**v), one stride-v prefix sum.  The class size starts at k! and
-    is divided by v * b when the b-th part v is added; each of those divisions
-    is exact, as the z of a prefix of beta divides z_beta, which divides k!.
+    One depth-first pass with an explicit stack from one root, the empty
+    partition; nothing sized by p(k) is kept.  The small parts are added in
+    nondecreasing order, parts 1 like any other.  Adding a part v multiplies
+    a copy of the parent's coefficients by 1 / (1 - x**v), one stride-v
+    prefix sum.  The class size starts at k! and is divided by v * b when the
+    b-th part v is added; each of those divisions is exact, as the z of a
+    prefix of beta divides z_beta, which divides k!.
 
     A node whose rest r of k is larger than top also closes with one block of
     parts > top, summed in closed form: with s = k - r the small parts' sum,
@@ -164,22 +166,17 @@ def _colored_classes(k: int, top: int, signed: bool):
     exact quotient (k! / z_small) // r! times D(r) of :func:`_long_cycles`.
     For top >= k no block closes and every partition of k is yielded on its
     own, p(k) of them; at top = 1 only the parts 1 are walked, and k weights
-    come out where the walk over every partition yields p(k).
+    come out where the walk over every partition yields p(k); at top = 0 the
+    root closes as one block of k.
     """
-    if not top:  # every part is > top: one block of k
-        yield _long_cycles(k, 0, signed)[k], [1]
+    nu = [1] + [0] * top
+    if not k:  # the empty partition has no part to take
+        yield 1, nu
         return
     blocks = (tuple(zip(map(factorial, range(k + 1)), _long_cycles(k, top, signed)))
               if top < k else ())
     # (rest of k, least next part, count of that part so far, size, evens, nu)
-    stack = []
-    nu, size = [1] + [0] * top, factorial(k)
-    for r in range(k):  # r parts 1 so far
-        if k - r > 1:  # no part >= 2 makes up a rest of 1
-            stack.append((k - r, 2, 0, size, 0, nu))
-        nu = list(accumulate(nu))
-        size //= r + 1
-    yield size, nu  # beta = (1,)*k, the empty partition when k = 0
+    stack = [(k, 1, 0, factorial(k), 0, nu)]
     while stack:
         rest, low, mult, size, evens, nu = stack.pop()
         if rest > top:
@@ -526,28 +523,18 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
 # name at call time, so a wrapper put in a route's place sees every call.
 
 def _k_sum(route, n: FactoredInt, k: int) -> BigCount:
-    """[n == 1] + x_1(n) + ... + x_k(n), the x_i read from the k-part route;
+    """x_0(n) + x_1(n) + ... + x_k(n), each x_i read from the k-part route;
     x_i(n) is 0 past Omega(n), so the sum stops there."""
-    return int(n.value == 1) + sum(route(n, i) for i in range(1, min(k, n.big_omega) + 1))
-
-
-def _k_difference(route, n: FactoredInt, k: int) -> BigCount:
-    """X_k(n) - X_{k-1}(n), the X read from the at-most-k-part route; below
-    k = 1 it is [k == 0 and n == 1]."""
-    if k < 1:
-        return int(k == 0 and n.value == 1)
-    return route(n, k) - route(n, k - 1)
+    return sum(route(n, i) for i in range(min(k, n.big_omega) + 1))
 
 
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
-    """g_k recovered as the alternating sum of G_k, ..., G_1 and G_0 = [n == 1].
-    G_k comes first, so a k past partition-sum's budget is refused before any
-    other term; G_i(n) is 0 for Omega(n) + 1 < i < k, so those are left out."""
-    if k < 1:
-        return 1 if (k == 0 and n.value == 1) else 0
+    """g_k recovered as the alternating sum of G_k, ..., G_0.  G_k comes first,
+    so a k past partition-sum's budget is refused before any other term;
+    G_i(n) is 0 for Omega(n) + 1 < i < k, so those are left out."""
     total = big_G(n, k)
     for i in range(min(k - 1, n.big_omega + 1), -1, -1):
-        term = big_G(n, i) if i else int(n.value == 1)
+        term = big_G(n, i)
         total += term if (k - i) % 2 == 0 else -term
     return total
 
@@ -563,9 +550,6 @@ def f_total(n: FactoredInt) -> BigCount:
 
 
 def g_total(n: FactoredInt) -> BigCount:
-    """All factorizations into distinct parts >= 2:
-    sum of G_{Omega - 2i} for i = 0..floor((Omega - 1) / 2)."""
-    if n.value == 1:
-        return 1
-    om = n.big_omega
-    return sum(big_G(n, om - 2 * i) for i in range((om - 1) // 2 + 1))
+    """All factorizations into distinct parts >= 2: G_Omega + G_{Omega-2} + ...,
+    down to G_1, or to G_0 = [n == 1] when Omega(n) is even."""
+    return sum(big_G(n, k) for k in range(n.big_omega, -1, -2))

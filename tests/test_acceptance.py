@@ -70,7 +70,7 @@ def test_criterion_01_worked_example_every_route():
         == read["g"](prof, None, None) == 5
     )
     assert (
-        f_k_rec(fi, 2) == f_k_kappa(fi, 2) == counting._k_difference(big_F, fi, 2)
+        f_k_rec(fi, 2) == f_k_kappa(fi, 2) == big_F(fi, 2) - big_F(fi, 1)
         == fedorov_F(fi, 2) - fedorov_F(fi, 1) == read["f_k"](prof, 2, None) == 4
     )
     assert (
@@ -107,8 +107,8 @@ def test_criterion_02_route_agreement_sweep():
             fk_routes = {
                 fk,
                 f_k_kappa(fi, k),
-                counting._k_difference(big_F, fi, k),
-                fedorov_F(fi, k) - fedorov_F(fi, k - 1) if k >= 1 else fk,
+                big_F(fi, k) - big_F(fi, k - 1),
+                fedorov_F(fi, k) - fedorov_F(fi, k - 1),
                 read["f_k"](prof, k, None),
             }
             assert fk_routes == {fk}, (n, k, fk_routes)
@@ -116,8 +116,8 @@ def test_criterion_02_route_agreement_sweep():
             gk_routes = {gk, g_k_kappa(fi, k), g_from_G(fi, k), read["g_k"](prof, k, None)}
             assert gk_routes == {gk}, (n, k, gk_routes)
             G = big_G(fi, k)
-            g_pair = g_k_rec(fi, k) + g_k_rec(fi, k - 1) if k >= 1 else int(n == 1)
-            assert {G, g_pair, read["G_k"](prof, k, None) if k >= 1 else G} == {G}, (n, k)
+            g_pair = g_k_rec(fi, k) + g_k_rec(fi, k - 1)
+            assert {G, g_pair, read["G_k"](prof, k, None)} == {G}, (n, k)
     elapsed = _report("criterion 2 (route agreement, n <= 2000)", t0)
     assert elapsed < 60.0
 

@@ -33,13 +33,15 @@ def test_compute_F_k_at_unit(capsys):
     code, out, _ = run(capsys, "compute", "F_k", "1", "--k", "5")
     assert code == 0
     assert out == "1\n"
-    # every route, the oracle with its empty factorization included, agrees
-    # at the unit
-    for function in cli.FACTOR_FUNCTIONS:
-        for k in range(5) if "k" in cli.NEEDS[function] else (None,):
-            for l in range(5) if "l" in cli.NEEDS[function] else (None,):
-                values = {m: cli.evaluate(function, m, 1, k, l) for m in cli.METHODS_FOR[function]}
-                assert len(set(values.values())) == 1, (function, k, l, values)
+    # verify's factorization side starts at n = 2, so the index-0 boundary
+    # f_0(1) = g_0(1) = F_0(1) = G_0(1) = 1 that each route gives is checked
+    # here: every row reads as the oracle's empty factorization
+    fi, prof = cli.factorize(1), oracle.profile(1)
+    for (function, method), row in cli._FACTOR_ROUTES.items():
+        for k in range(5):
+            for l in range(5):
+                want = cli._ORACLE_READS[function](prof, k, l)
+                assert row(fi, k, l) == want, (function, method, k, l)
 
 
 def test_compute_all_methods_text(capsys):
@@ -228,10 +230,9 @@ def test_verify_identities_read_the_shipped_routes(capsys, monkeypatch, route, i
     assert err.startswith(f"first counterexample: {identity} n=4 ")
 
 
-@pytest.mark.parametrize("helper", ["_k_sum", "_k_difference"])
-def test_verify_routes_reads_the_k_sum_and_difference_helpers(capsys, monkeypatch, helper):
-    right = getattr(counting, helper)
-    monkeypatch.setattr(counting, helper, lambda *args: right(*args) + 1)
+def test_verify_routes_reads_the_k_sum_helper(capsys, monkeypatch):
+    right = counting._k_sum
+    monkeypatch.setattr(counting, "_k_sum", lambda *args: right(*args) + 1)
     code, out, err = run(capsys, "verify", "--max", "10", "--suite", "routes")
     assert code == 1
     assert err.startswith("first counterexample: ")

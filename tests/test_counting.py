@@ -560,9 +560,9 @@ def test_clear_caches_drops_the_tables():
 # ---------------------------------------------------------------- conversions
 
 def test_f_k_as_a_difference_of_F():
-    assert counting._k_difference(big_F, FI36, 2) == 4
-    assert counting._k_difference(big_F, FI36, 1) == 1
-    assert counting._k_difference(big_F, FI1, 1) == 0
+    assert big_F(FI36, 2) - big_F(FI36, 1) == 4
+    assert big_F(FI36, 1) - big_F(FI36, 0) == 1
+    assert big_F(FI1, 1) - big_F(FI1, 0) == 0
 
 
 def test_g_from_G():
@@ -571,13 +571,13 @@ def test_g_from_G():
 
 
 def test_g_from_G_reads_no_G_past_omega_plus_one(monkeypatch):
-    # G_45 first, for the budget check, then G_11 down to G_1; G_0 is [n == 1]
+    # G_45 first, for the budget check, then G_11 down to G_0, all from the route
     calls = []
     real = counting.big_G
     monkeypatch.setattr(counting, "big_G", lambda n, k: calls.append(k) or real(n, k))
     fi = factorize(1024)
     assert g_from_G(fi, 45) == 0
-    assert len(calls) <= fi.big_omega + 2 and calls[0] == 45
+    assert calls == [45, *range(fi.big_omega + 1, -1, -1)]
 
 
 def test_g_from_G_equals_the_recursion_past_omega():
@@ -648,7 +648,7 @@ def test_route_agreement_sweep():
             assert read["F_k"](prof, k, None) == F
             fk = f_k_rec(fi, k)
             assert f_k_kappa(fi, k) == fk
-            assert counting._k_difference(big_F, fi, k) == fk
+            assert big_F(fi, k) - big_F(fi, k - 1) == fk
             assert read["f_k"](prof, k, None) == fk
             gk = g_k_rec(fi, k)
             assert g_k_kappa(fi, k) == gk
