@@ -9,11 +9,14 @@ through its prime signature, so every cache here is keyed on
 The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): every divisor power d**i of n,
 grouped by i and the signature of n / d**i, with the group's size and its
-sum of kappa_pi(d) for the prime pi that carries n's largest exponent, built
-in one pass per power i that walks the vectors of n / d**i and of d in step.
-Each group's n / d**i is passed on as the canonical representative of its
-signature (:func:`canonical`: the first primes, largest exponent on 2), so
-the recursions never build or factor the integer n / d**i.  The kappa routes
+sum of kappa_pi(d) for the prime pi that carries n's largest exponent.  Per
+power i it lists the other primes' exponent vectors of n / d**i once, each
+sorted, and loops the first prime's exponent outside them; a divisor's
+vector needs a sort of its own only where that exponent does not lead it,
+and each group's rest takes one lookup.  That rest, n / d**i, is passed on
+as the canonical representative of its signature (:func:`canonical`: the
+first primes, largest exponent on 2), so the recursions never build or
+factor the integer n / d**i.  The kappa routes
 anchor every call at that prime pi, which is 2 on every recursive call.  The
 routes share no formula: each applies its own weights and its own exact
 division.
@@ -40,8 +43,10 @@ are built by one factory per route with a sign flag.  Each twin keeps its own
 public name and memo dict, and a recursion recurses through its own
 module-level name, one stack frame per level.  Each recursion reads a memo hit
 of a sub-state inline and calls that name only on a miss, so from cold caches
-every call that gets past the early returns adds one memo entry.  Every
-memoized route ends in :func:`arith.settle`, its one checked exact division.
+every call that gets past the early returns adds one memo entry.  A
+sub-state at index 0 is read inline too, as [rest is the unit], so no
+recursion calls a route at index 0.  Every memoized route ends in
+:func:`arith.settle`, its one checked exact division.
 
 The module keeps only the nine base routes (big_F, big_G, fedorov_F, f_k_rec,
 g_k_rec, f_k_kappa, g_k_kappa, f_kl, h_l) and the few helpers that turn a
@@ -101,6 +106,7 @@ _GK_KAP: dict = {}
 _FKL: dict = {}
 _HL: dict = {}
 _CANONICAL: dict = {}
+_RESTS: dict = {}  # a reduction-table key, zeros last, to its canonical rest
 _TABLES: dict = {}
 
 
@@ -112,7 +118,7 @@ def _exponent_counts(n: FactoredInt) -> tuple:
 def clear_caches() -> None:
     """Drop all memo, reduction and canonical tables (benchmarks time cold runs)."""
     for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL,
-                  _CANONICAL, _TABLES):
+                  _CANONICAL, _RESTS, _TABLES):
         cache.clear()
 
 
@@ -311,27 +317,41 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     group and weight the sum of c[0] over them, which is the group's total of
     kappa_pi(d) when pi carries sig[0], the largest exponent.
 
-    One pass per power i walks the exponent vectors sig - i * c and the
-    divisor vectors c in step, both from :func:`itertools.product`, and groups
-    the c[0] by the sorted exponent vector.  The entries come out in
-    ascending i, unsorted within one i; the unit's table is empty.
+    For each power i the exponent vectors of the other primes in n / d**i,
+    the tails, are listed once by :func:`itertools.product`, each sorted
+    nonincreasing; the first prime's exponent sig[0] - c[0] * i, the head,
+    runs outside them, so c[0] is its position.  Each pair is keyed by its
+    exponent vector sorted nonincreasing, zeros last: the head followed by
+    the tail when that is already nonincreasing, else one sort.  Each key keeps its [count, weight]; the key of c = 0 is sig itself
+    and is dropped.  A key's rest comes from one lookup in `_RESTS`, shared
+    by every table.  The entries come out in ascending i, unsorted within one
+    i; the unit's table is empty.
     """
     table = _TABLES.get(sig)
     if table is not None:
         return table
     entries = []
     for i in range(1, max(sig, default=0) + 1):
-        # the t-th exponent e - t * i of each range goes with c = t; the first
-        # pair has c = 0
-        pairs = zip(product(*(range(e, -1, -i) for e in sig)),
-                    product(*(range(e // i + 1) for e in sig)))
-        next(pairs)
+        tails = [tuple(sorted(tail, reverse=True))
+                 for tail in product(*(range(e, -1, -i) for e in sig[1:]))]
         groups: dict = {}
-        for r, c in pairs:
-            groups.setdefault(tuple(sorted(r)), []).append(c[0])
-        for rest, c0s in groups.items():
-            rest = rest[rest.count(0):][::-1]
-            entries.append((i, canonical(rest), sum(rest), len(c0s), sum(c0s)))
+        # each head is the 1-tuple (sig[0] - c0 * i,); as tuples, head >= tail
+        # holds only if the head is at least every exponent of the tail
+        for c0, head in enumerate(product(range(sig[0], -1, -i))):
+            for tail in tails:
+                key = head + tail if head >= tail else tuple(sorted(head + tail, reverse=True))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [1, c0]
+                else:
+                    group[0] += 1
+                    group[1] += c0
+        del groups[sig]
+        for key, (count, weight) in groups.items():
+            rest = _RESTS.get(key)
+            if rest is None:
+                rest = _RESTS[key] = canonical(key[:len(key) - key.count(0)])
+            entries.append((i, rest, rest.big_omega, count, weight))
     table = _TABLES[sig] = tuple(entries)
     return table
 
@@ -365,7 +385,8 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
             if i > k:
                 break
             if k - i <= rest_omega:
-                sub = memo.get((rest.signature, k - i))
+                # at i == k, x_0(rest) = [rest is the unit] is read here
+                sub = memo.get((rest.signature, k - i)) if i < k else rest_omega == 0
                 if sub is None:
                     sub = recurse(rest, k - i)
                 total += (-count if signed and not i & 1 else count) * sub
@@ -427,7 +448,8 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
             if i > k:
                 break
             if kap_d and k - i <= rest_omega:
-                sub = memo.get((rest.signature, k - i))
+                # at i == k, x_0(rest) = [rest is the unit] is read here
+                sub = memo.get((rest.signature, k - i)) if i < k else rest_omega == 0
                 if sub is None:
                     sub = recurse(rest, k - i)
                 total += (-kap_d if signed and not i & 1 else kap_d) * sub
@@ -473,10 +495,10 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
         if not kap_d or k - i > rest_omega:
             continue
         # f_{k-i,l-j}(rest) is 0 unless 1 <= l - j <= k - i; at k == i only
-        # j = l is left, f_{0,0}(rest) = [rest is the unit]
+        # j = l is left, and f_{0,0}(rest) = [rest is the unit] is read here
         low, high = (l, l) if k == i else (max(1, l - k + i), min(l - 1, i))
         for j in range(low, high + 1):
-            sub = _FKL.get((rest.signature, k - i, l - j))
+            sub = _FKL.get((rest.signature, k - i, l - j)) if j < l else rest_omega == 0
             if sub is None:
                 sub = f_kl(rest, k - i, l - j)
             if sub:
@@ -503,11 +525,11 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
     for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
         if not kap_d:
             continue
-        # h_{l-j}(rest) is 0 once l - j > Omega(rest), and h_0(rest) is 0
-        # unless rest is the unit
+        # h_{l-j}(rest) is 0 once l - j > Omega(rest), so j = l is left only
+        # at the unit, where h_0(rest) = [rest is the unit] is read here
         high = min(l - 1 if rest_omega else l, i)
         for j in range(max(1, l - rest_omega), high + 1):
-            sub = _HL.get((rest.signature, l - j))
+            sub = _HL.get((rest.signature, l - j)) if j < l else rest_omega == 0
             if sub is None:
                 sub = h_l(rest, l - j)
             if sub:

@@ -456,6 +456,40 @@ def test_every_recursion_call_past_the_early_returns_adds_a_memo_entry(monkeypat
     counting.clear_caches()
 
 
+ORACLE_FUNCTIONS = {  # route: the function whose oracle read it must equal
+    "f_k_rec": "f_k", "g_k_rec": "g_k", "f_k_kappa": "f_k", "g_k_kappa": "g_k",
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: canonical((12,)), lambda: canonical((6, 6)), lambda: canonical((4, 3, 2)),
+    lambda: factorize(46656),
+], ids=["(12,)", "(6, 6)", "(4, 3, 2)", "factorize(46656)"])
+def test_no_recursion_calls_a_route_at_index_0(monkeypatch, make):
+    # each recursion reads x_0(rest) = [rest is the unit] inline at i == k
+    # (f_kl at (0, 0), h_l at l - j = 0), so from cold caches no call of the
+    # six routes has an index 0, and every value is still the oracle's
+    calls = []
+    for name in RECURSION_MEMOS:
+        def counted(n, *args, name=name, route=getattr(counting, name)):
+            calls.append((name, n.signature, *args))
+            return route(n, *args)
+
+        monkeypatch.setattr(counting, name, counted)
+    counting.clear_caches()
+    fi = make()
+    profile = oracle.profile(fi.value)
+    reads = cli._ORACLE_READS
+    for k in range(1, fi.big_omega + 1):
+        for name, function in ORACLE_FUNCTIONS.items():
+            assert getattr(counting, name)(fi, k) == reads[function](profile, k, 0), (name, k)
+        assert counting.h_l(fi, k) == reads["h_l"](profile, 0, k), ("h_l", k)
+        for l in range(1, k + 1):
+            assert counting.f_kl(fi, k, l) == reads["f_kl"](profile, k, l), ("f_kl", k, l)
+    assert calls and not [call for call in calls if 0 in call[2:]]
+    counting.clear_caches()
+
+
 # ---------------------------------------------------------------- reduction tables
 
 def _deep_pool_signatures():
@@ -553,8 +587,9 @@ def test_reduction_table_matches_the_references_on_random_signatures(sig):
 
 def test_clear_caches_drops_the_tables():
     reduction_table((3, 1))
+    assert counting._TABLES and counting._CANONICAL and counting._RESTS
     counting.clear_caches()
-    assert not counting._TABLES and not counting._CANONICAL
+    assert not counting._TABLES and not counting._CANONICAL and not counting._RESTS
 
 
 # ---------------------------------------------------------------- conversions
