@@ -80,8 +80,10 @@ _ORACLE_READS = {
     "f_kl": _cells(lambda p, v, k, l: p == k and v == l),
 }
 # p_kl(n) = f_kl(2**n) and r_l(n) = h_l(2**n): the partition profile of n is
-# the factorization profile of 2**n
-_ORACLE_READS.update(p_kl=_ORACLE_READS["f_kl"], r_l=_ORACLE_READS["h_l"])
+# the factorization profile of 2**n; r_lj reads as r_l does, from the profile
+# of the partitions into parts >= j
+_ORACLE_READS.update(p_kl=_ORACLE_READS["f_kl"], r_l=_ORACLE_READS["h_l"],
+                     r_lj=_ORACLE_READS["h_l"])
 
 
 def _oracle_route(read):
@@ -89,13 +91,14 @@ def _oracle_route(read):
 
 
 def _oracle_partition_route(read):
-    return lambda n, k, l, j: read(oracle.partition_profile(n), k, l)
+    return lambda n, k, l, j: read(oracle.partition_profile(n, j or 1), k, l)
 
 
 # each row reads its base route of `counting` by the module name at call
 # time, so a wrapper put in a route's place sees every call; the totals and
 # the k-part twins are composed here, as counting's _k_sum or as the sum or
-# difference of two route calls, and each route gives its own index-0 value
+# difference of two route calls.  Each base route gives its own values outside
+# its range by the one rule: 1 when every index is 0 at n = 1, 0 otherwise
 _FACTOR_ROUTES = {
     ("f", "recursion"): lambda fi, k, l: counting._k_sum(counting.f_k_rec, fi, fi.big_omega),
     ("f", "partition-sum"): lambda fi, k, l: counting.f_total(fi),
@@ -130,10 +133,7 @@ _PARTITION_ROUTES = {
     ("stirling2", "recursion"): lambda n, k, l, j: partition_counts.stirling2(n, k),
     ("bell", "recursion"): lambda n, k, l, j: partition_counts.bell(n),
     **{(function, "oracle"): _oracle_partition_route(_ORACLE_READS[function])
-       for function in ("p_kl", "r_l")},
-    # r_l over the partitions into parts >= j
-    ("r_lj", "oracle"): lambda n, k, l, j: _ORACLE_READS["r_l"](
-        oracle.partition_profile(n, j), k, l),
+       for function in ("p_kl", "r_l", "r_lj")},
 }
 
 _ROUTE_KEYS = (*_FACTOR_ROUTES, *_PARTITION_ROUTES)
@@ -376,7 +376,7 @@ def cmd_bench(args) -> int:
     # the query first, then each --method against it
     for method in (None, *(args.method or ())):
         _validate_query(function, args.n, args.k, args.l, args.j, method)
-    methods = tuple(args.method or METHODS_FOR[function])
+    methods = tuple(dict.fromkeys(args.method or METHODS_FOR[function]))
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
 

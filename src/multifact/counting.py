@@ -43,7 +43,7 @@ are built by one factory per route with a sign flag.  Each twin keeps its own
 public name and memo dict, and a recursion recurses through its own
 module-level name, one stack frame per level.  Each recursion reads a memo hit
 of a sub-state inline and calls that name only on a miss, so from cold caches
-every call that gets past the early returns adds one memo entry.  A
+every call that gets past its guard adds one memo entry.  A
 sub-state at index 0 is read inline too, as [rest is the unit], so no
 recursion calls a route at index 0.  Every memoized route ends in
 :func:`arith.settle`, its one checked exact division.
@@ -52,8 +52,11 @@ The module keeps only the nine base routes (big_F, big_G, fedorov_F, f_k_rec,
 g_k_rec, f_k_kappa, g_k_kappa, f_kl, h_l) and the few helpers that turn a
 k-part family into its at-most-k-part twin or a total (:func:`_k_sum`,
 :func:`g_from_G`, :func:`f_total`, :func:`g_total`).  Each base route is the
-one place that knows its boundary: index 0 gives [n == 1], and a negative
-index gives 0, so the helpers read every term, G_0 included, from a route.
+one place that knows its boundary, and every route follows the paper's one
+rule: outside its range a count is 1 when every index is 0 at the unit n = 1,
+and 0 otherwise.  Each recursion and fedorov_F states it as one guard; the
+partition sums' k = 0 term gives [n == 1] itself.  So the helpers read every
+term, G_0 included, from a route.
 The route table of :mod:`multifact.cli` composes every other route from them,
 reading each by its module name at call time.
 """
@@ -108,11 +111,6 @@ _HL: dict = {}
 _CANONICAL: dict = {}
 _RESTS: dict = {}  # a reduction-table key, zeros last, to its canonical rest
 _TABLES: dict = {}
-
-
-def _exponent_counts(n: FactoredInt) -> tuple:
-    """The distinct prime exponents of n, ascending, with their multiplicities."""
-    return tuple(sorted(Counter(n.signature).items()))
 
 
 def clear_caches() -> None:
@@ -233,7 +231,7 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        powers = _exponent_counts(n)
+        powers = tuple(Counter(n.signature).items())  # (exponent, multiplicity)
         total = 0
         for weight, nu in _colored_classes(k, max(n.signature, default=0), signed):
             for e, mult in powers:
@@ -271,10 +269,8 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
     costs a sort and a prefix product.  A k past the oracle's budget of
     compositions (k > 20) raises :class:`OracleLimitError` before any work.
     """
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1 if n.value == 1 else 0
+    if k <= 0:
+        return 1 if k == 0 and n.value == 1 else 0
     if k - 1 >= DEFAULT_MAX_FACTORIZATIONS.bit_length():  # 2**(k-1) > budget
         raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} compositions of {k}")
     key = (n.signature, k)
@@ -322,10 +318,11 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     nonincreasing; the first prime's exponent sig[0] - c[0] * i, the head,
     runs outside them, so c[0] is its position.  Each pair is keyed by its
     exponent vector sorted nonincreasing, zeros last: the head followed by
-    the tail when that is already nonincreasing, else one sort.  Each key keeps its [count, weight]; the key of c = 0 is sig itself
-    and is dropped.  A key's rest comes from one lookup in `_RESTS`, shared
-    by every table.  The entries come out in ascending i, unsorted within one
-    i; the unit's table is empty.
+    the tail when that is already nonincreasing, else one sort.  Each key
+    keeps its [count, weight]; the key of c = 0 is sig itself and is dropped.
+    A key's rest comes from one lookup in `_RESTS`, shared by every table.
+    The entries come out in ascending i, unsorted within one i; the unit's
+    table is empty.
     """
     table = _TABLES.get(sig)
     if table is not None:
@@ -369,12 +366,8 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
     its place sees every call."""
 
     def route(n: FactoredInt, k: int) -> BigCount:
-        if k < 0:
-            return 0
-        if n.value == 1:
-            return 1 if k == 0 else 0
-        if k == 0 or k > n.big_omega:
-            return 0
+        if not 0 < k <= n.big_omega:
+            return 1 if k == 0 and n.value == 1 else 0
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -431,12 +424,8 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
     through the module-level `name`, one stack frame per level."""
 
     def route(n: FactoredInt, k: int) -> BigCount:
-        if k < 0:
-            return 0
-        if n.value == 1:
-            return 1 if k == 0 else 0
-        if k == 0 or k > n.big_omega:
-            return 0
+        if not 0 < k <= n.big_omega:
+            return 1 if k == 0 and n.value == 1 else 0
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -475,14 +464,11 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
         sum over d**i | n, d >= 2,  sum over j = 1..min(l, i) of
         (-1)**(j+1) * C(i, j) * f_{k-i, l-j}(n / d**i) * kappa_pi(d)
 
-    Boundary: f_{k,l}(1) = [k == l == 0]; any negative index gives 0.
+    Boundary: outside 0 < l <= k <= Omega(n),
+    f_{k,l}(n) = [k == l == 0 and n == 1].
     """
-    if k < 0 or l < 0:
-        return 0
-    if n.value == 1:
-        return 1 if k == 0 and l == 0 else 0
-    if k == 0 or l == 0 or l > k or k > n.big_omega:
-        return 0
+    if not 0 < l <= k <= n.big_omega:
+        return 1 if k == l == 0 and n.value == 1 else 0
     key = (n.signature, k, l)
     hit = _FKL.get(key)
     if hit is not None:
@@ -510,12 +496,8 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
 def h_l(n: FactoredInt, l: int) -> BigCount:
     """Factorizations with exactly l different part values >= 2, same recursion
     shape as :func:`f_kl` without the part-count index."""
-    if l < 0:
-        return 0
-    if n.value == 1:
-        return 1 if l == 0 else 0
-    if l == 0 or l > n.big_omega:
-        return 0
+    if not 0 < l <= n.big_omega:
+        return 1 if l == 0 and n.value == 1 else 0
     key = (n.signature, l)
     hit = _HL.get(key)
     if hit is not None:

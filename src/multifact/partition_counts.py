@@ -69,21 +69,18 @@ def p_kl(n: int, k: int, l: int) -> BigCount:
     Computed by the triple-sum recursion
     n * p_{k,l}(n) = sum_{d=1..n} d * sum_{j=1..l} (-1)**(j+1)
                      * sum_{i=1..n//d} C(i, j) * p_{k-i, l-j}(n - i*d),
-    with boundary p_{k,l}(0) = [k == l == 0] and 0 for any negative index.
+    with the one boundary rule: outside 0 < l <= k <= n and l(l+1)/2 <= n,
+    p_{k,l}(n) = [n == k == l == 0].
 
-    The loops skip every sub-state p_{k',l'}(m) that the guards below return
+    The loops skip every sub-state p_{k',l'}(m) that the guard below returns
     as 0, so the sum is the same.  With l' = l - j: at l' = 0 only d*k = n,
     i = k is left, and it adds C(k, j); at l' >= 1, i runs up to
     min(k - l', (n - l'(l'+1)/2) // d), and to (n - k) // (d - 1) when d > 1,
     so d stops where that bound drops below i = j.  A sub-state already in
     the memo is read from it without a call.
     """
-    if n < 0 or k < 0 or l < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 and l == 0 else 0
-    if k == 0 or l == 0 or k > n or l > k or l * (l + 1) > 2 * n:
-        return 0
+    if not 0 < l <= k <= n or l * (l + 1) > 2 * n:
+        return 1 if n == k == l == 0 else 0
     key = (n, k, l)
     hit = _P_KL.get(key)
     if hit is not None:
@@ -119,12 +116,8 @@ def r_l(n: int, l: int) -> BigCount:
     l' = l - j = 0 only i = n/d with d | n is left, and it adds C(n/d, j);
     at l' >= 1, i <= (n - l'(l'+1)/2) // d.  Memo hits are read inline.
     """
-    if n < 0 or l < 0:
-        return 0
-    if n == 0:
-        return 1 if l == 0 else 0
-    if l == 0 or l * (l + 1) > 2 * n:
-        return 0
+    if l <= 0 or l * (l + 1) > 2 * n:
+        return 1 if n == l == 0 else 0
     key = (n, l)
     hit = _R_L.get(key)
     if hit is not None:
@@ -169,12 +162,8 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     """
     if j < 1:
         raise ValueError(f"r_lj requires j >= 1, got {j}")
-    if n < 0 or l < 0:
-        return 0
-    if l == 0:
-        return 1 if n == 0 else 0
-    if j * l > n:
-        return 0
+    if l <= 0 or j * l > n:
+        return 1 if n == l == 0 else 0
     key = (n, l, j)
     hit = _R_LJ.get(key)
     if hit is not None:

@@ -44,6 +44,64 @@ def test_compute_F_k_at_unit(capsys):
                 assert row(fi, k, l) == want, (function, method, k, l)
 
 
+# the routes that hold the paper's boundary, each with the unit of its side
+_FACTOR_SIDE_ROUTES = ("f_k_rec", "g_k_rec", "f_k_kappa", "g_k_kappa", "fedorov_F",
+                       "f_kl", "h_l")
+_PARTITION_SIDE_ROUTES = ("p_kl", "r_l", "r_lj")
+
+
+def _outside_the_range(route, n):
+    """Index tuples outside a route's range at n: an index of -1, of 0, past
+    Omega(n) (past n for p_kl), l > k, l(l+1) > 2n and j*l > n.  r_lj's
+    last index is j."""
+    if route == "fedorov_F":  # F_k is F_Omega past Omega, so only k <= 0
+        return [(-1,), (0,)]
+    if route == "f_kl":
+        top = n.big_omega
+        return [(-1, 0), (0, -1), (0, 0), (1, 0), (top + 1, 1), (top + 1, top + 1),
+                (1, 2), (top, top + 1)]
+    if route in _FACTOR_SIDE_ROUTES:
+        return [(-1,), (0,), (n.big_omega + 1,)]
+    wide = 1  # the least l with l(l+1) > 2n
+    while wide * (wide + 1) <= 2 * n:
+        wide += 1
+    if route == "p_kl":
+        return [(-1, 0), (0, -1), (0, 0), (1, 0), (n + 1, 1), (1, 2), (max(n, wide), wide)]
+    if route == "r_l":
+        return [(-1,), (0,), (wide,)]
+    return [(-1, 1), (0, 1), (0, 3), (n // 2 + 1, 2), (n + 1, 1)]
+
+
+def _memo_sizes():
+    return {(module.__name__, name): len(table)
+            for module in (counting, partition_counts)
+            for name, table in vars(module).items()
+            if isinstance(table, dict) and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("route", _FACTOR_SIDE_ROUTES + _PARTITION_SIDE_ROUTES)
+def test_routes_outside_their_range_follow_one_rule(route):
+    # a count is 1 when every index is 0 at the unit (n = 1 on the factor side,
+    # n = 0 on the partition side) and 0 at every other index outside the
+    # recursion's range, and such a call reaches no memo
+    counting.clear_caches()
+    partition_counts.clear_caches()
+    before = _memo_sizes()
+    if route in _FACTOR_SIDE_ROUTES:
+        fn, unit = getattr(counting, route), 1
+        sides = [cli.factorize(n) for n in (1, 2, 36, 2**6 * 3**4 * 5**2)]
+    else:
+        fn, unit = getattr(partition_counts, route), 0
+        sides = [-1, 0, 5, 12]
+    for n in sides:
+        at_unit = (n.value if route in _FACTOR_SIDE_ROUTES else n) == unit
+        for indices in _outside_the_range(route, n):
+            counts = indices[:-1] if route == "r_lj" else indices
+            want = 1 if at_unit and not any(counts) else 0
+            assert fn(n, *indices) == want, (route, n, indices)
+    assert _memo_sizes() == before
+
+
 def test_compute_all_methods_text(capsys):
     code, out, _ = run(capsys, "compute", "f", "36", "--all-methods")
     assert code == 0
@@ -290,6 +348,7 @@ def test_verify_oracle_reads_the_partition_read_table(capsys, monkeypatch, funct
 def test_partition_oracle_routes_read_the_partition_read_table():
     assert cli._ORACLE_READS["p_kl"] is cli._ORACLE_READS["f_kl"]
     assert cli._ORACLE_READS["r_l"] is cli._ORACLE_READS["h_l"]
+    assert cli._ORACLE_READS["r_lj"] is cli._ORACLE_READS["h_l"]
     for n in range(0, 13):
         profile = oracle.partition_profile(n)
         for l in range(0, 5):
@@ -422,6 +481,13 @@ def test_bench_selected_methods(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("partition-sum")
     assert lines[2].startswith("fedorov")
+    # a method named twice is timed once
+    code, out, _ = run(capsys, "bench", "f", "36", "--method", "oracle",
+                       "--method", "oracle", "--repeat", "1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split()[:2] == ["oracle", "9"]
 
 
 def test_compute_all_methods_skips_the_oracle_over_its_budget(capsys, monkeypatch):
