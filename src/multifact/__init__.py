@@ -13,13 +13,12 @@ from .arith import (
     FactoredInt,
     IntegrityError,
     factorize,
-    prime_power,
     prime_signature,
-    primorial,
 )
 from .counting import (
     big_F,
     big_G,
+    canonical,
     f_k_kappa,
     f_k_rec,
     f_kl,
@@ -48,6 +47,7 @@ __all__ = [
     "bell",
     "big_F",
     "big_G",
+    "canonical",
     "check_identity",
     "compositions_of",
     "enumerate_factorizations",
@@ -65,9 +65,7 @@ __all__ = [
     "h_l",
     "mu_beta",
     "p_kl",
-    "prime_power",
     "prime_signature",
-    "primorial",
     "profile",
     "r_l",
     "r_lj",

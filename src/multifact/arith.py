@@ -29,9 +29,7 @@ __all__ = [
     "factorize",
     "first_primes",
     "kappa",
-    "prime_power",
     "prime_signature",
-    "primorial",
     "settle",
 ]
 
@@ -217,13 +215,6 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(n, tuple(factors))
 
 
-def prime_power(p: int, e: int) -> FactoredInt:
-    """Build p**e as a FactoredInt without factorizing the (possibly huge) value."""
-    if e == 0:
-        return FactoredInt(1, ())
-    return FactoredInt(p**e, ((p, e),))
-
-
 def prime_signature(fi: FactoredInt) -> tuple[int, ...]:
     """Exponent multiset, sorted nonincreasing.
 
@@ -246,17 +237,6 @@ def first_primes(count: int) -> list[int]:
             primes.append(m)
         m += 2
     return primes
-
-
-def primorial(n: int) -> FactoredInt:
-    """Product of the first n primes, each with exponent 1."""
-    if n < 0:
-        raise ValueError(f"primorial requires n >= 0, got {n}")
-    chosen = first_primes(n)
-    value = 1
-    for p in chosen:
-        value *= p
-    return FactoredInt(value, tuple((p, 1) for p in chosen))
 
 
 def kappa(pi: int, n: int) -> int:

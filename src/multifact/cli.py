@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import counting, oracle, partition_counts
-from .arith import FactoredInt, IntegrityError, factorize, prime_power
+from .arith import FactoredInt, IntegrityError, factorize
 from .oracle import OracleLimitError
 from .partition_counts import check_identity
 
@@ -193,9 +193,7 @@ def _within_budget(methods, route):
     return values, skipped
 
 
-def _clear_all_caches() -> None:
-    counting.clear_caches()
-    partition_counts.clear_caches()
+_clear_all_caches = counting.clear_caches
 
 
 # --------------------------------------------------------------------------
@@ -292,11 +290,11 @@ _RELATIONS = {
         "parts-floor-recursion":
             lambda n, k, l: _PARTITION_ROUTES[("r_lj", "recursion")](n, k, l, 1),
         "prime-power":
-            lambda n, k, l: _FACTOR_ROUTES[("h_l", "recursion")](prime_power(2, n), k, l),
+            lambda n, k, l: _FACTOR_ROUTES[("h_l", "recursion")](counting.canonical((n,)), k, l),
     },
     "p_kl": {
         "prime-power":
-            lambda n, k, l: _FACTOR_ROUTES[("f_kl", "recursion")](prime_power(2, n), k, l),
+            lambda n, k, l: _FACTOR_ROUTES[("f_kl", "recursion")](counting.canonical((n,)), k, l),
     },
 }
 

@@ -4,7 +4,9 @@ prime-exponent (kappa) recursions, and composition sums.
 
 All results are exact nonnegative integers.  Every function depends on n only
 through its prime signature, so every cache here is keyed on
-(n.signature, indices); that collapse is the main performance lever.
+(n.signature, indices); that collapse is the main performance lever.  Every
+memo here and in :mod:`multifact.partition_counts` is made by :func:`cache`,
+and one :func:`clear_caches` empties them all.
 
 The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): every divisor power d**i of n,
@@ -72,7 +74,7 @@ from .arith import (
     kappa,
     settle,
 )
-from .oracle import DEFAULT_MAX_FACTORIZATIONS, MAX_PARTITION_N, OracleLimitError
+from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError, _check_partition_n
 from .partitions import (
     compositions_of,
     mu_beta,
@@ -83,6 +85,7 @@ from .partitions import (
 __all__ = [
     "big_F",
     "big_G",
+    "cache",
     "canonical",
     "clear_caches",
     "f_k_kappa",
@@ -99,25 +102,33 @@ __all__ = [
 ]
 
 
-_F_SUM: dict = {}
-_G_SUM: dict = {}
-_FED: dict = {}
-_FK_REC: dict = {}
-_GK_REC: dict = {}
-_FK_KAP: dict = {}
-_GK_KAP: dict = {}
-_FKL: dict = {}
-_HL: dict = {}
-_CANONICAL: dict = {}
-_RESTS: dict = {}  # a reduction-table key, zeros last, to its canonical rest
-_TABLES: dict = {}
+_CACHES: list = []  # every memo of counting and partition_counts, by cache()
+
+
+def cache() -> dict:
+    """A new memo dict, registered so that :func:`clear_caches` empties it."""
+    _CACHES.append({})
+    return _CACHES[-1]
 
 
 def clear_caches() -> None:
-    """Drop all memo, reduction and canonical tables (benchmarks time cold runs)."""
-    for cache in (_F_SUM, _G_SUM, _FED, _FK_REC, _GK_REC, _FK_KAP, _GK_KAP, _FKL, _HL,
-                  _CANONICAL, _RESTS, _TABLES):
-        cache.clear()
+    """Empty every memo made by :func:`cache` (benchmarks time cold runs)."""
+    for memo in _CACHES:
+        memo.clear()
+
+
+_F_SUM = cache()
+_G_SUM = cache()
+_FED = cache()
+_FK_REC = cache()
+_GK_REC = cache()
+_FK_KAP = cache()
+_GK_KAP = cache()
+_FKL = cache()
+_HL = cache()
+_CANONICAL = cache()
+_RESTS = cache()  # a reduction-table key, zeros last, to its canonical rest
+_TABLES = cache()
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +232,7 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     def route(n: FactoredInt, k: int) -> BigCount:
         if k < 0:
             return 0
-        if k > MAX_PARTITION_N:
-            raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {k}")
+        _check_partition_n(k)
         if k > n.big_omega + signed:
             if signed:  # distinct parts take at most one part 1
                 return 0
@@ -294,10 +304,12 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 # reduction tables
 
 def canonical(sig: tuple[int, ...]) -> FactoredInt:
-    """The representative of a prime signature: the first primes, with the
-    largest exponent on 2.  Built and validated once per signature."""
+    """The representative of a nonincreasing prime signature: the first
+    primes, largest exponent on 2.  Built and validated once per signature."""
     fi = _CANONICAL.get(sig)
     if fi is None:
+        if list(sig) != sorted(sig, reverse=True):
+            raise ValueError(f"canonical requires a nonincreasing signature, got {sig}")
         factors = tuple(zip(first_primes(len(sig)), sig))
         fi = _CANONICAL[sig] = FactoredInt(prod(p**e for p, e in factors), factors)
     return fi

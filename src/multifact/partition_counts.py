@@ -9,16 +9,17 @@ The identities are the paper's relations at a squarefree n, where
 nu_beta(1) = beta_1 turns the partition sum into sum_beta beta_1**n / z_beta.
 Their right-hand sides are read from the shipped routes of
 :mod:`multifact.counting` (:func:`big_F`, :func:`big_G`, :func:`f_k_rec`,
-the last also summed over k by :func:`counting._k_sum`) at the primorial, so
-a wrong route fails them; this module keeps no copy of those sums.
+the last also summed over k by :func:`counting._k_sum`) at the primorial
+canonical((1,) * n), so a wrong route fails them; this module keeps no copy
+of those sums.  Its memos are made by :func:`counting.cache`.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .arith import BigCount, primorial, settle
-from .counting import _k_sum, big_F, big_G, f_k_rec
+from .arith import BigCount, settle
+from .counting import _k_sum, big_F, big_G, cache, canonical, clear_caches, f_k_rec
 from .oracle import enumerate_partitions
 from .partitions import centralizer_order, compositions_of, multiplicity_vector, prefix_product
 
@@ -47,20 +48,10 @@ class IdentityReport:
     passed: bool
 
 
-_P_KL: dict[tuple[int, int, int], int] = {}
-_R_L: dict[tuple[int, int], int] = {}
-_R_LJ: dict[tuple[int, int, int], int] = {}
-
-# the last Stirling row computed: S(n, 0..n) for n = len - 1
-_stirling_row: list[int] = [1]
-
-
-def clear_caches() -> None:
-    global _stirling_row
-    _P_KL.clear()
-    _R_L.clear()
-    _R_LJ.clear()
-    _stirling_row = [1]
+_P_KL = cache()
+_R_L = cache()
+_R_LJ = cache()
+_STIRLING = cache()  # "row": the last Stirling row, S(n, 0..n) for n = len - 1
 
 
 def p_kl(n: int, k: int, l: int) -> BigCount:
@@ -205,12 +196,12 @@ def stirling2(n: int, k: int) -> BigCount:
 
 def _stirling_row_at(n: int) -> list[int]:
     """S(n, 0..n), from the kept row when it is not past n."""
-    global _stirling_row
-    row = _stirling_row if len(_stirling_row) <= n + 1 else [1]
+    row = _STIRLING.get("row", [1])
+    row = row if len(row) <= n + 1 else [1]
     while len(row) <= n:
         m = len(row)
         row = [0, *(i * row[i] + row[i - 1] for i in range(1, m)), row[m - 1]]
-    _stirling_row = row
+    _STIRLING["row"] = row
     return row
 
 
@@ -236,18 +227,18 @@ def _composition_aggregate(n: int) -> int:
 # that verify checks it at); verify runs them in this order
 _IDENTITY_TABLE = {
     "bell-partition-sum": (lambda n, k: bell(n),
-                           lambda n, k: big_F(primorial(n), n), False, 20),
+                           lambda n, k: big_F(canonical((1,) * n), n), False, 20),
     "stirling-partial-sum": (lambda n, k: sum(stirling2(n, i) for i in range(1, k + 1)),
-                             lambda n, k: big_F(primorial(n), k), True, 20),
+                             lambda n, k: big_F(canonical((1,) * n), k), True, 20),
     "choose2-plus-one": (lambda n, k: comb(n, 2) + 1,
-                         lambda n, k: big_G(primorial(n), n), False, 20),
+                         lambda n, k: big_G(canonical((1,) * n), n), False, 20),
     "stirling-adjacent-sum": (lambda n, k: stirling2(n, k) + stirling2(n, k - 1),
-                              lambda n, k: big_G(primorial(n), k), True, 20),
+                              lambda n, k: big_G(canonical((1,) * n), k), True, 20),
     "composition-aggregate": (lambda n, k: _composition_aggregate(n),
                               lambda n, k: sum(1 for _ in enumerate_partitions(n)), False, 12),
-    "primorial-stirling": (lambda n, k: f_k_rec(primorial(n), k),
+    "primorial-stirling": (lambda n, k: f_k_rec(canonical((1,) * n), k),
                            lambda n, k: stirling2(n, k), True, 10),
-    "primorial-bell": (lambda n, k: _k_sum(f_k_rec, primorial(n), n),
+    "primorial-bell": (lambda n, k: _k_sum(f_k_rec, canonical((1,) * n), n),
                        lambda n, k: bell(n), False, 10),
 }
 
@@ -257,7 +248,7 @@ IDENTITIES = tuple(_IDENTITY_TABLE)
 def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
     """Evaluate both sides of one named identity with exact arithmetic.
 
-    With P = primorial(n), the product of the first n primes:
+    With P = canonical((1,) * n), the product of the first n primes:
 
     - ``bell-partition-sum``: B_n  ==  big_F(P, n)
     - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  big_F(P, k)

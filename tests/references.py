@@ -14,6 +14,12 @@ from multifact.oracle import enumerate_partitions
 from multifact.partitions import centralizer_order, euler_transform, multiplicity_vector
 
 
+def prime_power(p: int, e: int) -> FactoredInt:
+    """p**e for a prime p, built from its factorization; the library builds
+    an n from its signature only, which puts the largest exponent on 2."""
+    return FactoredInt(p**e, ((p, e),) if e else ())
+
+
 def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredInt]]:
     """All triples (d, i, n / d**i) with d >= 2, i >= 1 and d**i dividing n,
     n / d**i factored, sorted by d, then i.

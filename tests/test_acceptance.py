@@ -14,10 +14,11 @@ from collections import Counter
 from math import factorial
 
 from multifact import cli, counting, oracle, partition_counts
-from multifact.arith import IntegrityError, factorize, prime_power, primorial
+from multifact.arith import IntegrityError, factorize
 from multifact.counting import (
     big_F,
     big_G,
+    canonical,
     f_k_kappa,
     f_k_rec,
     f_kl,
@@ -38,7 +39,7 @@ from multifact.partitions import (
     multiplicity_vector,
     prefix_product,
 )
-from references import colored_partition_count
+from references import colored_partition_count, prime_power
 
 
 def _report(criterion: str, started: float) -> float:
@@ -177,7 +178,7 @@ def test_criterion_06_primorial_identities():
     run in milliseconds."""
     t0 = time.perf_counter()
     for n in range(0, 11):
-        P = primorial(n)
+        P = canonical((1,) * n)
         for k in range(0, n + 1):
             s = stirling2(n, k)
             assert f_k_rec(P, k) == s, (n, k)
@@ -280,7 +281,7 @@ def test_criterion_10_integrality_sentinels_never_fire():
     fired = []
     try:
         for n in list(range(2, 301)) + [720, 1024, 1800, 6469693230]:
-            fi = factorize(n) if n < 10**6 else primorial(10)
+            fi = factorize(n) if n < 10**6 else canonical((1,) * 10)
             om = fi.big_omega
             for k in range(0, om + 3):
                 big_F(fi, k), big_G(fi, k), fedorov_F(fi, k)

@@ -16,11 +16,10 @@ from multifact.arith import (
     factorize,
     first_primes,
     kappa,
-    prime_power,
     prime_signature,
-    primorial,
     settle,
 )
+from multifact.counting import canonical
 from references import divisor_power_reductions, trial_factorize
 
 
@@ -144,23 +143,16 @@ def test_prime_signature():
     assert prime_signature(factorize(1)) == ()
 
 
-def test_prime_power_skips_factorization():
-    fi = prime_power(3, 40)  # value far beyond trial-division comfort
-    assert fi.value == 3**40
-    assert fi.factors == ((3, 40),)
-    assert prime_power(7, 0).value == 1
-
-
 def test_primorial_values():
-    assert primorial(3).value == 30
-    assert primorial(0).value == 1
-    assert primorial(5).value == 2310
-    assert primorial(10).value == 6469693230
+    assert canonical((1,) * 3).value == 30
+    assert canonical((1,) * 0).value == 1
+    assert canonical((1,) * 5).value == 2310
+    assert canonical((1,) * 10).value == 6469693230
 
 
 def test_primorial_signature_all_ones():
     for n in range(0, 12):
-        assert prime_signature(primorial(n)) == (1,) * n
+        assert prime_signature(canonical((1,) * n)) == (1,) * n
 
 
 def _pairs(fi):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import readme_library
 from multifact import cli, counting, oracle, partition_counts
 from test_counting import plant_off_by_one_entry
 
@@ -762,3 +763,8 @@ def test_readme_cli_examples_run(capsys, line):
     comment = comment.strip()
     if comment.startswith("->"):
         assert out == comment[2:].strip() + "\n"
+
+
+def test_readme_library_values_hold():
+    # the same check runs as a script on every interpreter the CI job covers
+    assert [value for _, value in readme_library.check()] == [52, 20, 20, 3, 15, 46, 52]

@@ -16,14 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from multifact import cli, counting, oracle, partitions
+from multifact import cli, counting, oracle, partition_counts, partitions
 from multifact.arith import (
     FactoredInt,
     IntegrityError,
     factorize,
     first_primes,
     kappa,
-    prime_power,
     prime_signature,
 )
 from multifact.counting import (
@@ -324,7 +323,7 @@ def test_recursion_integrity_check_fires_on_an_off_by_one_table_entry(
         monkeypatch, route, indices, i, rest, message):
     plant_off_by_one_entry(monkeypatch, i, rest)
     with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
-        route(prime_power(2, 2), *indices)
+        route(canonical((2,)), *indices)
 
 
 @pytest.mark.parametrize("route, k, items", [
@@ -413,7 +412,7 @@ def test_recursions_take_one_frame_per_level(route, expected):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 250)
     try:
-        assert route(prime_power(2, 200), 200) == expected
+        assert route(canonical((200,)), 200) == expected
     finally:
         sys.setrecursionlimit(limit)
         counting.clear_caches()
@@ -586,10 +585,33 @@ def test_reduction_table_matches_the_references_on_random_signatures(sig):
 
 
 def test_clear_caches_drops_the_tables():
-    reduction_table((3, 1))
-    assert counting._TABLES and counting._CANONICAL and counting._RESTS
+    # every memo of counting and partition_counts is made by counting.cache(),
+    # so one clear_caches empties all of them, the last Stirling row included
     counting.clear_caches()
-    assert not counting._TABLES and not counting._CANONICAL and not counting._RESTS
+    fi = factorize(36)
+    for key, row in cli._FACTOR_ROUTES.items():
+        if key[1] != "oracle":
+            row(fi, 2, 2)
+    pc = partition_counts
+    pc.p_kl(10, 3, 2), pc.r_l(10, 2), pc.r_lj(10, 2, 1), pc.bell(40)
+    assert pc.check_identity("primorial-stirling", 6, 3).passed
+    memos = [value for module in (counting, pc)
+             for name, value in vars(module).items()
+             if isinstance(value, dict) and not name.startswith("__") and name != "_IDENTITY_TABLE"]
+    assert len(memos) == 16 and all(memos)
+    assert sorted(map(id, counting._CACHES)) == sorted(map(id, memos))
+    counting.clear_caches()
+    assert not any(memos)
+
+
+def test_canonical_builds_a_sorted_signature_and_refuses_any_other():
+    counting.clear_caches()
+    fi = canonical((40,))  # 2**40 with no factoring
+    assert fi.value == 2**40 and fi.factors == ((2, 40),)
+    assert canonical((2, 1)).value == 12 and canonical(factorize(75).signature) is canonical((2, 1))
+    with pytest.raises(ValueError, match=re.escape("nonincreasing signature, got (1, 2)")):
+        canonical((1, 2))
+    assert (1, 2) not in counting._CANONICAL
 
 
 # ---------------------------------------------------------------- conversions
@@ -766,7 +788,7 @@ def test_the_partition_sums_keep_no_memo_key_past_omega():
 def test_f_kl_on_prime_powers():
     # partitions of 6 with 3 parts and 2 distinct values: (4,1,1), (2,2,2)
     # has one of each shape -> check against direct enumeration
-    fi = prime_power(2, 6)
+    fi = canonical((6,))
     pp = oracle.partition_profile(6)
     for k in range(1, 7):
         for l in range(1, k + 1):

@@ -9,7 +9,8 @@ import pytest
 import references
 
 from multifact import cli, counting, oracle, partition_counts
-from multifact.arith import IntegrityError, prime_power, primorial
+from multifact.arith import IntegrityError
+from multifact.counting import canonical
 from multifact.partition_counts import (
     IDENTITIES,
     bell,
@@ -61,9 +62,9 @@ def test_stirling_values():
 def test_stirling_keeps_one_row_and_rebuilds_it_for_a_smaller_n():
     partition_counts.clear_caches()
     assert bell(40) == 157450588391204931289324344702531067
-    assert len(partition_counts._stirling_row) == 41  # S(40, 0..40) only
+    assert len(partition_counts._STIRLING["row"]) == 41  # S(40, 0..40) only
     assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
-    assert len(partition_counts._stirling_row) == 6
+    assert len(partition_counts._STIRLING["row"]) == 6
     # S(n, k) = sum_i (-1)**i C(k, i) (k - i)**n / k!
     explicit = sum((-1) ** i * comb(20, i) * (20 - i) ** 40 for i in range(21))
     assert stirling2(40, 20) == explicit // factorial(20)
@@ -143,7 +144,7 @@ def test_p_kl_sums_to_fixed_part_count():
 def test_specialization_to_prime_powers():
     for n in range(1, 26):
         for pi in (2, 3):
-            fi = prime_power(pi, n)
+            fi = references.prime_power(pi, n)
             for l in range(1, 8):
                 assert r_l(n, l) == counting.h_l(fi, l)
             for k in range(1, n + 1):
@@ -153,7 +154,7 @@ def test_specialization_to_prime_powers():
 
 def test_primorial_evaluations():
     for n in range(0, 9):
-        P = primorial(n)
+        P = canonical((1,) * n)
         for k in range(0, n + 1):
             assert counting.f_k_rec(P, k) == stirling2(n, k)
             assert counting.g_k_rec(P, k) == stirling2(n, k)
