@@ -1,5 +1,5 @@
-"""Exact arithmetic base layer: prime factorization, divisor machinery and the
-scalar types shared by every counting routine.
+"""Exact arithmetic base layer: prime factorization, prime exponents, the
+checked exact division and the scalar types shared by every counting routine.
 
 ``factorize`` uses no table that grows with n: trial division by the primes
 below 2**10, a deterministic Miller-Rabin test and Pollard-Brent rho.

@@ -9,9 +9,10 @@ one enumeration of n, its factorizations or its partitions (r_lj's, those
 into parts >= j), through the one read table ``_ORACLE_READS``; both count
 by (parts, distinct values), so p_kl reads as f_kl does and r_l and r_lj as
 h_l does.  ``verify`` reads every value it compares from these three tables,
-``_RELATIONS`` or ``check_identity``, and leaves out a route over its budget
-as ``compute --all-methods`` does, and in the oracle suite a side of n whose
-enumeration is over its budget.  The function lists, each function's methods in order
+``_RELATIONS`` or ``check_identity``, at every n from 1 and every index from
+0 in both suites; it leaves out a route over its budget as ``compute
+--all-methods`` does, and in the oracle suite a side of n whose enumeration
+is over its budget.  The function lists, each function's methods in order
 (the first is its default) and the ``--method`` choices derive from the
 route tables; ``NEEDS`` holds each function's indices.
 
@@ -259,26 +260,26 @@ def cmd_bfile(args) -> int:
 #
 # Each check is (function, n, k, l, values), values mapping a method, a
 # relation or an identity's side to its value; a check fails when the values
-# disagree.  A grid yields the points (function, k, l) of one side at n; its
-# first k (and l) is 0 for the routes suite and 1 for the oracle suite.
+# disagree.  A grid yields the points (function, k, l) of one side at n, every
+# index from 0, so both suites check each route's own boundary as well.
 
-def _factor_grid(fi: FactoredInt, first: int):
+def _factor_grid(fi: FactoredInt):
     yield "f", None, None
     yield "g", None, None
-    for k in range(first, fi.big_omega + 3):
-        for function in ("f_k", "g_k", "F_k", "G_k") if k else ("f_k", "g_k", "F_k"):
+    for k in range(fi.big_omega + 3):
+        for function in ("f_k", "g_k", "F_k", "G_k"):
             yield function, k, None
-        for l in range(1, k + 1):
+        for l in range(k + 1):
             yield "f_kl", k, l
-    for l in range(first, fi.big_omega + 2):
+    for l in range(fi.big_omega + 2):
         yield "h_l", None, l
 
 
-def _partition_grid(n: int, first: int):
-    for l in range(first, 9):
+def _partition_grid(n: int):
+    for l in range(9):
         yield "r_l", None, l
-    for k in range(1, n + 1):
-        for l in range(1, min(k, 8) + 1):
+    for k in range(n + 1):
+        for l in range(min(k, 8) + 1):
             yield "p_kl", k, l
 
 
@@ -301,7 +302,7 @@ _RELATIONS = {
 
 def _checks(suite: str, n: int):
     """Yield one suite's checks at n: each identity up to its own largest n,
-    the factorization side from n = 2 and the partition side up to n = 40,
+    the factorization side at every n and the partition side up to n = 40,
     the oracle suite leaving out a side whose enumeration is over budget."""
     if suite == "identities":
         for identity, (_, _, k_indexed, top) in partition_counts._IDENTITY_TABLE.items():
@@ -311,14 +312,11 @@ def _checks(suite: str, n: int):
                 rep = check_identity(identity, n, k)
                 yield identity, n, k, None, {"lhs": rep.lhs, "rhs": rep.rhs}
         return
-    first = 0 if suite == "routes" else 1
-    sides = []  # (grid, route(key, k, l), oracle enumeration)
-    if n >= 2:
-        fi = factorize(n)
-        sides.append((_factor_grid(fi, first),
-                      lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l), oracle.profile))
+    fi = factorize(n)
+    sides = [(_factor_grid(fi), lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
+              oracle.profile)]  # (grid, route(key, k, l), oracle enumeration)
     if n <= 40:
-        sides.append((_partition_grid(n, first),
+        sides.append((_partition_grid(n),
                       lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
                       oracle.partition_profile))
     for grid, route, enumerate_n in sides:

@@ -224,19 +224,19 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
     weight, with their nu, from one pass of :func:`_colored_classes`, never
     from :func:`partitions.euler_transform`,
     so this route and :func:`fedorov_F` get nu by different algorithms.  The
-    final division goes through :func:`arith.settle`.  A k past the oracle's
-    budget of partitions (:data:`oracle.MAX_PARTITION_N`) raises
-    :class:`OracleLimitError` before any work; any smaller k past Omega(n) is
-    read as Omega(n), or gives 0 past Omega(n) + 1 when `signed`."""
+    final division goes through :func:`arith.settle`.  A k past Omega(n) is
+    read as Omega(n), or gives 0 past Omega(n) + 1 when `signed`; only then is
+    the k left to walk checked against the oracle's budget of partitions
+    (:data:`oracle.MAX_PARTITION_N`), and one past it raises
+    :class:`OracleLimitError` before any work."""
 
     def route(n: FactoredInt, k: int) -> BigCount:
-        if k < 0:
+        # distinct parts take at most one part 1, and parts 1 pad a
+        # factorization out to any k
+        if k < 0 or signed and k > n.big_omega + 1:
             return 0
+        k = min(k, n.big_omega + signed)
         _check_partition_n(k)
-        if k > n.big_omega + signed:
-            if signed:  # distinct parts take at most one part 1
-                return 0
-            k = n.big_omega  # parts 1 pad a factorization out to any k
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -545,14 +545,9 @@ def _k_sum(route, n: FactoredInt, k: int) -> BigCount:
 
 
 def g_from_G(n: FactoredInt, k: int) -> BigCount:
-    """g_k recovered as the alternating sum of G_k, ..., G_0.  G_k comes first,
-    so a k past partition-sum's budget is refused before any other term;
-    G_i(n) is 0 for Omega(n) + 1 < i < k, so those are left out."""
-    total = big_G(n, k)
-    for i in range(min(k - 1, n.big_omega + 1), -1, -1):
-        term = big_G(n, i)
-        total += term if (k - i) % 2 == 0 else -term
-    return total
+    """g_k recovered as the alternating sum G_k - G_{k-1} + ... +- G_0;
+    G_i(n) is 0 past Omega(n) + 1, so the sum stops there."""
+    return sum((-1) ** (k - i) * big_G(n, i) for i in range(min(k, n.big_omega + 1), -1, -1))
 
 
 def f_total(n: FactoredInt) -> BigCount:

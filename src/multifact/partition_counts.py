@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .arith import BigCount, settle
-from .counting import _k_sum, big_F, big_G, cache, canonical, clear_caches, f_k_rec
+from .counting import _k_sum, big_F, big_G, cache, canonical, f_k_rec
 from .oracle import enumerate_partitions
 from .partitions import centralizer_order, compositions_of, multiplicity_vector, prefix_product
 
@@ -28,7 +28,6 @@ __all__ = [
     "IdentityReport",
     "bell",
     "check_identity",
-    "clear_caches",
     "p_kl",
     "r_l",
     "r_lj",
@@ -206,10 +205,8 @@ def _stirling_row_at(n: int) -> list[int]:
 
 
 def bell(n: int) -> BigCount:
-    """Bell number: total set partitions of n labeled items."""
-    if n < 0:
-        raise ValueError(f"bell requires n >= 0, got {n}")
-    return sum(_stirling_row_at(n))
+    """Bell number: total set partitions of n labeled items; 0 for n < 0."""
+    return sum(_stirling_row_at(n)) if n >= 0 else 0
 
 
 def _composition_aggregate(n: int) -> int:

@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from math import factorial
 
-from multifact import cli, counting, oracle, partition_counts
+from multifact import cli, counting, oracle
 from multifact.arith import IntegrityError, factorize
 from multifact.counting import (
     big_F,
@@ -50,7 +50,6 @@ def _report(criterion: str, started: float) -> float:
 
 def _clear_all():
     counting.clear_caches()
-    partition_counts.clear_caches()
 
 
 def test_criterion_01_worked_example_every_route():

@@ -48,15 +48,19 @@ def test_compute_F_k_at_unit(capsys):
 # the routes that hold the paper's boundary, each with the unit of its side
 _FACTOR_SIDE_ROUTES = ("f_k_rec", "g_k_rec", "f_k_kappa", "g_k_kappa", "fedorov_F",
                        "f_kl", "h_l")
-_PARTITION_SIDE_ROUTES = ("p_kl", "r_l", "r_lj")
+_PARTITION_SIDE_ROUTES = ("p_kl", "r_l", "r_lj", "stirling2", "bell")
 
 
 def _outside_the_range(route, n):
     """Index tuples outside a route's range at n: an index of -1, of 0, past
-    Omega(n) (past n for p_kl), l > k, l(l+1) > 2n and j*l > n.  r_lj's
-    last index is j."""
+    Omega(n) (past n for p_kl and stirling2), l > k, l(l+1) > 2n and j*l > n,
+    and for bell the empty tuple at n < 0.  r_lj's last index is j."""
     if route == "fedorov_F":  # F_k is F_Omega past Omega, so only k <= 0
         return [(-1,), (0,)]
+    if route == "stirling2":  # S(n, k) needs 0 <= k <= n
+        return [(-1,), (n + 1,)]
+    if route == "bell":  # B_n needs n >= 0
+        return [()] if n < 0 else []
     if route == "f_kl":
         top = n.big_omega
         return [(-1, 0), (0, -1), (0, 0), (1, 0), (top + 1, 1), (top + 1, top + 1),
@@ -86,7 +90,6 @@ def test_routes_outside_their_range_follow_one_rule(route):
     # n = 0 on the partition side) and 0 at every other index outside the
     # recursion's range, and such a call reaches no memo
     counting.clear_caches()
-    partition_counts.clear_caches()
     before = _memo_sizes()
     if route in _FACTOR_SIDE_ROUTES:
         fn, unit = getattr(counting, route), 1
@@ -232,9 +235,9 @@ def test_verify_check_counts_are_pinned(capsys):
     code, out, err = run(capsys, "verify", "--max", "60")
     assert (code, err) == (0, "")
     assert out == (
-        "routes: 7155/7155 pass\n"
+        "routes: 8088/8088 pass\n"
         "identities: 537/537 pass\n"
-        "oracle: 7825/7825 pass\n"
+        "oracle: 9352/9352 pass\n"
     )
 
 
@@ -540,45 +543,42 @@ def test_partition_oracle_refuses_past_its_budget_with_one_line(capsys, within_a
                                     "consistent: 1 methods agree"]
 
 
-def test_fedorov_and_partition_sum_refuse_past_the_budget_with_one_line(capsys,
-                                                                       within_a_second):
-    for method, items, k in (("fedorov", "compositions", "40"),
-                             ("partition-sum", "partitions", "61")):
-        code, out, err = run(capsys, "compute", "F_k", "2", "--k", k, "--method", method)
-        assert (code, out, err) == (2, "", f"error: more than 1000000 {items} of {k}\n")
+def test_fedorov_refuses_past_the_budget_with_one_line_and_partition_sum_answers(
+        capsys, within_a_second):
+    code, out, err = run(capsys, "compute", "F_k", "2", "--k", "40", "--method", "fedorov")
+    assert (code, out, err) == (2, "", "error: more than 1000000 compositions of 40\n")
+    # partition-sum reads k = 61 as Omega(2) = 1 and walks one partition
+    assert run(capsys, "compute", "F_k", "2", "--k", "61", "--method", "partition-sum") == (
+        0, "1\n", "")
     code, out, err = run(capsys, "compute", "F_k", "2", "--k", "61", "--all-methods")
     assert (code, err) == (0, "")
     assert out.splitlines() == [
-        "recursion 1", "kappa-recursion 1", "oracle 1",
-        "partition-sum skipped: more than 1000000 partitions of 61",
+        "partition-sum 1", "recursion 1", "kappa-recursion 1", "oracle 1",
         "fedorov skipped: more than 1000000 compositions of 61",
-        "consistent: 3 methods agree",
+        "consistent: 4 methods agree",
     ]
-    # the default route of F_k is partition-sum, so bfile stops before its first line
-    code, out, err = run(capsys, "bfile", "F_k", "--max", "5", "--k", "61")
-    assert (code, out) == (2, "")
-    assert err == "error: more than 1000000 partitions of 61\n"
+    # the default route of F_k is partition-sum
+    assert run(capsys, "bfile", "F_k", "--max", "5", "--k", "61") == (
+        0, "2 1\n3 1\n4 2\n5 1\n", "offset 2\n")
 
 
-def test_g_k_by_partition_sum_refuses_past_the_budget_before_any_sum(capsys,
-                                                                   within_a_second):
-    code, out, err = run(capsys, "compute", "g_k", "2", "--k", "61",
-                         "--method", "partition-sum")
-    assert (code, out, err) == (2, "", "error: more than 1000000 partitions of 61\n")
+def test_g_k_by_partition_sum_answers_a_k_past_the_budget_at_once(capsys, within_a_second):
+    # G_i(2) is 0 past Omega(2) + 1 = 2, so the sum stops there
+    assert run(capsys, "compute", "g_k", "2", "--k", "61", "--method", "partition-sum") == (
+        0, "0\n", "")
     code, out, err = run(capsys, "compute", "g_k", "2", "--k", "61", "--all-methods")
     assert (code, err) == (0, "")
     assert out.splitlines() == [
-        "recursion 0", "kappa-recursion 0", "oracle 0",
-        "partition-sum skipped: more than 1000000 partitions of 61",
-        "consistent: 3 methods agree",
+        "recursion 0", "partition-sum 0", "kappa-recursion 0", "oracle 0",
+        "consistent: 4 methods agree",
     ]
 
 
 @pytest.mark.parametrize("k", [cli.factorize(36).big_omega + 65, 10**30])
 def test_a_k_past_omega_gets_its_exact_value_or_the_route_refusal(capsys, within_a_second, k):
-    # past Omega + 1 no count changes with k: F_k stays at f = 9, the others are 0
-    refusals = {"partition-sum": f"more than 1000000 partitions of {k}",
-                "fedorov": f"more than 1000000 compositions of {k}"}
+    # past Omega + 1 no count changes with k: F_k stays at f = 9, the others are
+    # 0; only fedorov, which walks every k, refuses
+    refusals = {"fedorov": f"more than 1000000 compositions of {k}"}
     for function in ("f_k", "g_k", "F_k", "G_k", "f_kl"):
         query = ("compute", function, "36", "--k", str(k),
                  *(("--l", "1") if function == "f_kl" else ()))

@@ -41,6 +41,7 @@ from multifact.counting import (
     h_l,
     reduction_table,
 )
+from multifact.partition_counts import stirling2
 from multifact.partitions import (
     centralizer_order,
     euler_transform,
@@ -334,17 +335,22 @@ def test_recursion_integrity_check_fires_on_an_off_by_one_table_entry(
 ])
 def test_formula_routes_refuse_past_the_oracle_budget_at_once(route, k, items,
                                                               within_a_second):
+    # on the product of the first 61 primes, Omega = 61, so the partition
+    # sums walk k itself
     counting.clear_caches()
     message = f"^more than {oracle.DEFAULT_MAX_FACTORIZATIONS} {items} of {k}$"
     with pytest.raises(oracle.OracleLimitError, match=message):
-        route(FI36, k)
+        route(canonical((1,) * 61), k)
 
 
 def test_formula_routes_answer_at_the_last_k_within_the_oracle_budget():
-    # 2**19 compositions of 20 and p(60) = 966467 partitions of 60
+    # 2**19 compositions of 20, and p(60) = 966467 partitions of 60, walked on
+    # the product of the first 61 primes with its parts past 1 in one block
     counting.clear_caches()
     assert fedorov_F(FI1, 20) == 1
-    assert big_F(FI1, 60) == 1
+    P = canonical((1,) * 61)
+    assert big_F(P, 60) == sum(stirling2(61, i) for i in range(61))
+    assert big_G(P, 60) == stirling2(61, 60) + stirling2(61, 59)
 
 
 # ---------------------------------------------------------------- recursions
@@ -628,13 +634,13 @@ def test_g_from_G():
 
 
 def test_g_from_G_reads_no_G_past_omega_plus_one(monkeypatch):
-    # G_45 first, for the budget check, then G_11 down to G_0, all from the route
+    # G_0 to G_11, each once and all from the route, and nothing past them
     calls = []
     real = counting.big_G
     monkeypatch.setattr(counting, "big_G", lambda n, k: calls.append(k) or real(n, k))
     fi = factorize(1024)
     assert g_from_G(fi, 45) == 0
-    assert calls == [45, *range(fi.big_omega + 1, -1, -1)]
+    assert sorted(calls) == list(range(fi.big_omega + 2))
 
 
 def test_g_from_G_equals_the_recursion_past_omega():

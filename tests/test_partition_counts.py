@@ -60,7 +60,7 @@ def test_stirling_values():
 
 
 def test_stirling_keeps_one_row_and_rebuilds_it_for_a_smaller_n():
-    partition_counts.clear_caches()
+    counting.clear_caches()
     assert bell(40) == 157450588391204931289324344702531067
     assert len(partition_counts._STIRLING["row"]) == 41  # S(40, 0..40) only
     assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
@@ -227,11 +227,11 @@ def test_partition_power_sum_integrity_check_fires(monkeypatch):
 def test_partition_recursion_integrity_check_fires_on_an_off_by_one_sub_state(
         monkeypatch, memo, planted, route, args, message):
     # the sub-state is one more than its count: p_{1,1}(2) = 1, r_1(2) = 2
-    partition_counts.clear_caches()
+    counting.clear_caches()
     monkeypatch.setitem(getattr(partition_counts, memo), *planted)
     with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
         route(*args)
-    partition_counts.clear_caches()
+    counting.clear_caches()
 
 
 def test_check_identity_validation():
@@ -290,32 +290,32 @@ def test_recursions_from_an_empty_memo_match_the_references(name, grid_reference
     top_n = P_KL_COLD_N if name == "p_kl" else GRID_N
     for (fname, n, *rest), expected in grid_reference.items():
         if fname == name and n <= top_n:
-            partition_counts.clear_caches()
+            counting.clear_caches()
             assert function(n, *rest) == expected, (name, n, *rest)
-    partition_counts.clear_caches()
+    counting.clear_caches()
 
 
 def test_recursions_over_an_ascending_sweep_match_the_references(grid_reference, deep_stack):
     # n rises as in bfile, so r_lj reads r_{l,j}(n-j) and r_{l,j+1}(n-j) from
     # the memo and takes its telescoped sum
-    partition_counts.clear_caches()
+    counting.clear_caches()
     for (name, *args), expected in grid_reference.items():
         assert getattr(partition_counts, name)(*args) == expected, (name, *args)
-    partition_counts.clear_caches()
+    counting.clear_caches()
 
 
 def test_recursions_at_the_sequence_indices(deep_stack):
     # values of the unpruned recursions in tests/references.py, too slow to
     # recompute here; r_1(900) = d(900) = 27, and p_{3,2}(300) counts
     # (a, a, 300 - 2a) for a = 1..149 without a = 100
-    partition_counts.clear_caches()
+    counting.clear_caches()
     for n in range(1, 901):
         values = [r_lj(n, l, 1) for l in (1, 2, 3)]
     assert values == [27, 27944, 16945853]
     for n in range(1, 301):
         values = [p_kl(n, 3, 2), p_kl(n, 4, 2), r_l(n, 1), r_l(n, 2), r_l(n, 3)]
     assert values == [148, 172, 18, 6101, 983196]
-    partition_counts.clear_caches()
+    counting.clear_caches()
 
 
 def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
@@ -332,7 +332,7 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
     memos = {"p_kl": partition_counts._P_KL, "r_l": partition_counts._R_L,
              "r_lj": partition_counts._R_LJ}
     top_level = Counter()
-    partition_counts.clear_caches()
+    counting.clear_caches()
     for n in range(1, 401):
         for l in (2, 3):
             partition_counts.r_lj(n, l, 1)
@@ -348,4 +348,4 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
         # the unpruned recursions make 1,320,035 / 1,300,624 / 1,603,906
         # calls here for 146,001 / 893 / 1,488 entries
         assert calls[name] <= (len(memo) + top_level[name]) * 1.1, name
-    partition_counts.clear_caches()
+    counting.clear_caches()
