@@ -11,7 +11,11 @@ Their right-hand sides are read from the shipped routes of
 :mod:`multifact.counting` (:func:`big_F`, :func:`big_G`, :func:`f_k_rec`,
 the last also summed over k by :func:`counting._k_sum`) at the primorial
 canonical((1,) * n), so a wrong route fails them; this module keeps no copy
-of those sums.  Its memos are made by :func:`counting.cache`.
+of those sums.  Its memos are made by :func:`counting.cache`.  Those of
+:func:`p_kl` and :func:`r_l` key on the tuple of their arguments.  That of
+:func:`r_lj` holds one row per (l, j), a dict from n to r_{l,j}(n): a b-file
+session stores over a million r_lj states, and one key tuple per state cost
+more memory than the states' values and dict entries together.
 """
 
 from collections import Counter
@@ -149,35 +153,48 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     ``bfile`` walks n upward; they are never computed just for this, which
     would add a descent in n to the stack.  Memo hits are read inline, and
     the chain value r_{l,j+1}(n) is always the first sub-state asked for.
+
+    The memo maps (l, j) to the row {n: r_{l,j}(n)}, and a call looks up the
+    three rows it reads once each: its own, the chain row (l, j+1) and the
+    row (l-1, j+1) of its inner sum.  Every call below this one has a larger
+    j, so the calls this one makes write only their own state to those rows
+    (the chain call n, each inner-sum call its m), and this call reads none
+    of those states again.  A row that is missing when it is looked up thus
+    holds none of the states this call reads: it is read as empty, and only
+    the own row is created, by the call that stores its first state.
     """
     if j < 1:
         raise ValueError(f"r_lj requires j >= 1, got {j}")
     if l <= 0 or j * l > n:
         return 1 if n == l == 0 else 0
-    key = (n, l, j)
-    hit = _R_LJ.get(key)
+    row = _R_LJ.get((l, j))
+    if row is None:
+        row = _R_LJ[l, j] = {}
+    hit = row.get(n)
     if hit is not None:
         return hit
-    total = _R_LJ.get((n, l, j + 1))
+    chain = _R_LJ.get((l, j + 1), {})
+    total = chain.get(n)
     if total is None:
         total = r_lj(n, l, j + 1)
     if l == 1:
         if n % j == 0:
             total += 1
     else:
+        lower = _R_LJ.get((l - 1, j + 1), {})
         m = n - j
         lo = (l - 1) * (j + 1)  # r_{l-1,j+1} is 0 below
-        whole = 0 if j * l > m else _R_LJ.get((m, l, j))
-        tail = 0 if (j + 1) * l > m else _R_LJ.get((m, l, j + 1))
+        whole = 0 if j * l > m else row.get(m)
+        tail = 0 if (j + 1) * l > m else chain.get(m)
         if whole is not None and tail is not None:
             total += whole - tail  # the terms i >= 2
             lo = max(lo, m)  # leaves the term i = 1
         for m in range(n - j, lo - 1, -j):
-            sub = _R_LJ.get((m, l - 1, j + 1))
+            sub = lower.get(m)
             if sub is None:
                 sub = r_lj(m, l - 1, j + 1)
             total += sub
-    _R_LJ[key] = total
+    row[n] = total
     return total
 
 
