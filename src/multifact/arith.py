@@ -1,8 +1,11 @@
 """Exact arithmetic base layer: prime factorization, prime exponents, the
 checked exact division and the scalar types shared by every counting routine.
 
-``factorize`` uses no table that grows with n: trial division by the primes
-below 2**10, a deterministic Miller-Rabin test and Pollard-Brent rho.
+``factorize`` uses no table that grows with n.  One gcd with the product of
+the primes below 2**10 finds which of them divide n, and only those are
+divided out.  The cofactor goes to a deterministic Miller-Rabin test that
+takes only as many prime bases as its size needs (the psi_t bounds of
+Jaeschke 1993), and to Pollard-Brent rho when composite.
 
 Counting values are plain Python ints, arbitrary precision from the start
 (Bell-number growth overflows 64 bits near n = 25).  The partition-sum and
@@ -10,10 +13,11 @@ composition-sum routes also run in ints: each weight is scaled by k! and the
 total is divided by k! once, at the end.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 BigCount = int
 
@@ -98,10 +102,13 @@ class FactoredInt:
 # --------------------------------------------------------------------------
 # factorization
 #
-# Trial division runs over the primes below _TRIAL_BOUND only.  Whatever is
-# left has no prime factor below the bound, so it is prime when it is below
-# the bound squared, and otherwise goes to Miller-Rabin and, if composite, to
-# Pollard-Brent rho.  Nothing here grows with n.
+# Trial division covers the primes below _TRIAL_BOUND only, and by one gcd:
+# g = gcd(n, _TRIAL_PRODUCT) is the product of those of them that divide n,
+# so only the primes of g are divided out, and the walk over _TRIAL_PRIMES
+# stops once p * p > g, as what is left of g is then one prime.  Whatever is
+# left of n has no prime factor below the bound, so it is prime when it is
+# below the bound squared, and otherwise goes to Miller-Rabin and, if
+# composite, to Pollard-Brent rho.  Nothing here grows with n.
 
 _TRIAL_BOUND = 1 << 10
 
@@ -117,10 +124,15 @@ def _primes_below(bound: int) -> tuple[int, ...]:
 
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
-# Miller-Rabin with these bases is exact for every n < 341,550,071,728,321
-# (Jaeschke 1993), which covers MAX_N.
+# Miller-Rabin with the first t of these bases is exact for every m < psi_t,
+# _PSI[t - 1], the least strong pseudoprime to all of them (Jaeschke 1993;
+# OEIS A014233).  So m takes bisect_right(_PSI, m) + 1 bases: 5 near 10**12,
+# and all 7 only from psi_6 = 3,474,749,660,383 on.  psi_7 is past MAX_N.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321)
 
 # Pollard-Brent multiplies this many differences mod n per gcd
 _RHO_BATCH = 64
@@ -134,7 +146,7 @@ def _is_prime(m: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_PSI, m) + 1]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -190,10 +202,12 @@ def _large_prime_factors(m: int) -> list[int]:
 def factorize(n: int) -> FactoredInt:
     """Canonical prime factorization; deterministic.
 
-    Trial division by the primes below 2**10, then Miller-Rabin and
-    Pollard-Brent rho on the cofactor, so no table grows with n.  Accepts
-    1 <= n <= :data:`MAX_N`, the range in which the Miller-Rabin bases are
-    exact; anything else is a ``ValueError``.
+    One gcd with the product of the primes below 2**10 picks out those that
+    divide n, and only they are divided out; then Miller-Rabin, with as many
+    bases as the cofactor's size needs, and Pollard-Brent rho on the
+    cofactor, so no table grows with n.  Accepts 1 <= n <= :data:`MAX_N`,
+    the range in which the Miller-Rabin bases are exact; anything else is a
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -201,10 +215,15 @@ def factorize(n: int) -> FactoredInt:
         raise ValueError(f"factorize requires n <= {MAX_N}, got {n}")
     rest = n
     factors = []
+    g = gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > rest:
+        if g == 1:
             break
-        if rest % p == 0:
+        if p * p > g:
+            # g is squarefree with no prime factor below p: it is one prime
+            p = g
+        if g % p == 0:
+            g //= p
             e = 0
             while rest % p == 0:
                 rest //= p
@@ -228,12 +247,13 @@ def first_primes(count: int) -> list[int]:
     """The `count` smallest primes.
 
     The primes below 2**10 come from the trial-division list; past them, an
-    odd m with no prime factor below 2**10 is prime when `_is_prime` says so.
+    odd m prime to every one of them (one gcd with their product) is prime
+    when `_is_prime` says so.
     """
     primes = list(_TRIAL_PRIMES[:count])
     m = _TRIAL_BOUND + 1
     while len(primes) < count:
-        if all(m % p for p in _TRIAL_PRIMES) and _is_prime(m):
+        if gcd(m, _TRIAL_PRODUCT) == 1 and _is_prime(m):
             primes.append(m)
         m += 2
     return primes

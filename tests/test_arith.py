@@ -108,6 +108,74 @@ def test_factorize_strong_pseudoprimes(n, factors):
     assert factorize(n).factors == factors
 
 
+def _strong_probable_prime(m: int, a: int) -> bool:
+    """Whether the odd m > 2 passes the strong (Miller-Rabin) test to base a."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def test_each_psi_is_the_strong_pseudoprime_to_exactly_its_bases():
+    # psi_t passes the first t prime bases and fails base t + 1 (else psi_t
+    # would be psi_{t+1} too), so a mistyped bound fails here
+    bases = first_primes(8)
+    assert arith._MR_BASES == tuple(bases[:7])
+    assert len(arith._PSI) == len(arith._MR_BASES)
+    for t, psi in enumerate(arith._PSI[:-1], start=1):
+        assert trial_factorize(psi).factors != ((psi, 1),), psi
+        assert all(_strong_probable_prime(psi, a) for a in bases[:t]), psi
+        assert not _strong_probable_prime(psi, bases[t]), psi
+    # psi_7 passes all seven bases (and 19 too: psi_8 = psi_7), so the tiers
+    # are exact only below it, and MAX_N must stay below it
+    psi_7 = arith._PSI[-1]
+    assert psi_7 == 10670053 * 32010157
+    assert all(_strong_probable_prime(psi_7, a) for a in bases)
+    assert psi_7 > MAX_N
+
+
+def test_is_prime_gives_each_psi_one_base_more():
+    # psi_1 = 2047 = 23 * 89 lies below 2**20, where _is_prime trusts that
+    # trial division ran first; from psi_2 on, a bound read with <= would
+    # give psi_t only its t bases, and it passes all of them
+    for psi in arith._PSI[1:-1]:
+        assert arith._is_prime(psi) is False, psi
+
+
+@pytest.mark.parametrize("psi", [3215031751, 2152302898747])
+@given(offset=st.integers(min_value=-10**6, max_value=10**6))
+def test_factorize_matches_trial_division_around_a_base_tier(psi, offset):
+    # around psi_4 and psi_5, where the cofactor's Miller-Rabin test takes
+    # one base more
+    assert psi in arith._PSI
+    assert factorize(psi + offset) == trial_factorize(psi + offset)
+
+
+@pytest.mark.parametrize("n", [
+    # several trial primes, the last one, 1021, among them
+    2**3 * 3 * 101 * 1019 * 1021**2,
+    # 1021**k * q, with q the first primes past 2**10
+    1021 * 1031, 1021**2 * 1031, 1021**3 * 1031, 1021**3 * 1033,
+    # g = 2: p * p > g at the first prime, so the walk takes one step
+    2**39,
+    # the first 12 trial primes; the first 8 times a prime past 2**10, the
+    # most of them that fit under MAX_N with it
+    prod(first_primes(12)),
+    prod(first_primes(8)) * 9999991,
+])
+def test_factorize_divides_out_the_primes_of_one_gcd(n):
+    assert n <= MAX_N
+    assert factorize(n) == trial_factorize(n)
+
+
 def test_factorize_grows_no_sieve():
     # the largest prime below MAX_N needs no prime table past 2**10; that the
     # module keeps no table at all is the test below
@@ -219,6 +287,8 @@ def test_first_primes_match_trial_division():
     expected = [n for n in range(2, 10**4) if all(n % d for d in range(2, isqrt(n) + 1))]
     assert len(expected) == 1229
     assert first_primes(1229) == expected
+    # the 200th prime is 1223, so the last 28 pass the gcd test past 2**10
+    assert first_primes(200) == expected[:200] and expected[199] == 1223
 
 
 def test_no_module_imports_fractions():
