@@ -236,7 +236,7 @@ def _partition_sum(name: str, memo: dict, signed: bool, doc: str):
         if k < 0 or signed and k > n.big_omega + 1:
             return 0
         k = min(k, n.big_omega + signed)
-        _check_partition_n(k)
+        _check_partition_n(k, name)
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:

@@ -13,10 +13,13 @@ is a sum of cells of that dict, and the factorizations of 2**n give the same
 dict as the partitions of n.
 
 The factorizations come from a walk on an explicit stack that commits the
-least part d first and then walks the cofactor m // d with parts >= d.  It
-builds each factorization's tuple once, and :func:`profile` classifies that
-tuple by its length and its set of values.  Two cuts keep the walk to the
-work whose result it uses, and neither outlives a call.  Each call of
+least part d first and then walks the cofactor m // d with parts >= d.
+Beside the committed parts it keeps each prefix's number of distinct values:
+a new part adds a value unless it equals the part committed last.  So the
+walk can hand over each factorization either as its tuple or as its profile
+cell (number of parts, distinct values), which :func:`profile` counts
+without building a tuple or a set.  Two cuts keep the walk to the work whose
+result it uses, and neither outlives a call.  Each call of
 :func:`enumerate_factorizations` scans the divisors of a cofactor at most
 once, in a dict local to that call; every cofactor divides n, so that is at
 most one trial-division scan per divisor of n.  And the walk stops at the
@@ -61,9 +64,10 @@ class OracleLimitError(RuntimeError):
 
 
 def _sorted_divisors(n: int) -> list[int]:
+    """The divisors of n >= 2 that can be parts, so all but 1, ascending."""
     small = []
-    large = []
-    for d in range(1, isqrt(n) + 1):
+    large = [n]
+    for d in range(2, isqrt(n) + 1):
         if n % d == 0:
             small.append(d)
             if d * d != n:
@@ -72,20 +76,25 @@ def _sorted_divisors(n: int) -> list[int]:
     return small + large
 
 
-def _descend(m: int, lo: int, divisors: dict[int, list[int]]):
+def _descend(m: int, lo: int, divisors: dict[int, list[int]], cells: bool = False):
     # nondecreasing parts: commit the least part d first, then walk the
     # cofactor m // d with parts >= d; a d past sqrt(m) leaves a cofactor below
     # d, so stop there and close with the one-part factorization (m,).  Each
-    # frame is (cofactor, its least part, its divisors not yet tried).
-    def frame(c: int, least: int):
+    # frame is (cofactor, its least part, the distinct values of the parts
+    # committed above it, its divisors not yet tried).  Below the root the
+    # least part is the last committed one, so a new part adds a value unless
+    # it equals it; a closing m always does, since a frame is pushed only for
+    # a cofactor c >= d * d > d.  The cells are those of a whole walk from
+    # lo = 1, which no part equals.
+    def frame(c: int, least: int, values: int):
         if c not in divisors:
             divisors[c] = _sorted_divisors(c)
-        return c, least, iter(divisors[c])
+        return c, least, values, iter(divisors[c])
 
     parts = []  # the least part committed above each frame but the first
-    frames = [frame(m, lo)]
+    frames = [frame(m, lo, 0)]
     while frames:
-        m, least, tried = top = frames[-1]
+        m, least, values, tried = top = frames[-1]
         for d in tried:
             if d < least:
                 continue
@@ -93,44 +102,56 @@ def _descend(m: int, lo: int, divisors: dict[int, list[int]]):
                 c = m // d
                 if d * d > c:
                     # the walk of c with parts >= d would yield (c,) alone
-                    yield (*parts, d, c)
+                    if cells:
+                        yield len(parts) + 2, values + (d != least) + (c != d)
+                    else:
+                        yield (*parts, d, c)
                     continue
                 parts.append(d)
-                frames.append(frame(c, d))
+                frames.append(frame(c, d, values + (d != least)))
             break
         if frames[-1] is top:
             # the divisors of m are spent or past sqrt(m)
             frames.pop()
             if m >= least:
-                yield (*parts, m)
+                if cells:
+                    yield len(parts) + 1, values + 1
+                else:
+                    yield (*parts, m)
             if frames:
                 parts.pop()
 
 
-def enumerate_factorizations(n: int):
+def enumerate_factorizations(n: int, *, cells: bool = False):
     """Yield every unordered factorization of n into parts >= 2.
 
     Each factorization appears exactly once, as a nondecreasing tuple, in a
-    deterministic order.  Raises :class:`OracleLimitError` past
-    ``DEFAULT_MAX_FACTORIZATIONS`` factorizations, read as the walk runs,
-    rather than running unbounded.
+    deterministic order.  With ``cells=True`` each one is yielded instead as
+    its profile cell (number of parts, distinct part values), in the same
+    order, read off the walk's per-prefix distinct counts.  Raises
+    :class:`OracleLimitError` past ``DEFAULT_MAX_FACTORIZATIONS``
+    factorizations, read as the walk runs, rather than running unbounded.
     """
     if n < 2:
         raise ValueError(f"enumerate_factorizations requires n >= 2, got {n}")
     count = 0
-    for parts in _descend(n, 2, {}):
+    for item in _descend(n, 1, {}, cells):
         count += 1
         if count > DEFAULT_MAX_FACTORIZATIONS:
             raise OracleLimitError(
                 f"more than {DEFAULT_MAX_FACTORIZATIONS} factorizations of {n}")
-        yield parts
+        yield item
 
 
 def profile(n: int) -> dict[tuple[int, int], BigCount]:
-    """Factorization counts of n keyed by (number of parts, distinct part values)."""
-    # the unit has one factorization, the empty one
-    items = enumerate_factorizations(n) if n != 1 else [()]
-    return dict(Counter((len(parts), len(set(parts))) for parts in items))
+    """Factorization counts of n keyed by (number of parts, distinct part
+    values): the cells that ``enumerate_factorizations(n, cells=True)``
+    yields, counted.  The unit has one factorization, the empty one."""
+    if n < 1:
+        raise ValueError(f"profile requires n >= 1, got {n}")
+    if n == 1:
+        return {(0, 0): 1}
+    return dict(Counter(enumerate_factorizations(n, cells=True)))
 
 
 def _largest_n_within_budget() -> int:
@@ -181,9 +202,9 @@ def _ascending(n: int, least: int):
         y = s - 1
 
 
-def _check_partition_n(n: int) -> None:
+def _check_partition_n(n: int, caller: str) -> None:
     if n < 0:
-        raise ValueError(f"enumerate_partitions requires n >= 0, got {n}")
+        raise ValueError(f"{caller} requires n >= 0, got {n}")
     if n > MAX_PARTITION_N:
         raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} partitions of {n}")
 
@@ -195,7 +216,7 @@ def enumerate_partitions(n: int):
     n past :data:`MAX_PARTITION_N` raises :class:`OracleLimitError` before the
     first partition.
     """
-    _check_partition_n(n)
+    _check_partition_n(n, "enumerate_partitions")
     if n == 0:
         yield ()
         return
@@ -215,7 +236,7 @@ def partition_profile(n: int, least: int = 1) -> dict[tuple[int, int], BigCount]
     adds a value unless it repeats a[k - 1] or the tail's other part.  An n of
     0 has one partition, the empty one, at every least.
     """
-    _check_partition_n(n)
+    _check_partition_n(n, "partition_profile")
     if n == 0:
         return {(0, 0): 1}
     least = max(least, 1)

@@ -33,6 +33,7 @@ FACTORIZATIONS_36 = {
     (3, 3, 4),
     (2, 2, 3, 3),
 }
+CELLS_36 = {(len(parts), len(set(parts))) for parts in FACTORIZATIONS_36}
 
 
 def test_enumerate_36_exact_set():
@@ -63,6 +64,26 @@ def test_enumerate_respects_budget(monkeypatch):
     # the message names the budget and n only: the CLI cannot raise the budget
     with pytest.raises(OracleLimitError, match="^more than 5 factorizations of 36$"):
         next(items)
+
+
+def test_enumerate_cells_respects_the_same_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_FACTORIZATIONS", 5)
+    items = enumerate_factorizations(36, cells=True)
+    for _ in range(5):
+        assert next(items) in CELLS_36
+    with pytest.raises(OracleLimitError, match="^more than 5 factorizations of 36$"):
+        next(items)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: profile(0), "profile requires n >= 1, got 0"),
+    (lambda: partition_profile(-1), "partition_profile requires n >= 0, got -1"),
+    (lambda: next(enumerate_partitions(-1)), "enumerate_partitions requires n >= 0, got -1"),
+])
+def test_a_bad_n_is_refused_in_the_name_of_the_function_called(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_enumerate_min_part():

@@ -98,6 +98,20 @@ def test_order_matches_reference_highly_composite(n):
     assert list(enumerate_factorizations(n)) == list(reference_descend(n, 2))
 
 
+def classified(n):
+    return [(len(parts), len(set(parts))) for parts in enumerate_factorizations(n)]
+
+
+def test_cells_classify_each_tuple_in_order_small_n():
+    for n in range(2, 3001):
+        assert list(enumerate_factorizations(n, cells=True)) == classified(n), n
+
+
+@pytest.mark.parametrize("n", HIGHLY_COMPOSITE)
+def test_cells_classify_each_tuple_in_order_highly_composite(n):
+    assert list(enumerate_factorizations(n, cells=True)) == classified(n)
+
+
 @pytest.mark.parametrize("min_part", [3, 4, 7, 10**6])
 def test_order_matches_reference_min_part(min_part):
     # the descent on a cofactor, with its least part as the floor
