@@ -9,19 +9,23 @@ memo here and in :mod:`multifact.partition_counts` is made by :func:`cache`,
 and one :func:`clear_caches` empties them all.
 
 The divisor and kappa recursions share one piece of plumbing, the reduction
-table of a signature (:func:`reduction_table`): every divisor power d**i of n,
-grouped by i and the signature of n / d**i, with the group's size and its
-sum of kappa_pi(d) for the prime pi that carries n's largest exponent.  Per
-power i it lists the other primes' exponent vectors of n / d**i once, each
-sorted, and loops the first prime's exponent outside them; a divisor's
-vector needs a sort of its own only where that exponent does not lead it,
-and each group's rest takes one lookup.  That rest, n / d**i, is passed on
-as the canonical representative of its signature (:func:`canonical`: the
-first primes, largest exponent on 2), so the recursions never build or
-factor the integer n / d**i.  The kappa routes
-anchor every call at that prime pi, which is 2 on every recursive call.  The
-routes share no formula: each applies its own weights and its own exact
-division.
+table of a signature (:func:`reduction_table`): one row per power i, which
+groups the divisor powers d**i of n by the signature of n / d**i, with the
+group's size and its sum of kappa_pi(d) for the prime pi that carries n's
+largest exponent.  Per power i it lists the other primes' exponent vectors
+of n / d**i once, each sorted, and loops the first prime's exponent outside
+them; a divisor's vector needs a sort of its own only where that exponent is
+below the first of the others, and each group's rest takes one lookup.  That
+rest, n / d**i, is passed on as the canonical representative of its
+signature (:func:`canonical`: the first primes, largest exponent on 2), so
+the recursions never build or factor the integer n / d**i.  Each recursion
+walks the rows of the powers i it needs and does the work that depends on i
+alone once per row: the sign, the index k - i, the j bounds and the signed
+binomials C(i, j).  A group then costs one memo read and one multiply-add
+per index it feeds, and the index-0 case at i = k reads only the row's last
+group, the unit's.  The kappa routes anchor every call at that prime pi,
+which is 2 on every recursive call.  The routes share no formula: each
+applies its own weights and its own exact division.
 
 The partition sum walks the partitions of k once per memo miss
 (:func:`_colored_classes`), carrying each class size and the colored
@@ -316,12 +320,13 @@ def canonical(sig: tuple[int, ...]) -> FactoredInt:
 
 
 def reduction_table(sig: tuple[int, ...]) -> tuple:
-    """The divisor powers d**i of any n with prime signature `sig`, grouped.
+    """The divisor powers d**i of any n with prime signature `sig`, grouped,
+    as one row per power: rows[i] for i = 1..max(sig), and rows[0] empty.
 
     Each nonzero divisor exponent vector c and power i with i * c <= sig is one
-    pair (d, i) of the divisor recursions.  Pairs are grouped by i and the
-    signature of n / d**i; an entry is (i, rest, Omega(rest), count, weight),
-    with rest the canonical representative, count the number of pairs in the
+    pair (d, i) of the divisor recursions.  Row i groups its pairs by the
+    signature of n / d**i; a group is (rest, Omega(rest), count, weight), with
+    rest the canonical representative, count the number of pairs in the
     group and weight the sum of c[0] over them, which is the group's total of
     kappa_pi(d) when pi carries sig[0], the largest exponent.
 
@@ -330,25 +335,36 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     nonincreasing; the first prime's exponent sig[0] - c[0] * i, the head,
     runs outside them, so c[0] is its position.  Each pair is keyed by its
     exponent vector sorted nonincreasing, zeros last: the head followed by
-    the tail when that is already nonincreasing, else one sort.  Each key
-    keeps its [count, weight]; the key of c = 0 is sig itself and is dropped.
-    A key's rest comes from one lookup in `_RESTS`, shared by every table.
-    The entries come out in ascending i, unsorted within one i; the unit's
-    table is empty.
+    the tail when the head is at least the tail's first exponent, else one
+    sort.  Each key keeps its [count, weight]; the key of c = 0 is sig itself
+    and is dropped.  A key's rest comes from one lookup in `_RESTS`, shared by
+    every table.  A row's groups are unsorted, except that the unit's group,
+    which a row has when i divides every exponent, comes last: its key is
+    the last pair visited.  The unit's table is the one empty row.
+
+    A signature that is not nonincreasing, or has an exponent below 1, raises
+    :class:`ValueError` before any work.
     """
     table = _TABLES.get(sig)
     if table is not None:
         return table
-    entries = []
+    if list(sig) != sorted(sig, reverse=True) or min(sig, default=1) < 1:
+        raise ValueError(
+            f"reduction_table requires a nonincreasing signature of exponents >= 1, got {sig}")
+    rows = [()]
     for i in range(1, max(sig, default=0) + 1):
-        tails = [tuple(sorted(tail, reverse=True))
-                 for tail in product(*(range(e, -1, -i) for e in sig[1:]))]
+        # each sorted tail with its first exponent, 0 for the empty tail of
+        # one prime; the key is the head followed by the tail when the head
+        # is at least that exponent
+        tails = []
+        for tail in product(*(range(e, -1, -i) for e in sig[1:])):
+            tail = tuple(sorted(tail, reverse=True))
+            tails.append((tail[0] if tail else 0, tail))
         groups: dict = {}
-        # each head is the 1-tuple (sig[0] - c0 * i,); as tuples, head >= tail
-        # holds only if the head is at least every exponent of the tail
-        for c0, head in enumerate(product(range(sig[0], -1, -i))):
-            for tail in tails:
-                key = head + tail if head >= tail else tuple(sorted(head + tail, reverse=True))
+        for c0, h in enumerate(range(sig[0], -1, -i)):
+            head = (h,)
+            for lead, tail in tails:
+                key = head + tail if h >= lead else tuple(sorted(head + tail, reverse=True))
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [1, c0]
@@ -356,12 +372,14 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
                     group[0] += 1
                     group[1] += c0
         del groups[sig]
+        row = []
         for key, (count, weight) in groups.items():
             rest = _RESTS.get(key)
             if rest is None:
                 rest = _RESTS[key] = canonical(key[:len(key) - key.count(0)])
-            entries.append((i, rest, rest.big_omega, count, weight))
-    table = _TABLES[sig] = tuple(entries)
+            row.append((rest, rest.big_omega, count, weight))
+        rows.append(tuple(row))
+    table = _TABLES[sig] = tuple(rows)
     return table
 
 
@@ -385,16 +403,23 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
         if hit is not None:
             return hit
         recurse = globals()[name]
+        rows = reduction_table(n.signature)
         total = 0
-        for i, rest, rest_omega, count, _ in reduction_table(n.signature):
-            if i > k:
-                break
-            if k - i <= rest_omega:
-                # at i == k, x_0(rest) = [rest is the unit] is read here
-                sub = memo.get((rest.signature, k - i)) if i < k else rest_omega == 0
-                if sub is None:
-                    sub = recurse(rest, k - i)
-                total += (-count if signed and not i & 1 else count) * sub
+        for i in range(1, min(k, len(rows))):
+            k_i, part = k - i, 0
+            for rest, rest_omega, count, _ in rows[i]:
+                if k_i <= rest_omega:
+                    sub = memo.get((rest.signature, k_i))
+                    if sub is None:
+                        sub = recurse(rest, k_i)
+                    part += count * sub
+            total += -part if signed and not i & 1 else part
+        if k < len(rows):
+            # x_0(rest) = [rest is the unit], so at i == k only the unit's
+            # group, last in its row, counts
+            _, rest_omega, count, _ = rows[k][-1]
+            if not rest_omega:
+                total += -count if signed and not k & 1 else count
         return settle(memo, key, total, k, name)
 
     route.__name__ = route.__qualname__ = name
@@ -444,16 +469,22 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
             return hit
         kap_n = _anchor(n)
         recurse = globals()[name]
+        rows = reduction_table(n.signature)
         total = 0
-        for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
-            if i > k:
-                break
-            if kap_d and k - i <= rest_omega:
-                # at i == k, x_0(rest) = [rest is the unit] is read here
-                sub = memo.get((rest.signature, k - i)) if i < k else rest_omega == 0
-                if sub is None:
-                    sub = recurse(rest, k - i)
-                total += (-kap_d if signed and not i & 1 else kap_d) * sub
+        for i in range(1, min(k, len(rows))):
+            k_i, part = k - i, 0
+            for rest, rest_omega, _, kap_d in rows[i]:
+                if kap_d and k_i <= rest_omega:
+                    sub = memo.get((rest.signature, k_i))
+                    if sub is None:
+                        sub = recurse(rest, k_i)
+                    part += kap_d * sub
+            total += -part if signed and not i & 1 else part
+        if k < len(rows):
+            # x_0(rest) = [rest is the unit], as in the divisor recursion
+            _, rest_omega, _, kap_d = rows[k][-1]
+            if not rest_omega:
+                total += -kap_d if signed and not k & 1 else kap_d
         return settle(memo, key, total, kap_n, name)
 
     route.__name__ = route.__qualname__ = name
@@ -486,22 +517,30 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
     if hit is not None:
         return hit
     kap_n = _anchor(n)
+    rows = reduction_table(n.signature)
     total = 0
-    for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
-        if i > k:
-            break
-        if not kap_d or k - i > rest_omega:
+    for i in range(1, min(k, len(rows))):
+        k_i = k - i
+        # f_{k-i,l-j}(rest) is 0 unless 1 <= l - j <= k - i: each j with its
+        # index l - j and its signed C(i, j)
+        terms = [(l - j, comb(i, j) if j & 1 else -comb(i, j))
+                 for j in range(max(1, l - k_i), min(l - 1, i) + 1)]
+        if not terms:
             continue
-        # f_{k-i,l-j}(rest) is 0 unless 1 <= l - j <= k - i; at k == i only
-        # j = l is left, and f_{0,0}(rest) = [rest is the unit] is read here
-        low, high = (l, l) if k == i else (max(1, l - k + i), min(l - 1, i))
-        for j in range(low, high + 1):
-            sub = _FKL.get((rest.signature, k - i, l - j)) if j < l else rest_omega == 0
-            if sub is None:
-                sub = f_kl(rest, k - i, l - j)
-            if sub:
-                term = comb(i, j) * sub * kap_d
-                total += term if j & 1 else -term
+        for rest, rest_omega, _, kap_d in rows[i]:
+            if kap_d and k_i <= rest_omega:
+                part = 0
+                for l_j, c in terms:
+                    sub = _FKL.get((rest.signature, k_i, l_j))
+                    if sub is None:
+                        sub = f_kl(rest, k_i, l_j)
+                    part += c * sub
+                total += kap_d * part
+    if k < len(rows):
+        # at i == k only j = l is left, and f_{0,0}(rest) = [rest is the unit]
+        _, rest_omega, _, kap_d = rows[k][-1]
+        if not rest_omega:
+            total += (comb(k, l) if l & 1 else -comb(k, l)) * kap_d
     return settle(_FKL, key, total, kap_n, "f_kl")
 
 
@@ -515,20 +554,27 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
     if hit is not None:
         return hit
     kap_n = _anchor(n)
+    rows = reduction_table(n.signature)
     total = 0
-    for i, rest, rest_omega, _, kap_d in reduction_table(n.signature):
-        if not kap_d:
-            continue
-        # h_{l-j}(rest) is 0 once l - j > Omega(rest), so j = l is left only
-        # at the unit, where h_0(rest) = [rest is the unit] is read here
-        high = min(l - 1 if rest_omega else l, i)
-        for j in range(max(1, l - rest_omega), high + 1):
-            sub = _HL.get((rest.signature, l - j)) if j < l else rest_omega == 0
-            if sub is None:
-                sub = h_l(rest, l - j)
-            if sub:
-                term = comb(i, j) * sub * kap_d
-                total += term if j & 1 else -term
+    for i in range(1, len(rows)):
+        # each j < l with its index l - j and its signed C(i, j); h_{l-j}(rest)
+        # is 0 once l - j > Omega(rest), so a rest drops the first l - 1 - Omega
+        terms = [(l - j, comb(i, j) if j & 1 else -comb(i, j))
+                 for j in range(1, min(l - 1, i) + 1)]
+        for rest, rest_omega, _, kap_d in rows[i]:
+            if kap_d:
+                part = 0
+                for l_j, c in terms if rest_omega >= l - 1 else terms[l - 1 - rest_omega:]:
+                    sub = _HL.get((rest.signature, l_j))
+                    if sub is None:
+                        sub = h_l(rest, l_j)
+                    part += c * sub
+                total += kap_d * part
+        if l <= i:
+            # j = l is left only at the unit, where h_0(rest) = [rest is the unit]
+            _, rest_omega, _, kap_d = rows[i][-1]
+            if not rest_omega:
+                total += (comb(i, l) if l & 1 else -comb(i, l)) * kap_d
     return settle(_HL, key, total, kap_n, "h_l")
 
 

@@ -26,8 +26,8 @@ def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredIn
 
     Materialized from the exponent lattice rather than a 2..n scan, so the
     cost is proportional to the divisor count.  The counting core groups the
-    same pairs by signature (``counting.reduction_table``); this is the
-    reference that the tests check it against.
+    same pairs by power and signature (``counting.reduction_table``); this is
+    the reference that the tests check it against.
     """
     if fi.value == 1:
         raise ValueError("the unit 1 has no divisors >= 2")
@@ -51,9 +51,10 @@ def divisor_power_reductions(fi: FactoredInt) -> list[tuple[int, int, FactoredIn
 
 
 def reduction_table(sig: tuple[int, ...]) -> tuple:
-    """The reference for ``counting.reduction_table``: the same entries,
-    built by one pass over the exponent vectors sig - i * c of all powers i,
-    grouped by (i, signature) and sorted, each group's weight recovered from
+    """The reference for ``counting.reduction_table``: the same rows, one per
+    power i with rows[0] empty, built by one pass over the exponent vectors
+    sig - i * c of all powers i, grouped by (i, signature) and sorted, each
+    group (rest, Omega(rest), count, weight) with its weight recovered from
     the member vectors r as the sum of (sig[0] - r[0]) / i.  Uncached."""
     groups: dict = {}
     for i in range(1, max(sig, default=0) + 1):
@@ -62,14 +63,14 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
         next(rests)
         for r in rests:
             groups.setdefault((i, tuple(sorted(r, reverse=True))), []).append(r)
-    entries = []
+    rows: list = [[] for _ in range(max(sig, default=0) + 1)]
     for (i, rest), members in sorted(groups.items()):
         count = len(members)
         rest = rest[:len(rest) - rest.count(0)]
         # sum of c[0] = sum of (sig[0] - r[0]) / i over the group
         weight = (count * sig[0] - sum(r[0] for r in members)) // i
-        entries.append((i, canonical(rest), sum(rest), count, weight))
-    return tuple(entries)
+        rows[i].append((canonical(rest), sum(rest), count, weight))
+    return tuple(map(tuple, rows))
 
 
 _primes: list[int] = []

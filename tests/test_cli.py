@@ -392,6 +392,46 @@ def test_verify_oracle_leaves_out_a_side_over_its_budget(capsys, monkeypatch):
     assert (code, err) == (0, "")
 
 
+# the suites that catch each non-oracle row of the route tables when it adds
+# 1 to every value at one n, n = 36 for a factor row and n = 12 for a
+# partition row; identities read partition_counts directly, not the rows
+DETECTED_BY = {
+    **{key: {"oracle", "routes"} for key in [
+        ("f", "recursion"), ("g", "recursion"), ("f_k", "recursion"), ("g_k", "recursion"),
+        ("F_k", "partition-sum"), ("G_k", "partition-sum"),
+        ("p_kl", "recursion"), ("r_l", "recursion")]},
+    **{key: {"routes"} for key in [
+        ("f", "partition-sum"), ("f", "kappa-recursion"), ("f", "fedorov"),
+        ("g", "partition-sum"), ("g", "kappa-recursion"),
+        ("f_k", "partition-sum"), ("f_k", "kappa-recursion"), ("f_k", "fedorov"),
+        ("g_k", "partition-sum"), ("g_k", "kappa-recursion"),
+        ("F_k", "fedorov"), ("F_k", "recursion"), ("F_k", "kappa-recursion"),
+        ("G_k", "recursion"), ("r_lj", "recursion")]},
+    # the one route of each has no second route or relation to meet
+    ("h_l", "recursion"): {"oracle"},
+    ("f_kl", "recursion"): {"oracle"},
+    # no suite checks these
+    ("stirling2", "recursion"): set(),
+    ("bell", "recursion"): set(),
+}
+
+
+def test_verify_detection_map(monkeypatch):
+    caught = {}
+    for table, n, n_of in ((cli._FACTOR_ROUTES, 36, lambda fi: fi.value),
+                           (cli._PARTITION_ROUTES, 12, lambda n: n)):
+        for key, row in list(table.items()):
+            if key[1] == "oracle":
+                continue
+            monkeypatch.setitem(table, key, lambda x, *args, row=row, n=n, n_of=n_of:
+                                row(x, *args) + (n_of(x) == n))
+            caught[key] = {suite for suite in ("routes", "identities", "oracle")
+                           if any(len(set(check[4].values())) > 1
+                                  for check in cli._checks(suite, n))}
+            monkeypatch.setitem(table, key, row)
+    assert caught == DETECTED_BY
+
+
 @pytest.mark.parametrize("max_n", ["-3", "0"])
 def test_verify_max_below_one_exits_2(capsys, max_n):
     code, out, err = run(capsys, "verify", "--max", max_n)

@@ -301,17 +301,18 @@ def test_fedorov_F_builds_each_multiplicity_vector_once(monkeypatch, sig, k):
 
 
 def plant_off_by_one_entry(monkeypatch, i, rest, count=1, weight=1):
-    """Add `count` to the count and `weight` to the weight of the entry at
-    power i, rest signature `rest`, of the reduction table of p**2, after
+    """Add `count` to the count and `weight` to the weight of the group of
+    rest signature `rest` in row i of the reduction table of p**2, after
     clearing every cache."""
     counting.clear_caches()
-    monkeypatch.setitem(counting._TABLES, (2,), tuple(
-        (j, r, om, c + count, w + weight) if (j, r.signature) == (i, rest) else (j, r, om, c, w)
-        for j, r, om, c, w in reduction_table((2,))))
+    rows = list(reduction_table((2,)))
+    rows[i] = tuple((r, om, c + count, w + weight) if r.signature == rest else (r, om, c, w)
+                    for r, om, c, w in rows[i])
+    monkeypatch.setitem(counting._TABLES, (2,), tuple(rows))
 
 
-# the memo key of each route is (signature, *indices); n = p**2 has entries
-# (i, rest) = (1, p), (1, 1) and (2, 1)
+# the memo key of each route is (signature, *indices); n = p**2 has the
+# groups (i, rest) = (1, p), (1, 1) and (2, 1), one per row i and rest
 @pytest.mark.parametrize("route, indices, i, rest, message", [
     (f_k_rec, (2,), 2, (), "f_k_rec((2,), 2): sum 3 not divisible by 2"),
     (g_k_rec, (2,), 2, (), "g_k_rec((2,), 2): sum -1 not divisible by 2"),
@@ -461,6 +462,31 @@ def test_every_recursion_call_past_the_early_returns_adds_a_memo_entry(monkeypat
     counting.clear_caches()
 
 
+@pytest.mark.parametrize("function, method, n, k, l, route, calls, entries", [
+    ("f", "recursion", 2**10 * 3**10, None, None, "f_k_rec", 661, 660),
+    ("g_k", "kappa-recursion", 2**6 * 3**6 * 5**6, 9, None, "g_k_kappa", 470, 470),
+    ("f_kl", "recursion", 2**20 * 3**4, 12, 3, "f_kl", 604, 604),
+    ("h_l", "recursion", 2**12 * 3**12, None, 3, "h_l", 177, 177),
+    ("g", "recursion", 2**4 * 3**3 * 5**2 * 7 * 11, None, None, "g_k_rec", 362, 361),
+])
+def test_each_recursion_keeps_its_memo_traffic(monkeypatch, function, method, n, k, l,
+                                               route, calls, entries):
+    # every route name is wrapped in place, as a tracer wraps it; from cold
+    # caches a query makes one call per memo entry, plus its calls at k = 0
+    counted = Counter()
+    for name in RECURSION_MEMOS:
+        def wrapped(*args, name=name, fn=getattr(counting, name)):
+            counted[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(counting, name, wrapped)
+    cli._clear_all_caches()
+    cli.evaluate(function, method, n, k, l)
+    assert counted == {route: calls}
+    assert len(getattr(counting, RECURSION_MEMOS[route][1])) == entries
+    counting.clear_caches()
+
+
 ORACLE_FUNCTIONS = {  # route: the function whose oracle read it must equal
     "f_k_rec": "f_k", "g_k_rec": "g_k", "f_k_kappa": "f_k", "g_k_kappa": "g_k",
 }
@@ -531,27 +557,28 @@ def reference_groups(fi):
 
 
 def by_power(table):
-    """A table's entries as one multiset per power i."""
-    powers = {}
-    for entry in table:
-        powers.setdefault(entry[0], Counter())[entry] += 1
-    return powers
+    """A table's rows as one multiset of groups per power i."""
+    return [Counter(row) for row in table]
 
 
 def check_table(fi):
     sig = fi.signature
     table = reduction_table(sig)
-    assert [entry[0] for entry in table] == sorted(entry[0] for entry in table)
+    assert len(table) == max(sig, default=0) + 1 and table[0] == ()
     assert by_power(table) == by_power(grouped_reduction_table(sig)), sig
     groups = reference_groups(fi)
-    assert len(table) == len(groups)
-    for i, rest, rest_omega, count, weight in table:
-        assert rest is canonical(rest.signature) and rest_omega == rest.big_omega
-        ref_count, ref_weights = groups[(i, rest.signature)]
-        assert count == ref_count, (sig, i, rest.signature)
-        for p, e in fi.factors:
-            if e == sig[0]:  # each prime of the largest exponent has the same sum
-                assert weight == ref_weights[p], (sig, i, rest.signature, p)
+    assert sum(map(len, table)) == len(groups)
+    for i, row in enumerate(table[1:], 1):
+        for rest, rest_omega, count, weight in row:
+            assert rest is canonical(rest.signature) and rest_omega == rest.big_omega
+            ref_count, ref_weights = groups[(i, rest.signature)]
+            assert count == ref_count, (sig, i, rest.signature)
+            for p, e in fi.factors:
+                if e == sig[0]:  # each prime of the largest exponent has the same sum
+                    assert weight == ref_weights[p], (sig, i, rest.signature, p)
+        # the recursions read index 0 from the unit's group, last in its row
+        units = [group for group in row if not group[1]]
+        assert units == (list(row[-1:]) if all(e % i == 0 for e in sig) else []), (sig, i)
 
 
 def test_reduction_table_matches_the_reference_up_to_2000():
@@ -588,6 +615,15 @@ def signatures(draw, divisors=3000):
 def test_reduction_table_matches_the_references_on_random_signatures(sig):
     counting.clear_caches()
     check_table(canonical(sig))
+
+
+@pytest.mark.parametrize("sig", [(1, 3), (3, 0)])
+def test_reduction_table_refuses_a_bad_signature(sig):
+    counting.clear_caches()
+    message = f"reduction_table requires a nonincreasing signature of exponents >= 1, got {sig}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reduction_table(sig)
+    assert sig not in counting._TABLES
 
 
 def test_clear_caches_drops_the_tables():
