@@ -10,11 +10,12 @@ into parts >= j), through the one read table ``_ORACLE_READS``; both count
 by (parts, distinct values), so p_kl reads as f_kl does and r_l and r_lj as
 h_l does.  ``verify`` reads every value it compares from these three tables,
 ``_RELATIONS`` or ``check_identity``, at every n from 1 and every index from
-0 in both suites; it leaves out a route over its budget as ``compute
---all-methods`` does, and in the oracle suite a side of n whose enumeration
-is over its budget.  The function lists, each function's methods in order
-(the first is its default) and the ``--method`` choices derive from the
-route tables; ``NEEDS`` holds each function's indices.
+0 in both suites, each suite from cold memos with n walked downward; it
+leaves out a route over its budget as ``compute --all-methods`` does, and in
+the oracle suite a side of n whose enumeration is over its budget.  The
+function lists, each function's methods in order (the first is its default)
+and the ``--method`` choices derive from the route tables; ``NEEDS`` holds
+each function's indices.
 
 Exit codes: 0 success, 1 verification or internal integrity failure, 2 usage
 error.  All stdout is deterministic for fixed arguments, except the timing
@@ -347,13 +348,19 @@ def cmd_verify(args) -> int:
     selected = SUITES[:-1] if args.suite == "all" else (args.suite,)
     first_failure = None
     for suite in selected:
+        # cold memos and n walked downward: each sub-state is first computed
+        # by a call from a larger state, so the recursions' miss paths run
+        _clear_all_caches()
         checks = failures = 0
-        for n in range(1, args.max + 1):
+        suite_first = None  # the first failing check at the least failing n
+        for n in range(args.max, 0, -1):
             for check in _checks(suite, n):
                 checks += 1
                 if len(set(check[4].values())) > 1:
                     failures += 1
-                    first_failure = first_failure or check
+                    if suite_first is None or n < suite_first[1]:
+                        suite_first = check
+        first_failure = first_failure or suite_first
         print(f"{suite}: {checks - failures}/{checks} pass")
     if first_failure is not None:
         function, n, k, l, values = first_failure

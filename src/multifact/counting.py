@@ -309,11 +309,14 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 
 def canonical(sig: tuple[int, ...]) -> FactoredInt:
     """The representative of a nonincreasing prime signature: the first
-    primes, largest exponent on 2.  Built and validated once per signature."""
+    primes, largest exponent on 2.  Built and validated once per signature:
+    one that is not nonincreasing, or has an exponent below 1, raises
+    :class:`ValueError`."""
     fi = _CANONICAL.get(sig)
     if fi is None:
-        if list(sig) != sorted(sig, reverse=True):
-            raise ValueError(f"canonical requires a nonincreasing signature, got {sig}")
+        if list(sig) != sorted(sig, reverse=True) or min(sig, default=1) < 1:
+            raise ValueError(
+                f"canonical requires exponents >= 1 in a nonincreasing signature, got {sig}")
         factors = tuple(zip(first_primes(len(sig)), sig))
         fi = _CANONICAL[sig] = FactoredInt(prod(p**e for p, e in factors), factors)
     return fi

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: grammar, formats, exit codes."""
 
+import inspect
 import json
 import shlex
 import sys
@@ -430,6 +431,30 @@ def test_verify_detection_map(monkeypatch):
                                   for check in cli._checks(suite, n))}
             monkeypatch.setitem(table, key, row)
     assert caught == DETECTED_BY
+
+
+@pytest.mark.parametrize("function, right, wrong", [
+    ("p_kl", "sub = p_kl(n - i * d, k - i, lp)", "sub = p_kl(n + i * d, k - i, lp)"),
+    ("r_l", "sub = r_l(n - i * d, lp)", "sub = r_l(n + i * d, lp)"),
+    ("r_lj", "sub = r_lj(m, l - 1, j + 1)", "sub = r_lj(m, l - 1, j + 2)"),
+])
+def test_verify_fails_a_mutant_of_a_recursion_miss_path(capsys, monkeypatch,
+                                                         function, right, wrong):
+    # each mutant asks for a wrong sub-state only where the memo misses, so
+    # verify walking n upward over warm memos passed all three; cold memos
+    # and a downward walk make every sub-state a miss first.  A wrong value
+    # fails a check, or the recursion's own divisibility check (exit 1 too)
+    source = inspect.getsource(getattr(partition_counts, function))
+    assert source.count(right) == 1
+    namespace = dict(vars(partition_counts))  # recursive calls reach the mutant
+    exec(compile(source.replace(right, wrong), partition_counts.__file__, "exec"), namespace)
+    monkeypatch.setattr(partition_counts, function, namespace[function])
+    try:
+        code, out, err = run(capsys, "verify", "--max", "40")
+    finally:
+        counting.clear_caches()  # the mutant's values are in the shared memos
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(("first counterexample: ", f"internal error: {function}("))
 
 
 @pytest.mark.parametrize("max_n", ["-3", "0"])

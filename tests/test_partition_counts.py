@@ -342,9 +342,11 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
         for k, l in ((3, 2), (4, 2)):
             partition_counts.p_kl(n, k, l)
             top_level["p_kl"] += 1
-    # r_lj's memo holds one row per (l, j), so its states are the rows' sizes
+    # r_lj's memo holds one row per (l, j), a list indexed by n, so its
+    # states are the rows' set slots, not their lengths
     states = {"p_kl": len(partition_counts._P_KL), "r_l": len(partition_counts._R_L),
-              "r_lj": sum(map(len, partition_counts._R_LJ.values()))}
+              "r_lj": sum(value is not None
+                          for row in partition_counts._R_LJ.values() for value in row)}
     for name, entries in states.items():
         # the unpruned recursions make 1,320,035 / 1,300,624 / 1,603,906
         # calls here for 146,001 / 893 / 1,488 entries
@@ -353,18 +355,22 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
 
 
 def test_r_lj_rows_store_the_states_of_the_unpruned_recursion(deep_stack):
-    """_R_LJ maps (l, j) to a row {n: r_{l,j}(n)}; a sweep stores the same
-    states, with the same values, as the unpruned recursion's (n, l, j) memo."""
+    """_R_LJ maps (l, j) to a row, a list with row[n] = r_{l,j}(n) or None
+    where no state is stored; a sweep stores the same states, with the same
+    values, as the unpruned recursion's (n, l, j) memo."""
     counting.clear_caches()
     references.clear_partition_memos()
     for n in range(1, 401):
         for l in (2, 3):
             assert r_lj(n, l, 1) == references.r_lj(n, l, 1)
     rows = partition_counts._R_LJ
-    assert all(l >= 1 and j >= 1 and all(j * l <= n for n in row)
+    assert all(type(row) is list for row in rows.values())
+    # r_{l,j}(n) is 0 below n = j*l, and the guard returns it unstored
+    assert all(l >= 1 and j >= 1 and all(value is None for value in row[:j * l])
                for (l, j), row in rows.items())
-    assert sum(map(len, rows.values())) == 146_001
-    states = {(n, l, j): value for (l, j), row in rows.items() for n, value in row.items()}
+    states = {(n, l, j): value for (l, j), row in rows.items()
+              for n, value in enumerate(row) if value is not None}
+    assert len(states) == 146_001
     assert states == references._REF_R_LJ
     assert rows[2, 1][400] == 8_244 and rows[3, 1][400] == 2_067_383
     counting.clear_caches()
