@@ -307,6 +307,13 @@ def fedorov_F(n: FactoredInt, k: int) -> BigCount:
 # --------------------------------------------------------------------------
 # reduction tables
 
+def _check_signature(name: str, sig: tuple[int, ...]) -> None:
+    """Raise :class:`ValueError`, naming `name`, unless `sig` is a
+    nonincreasing signature of exponents >= 1."""
+    if list(sig) != sorted(sig, reverse=True) or min(sig, default=1) < 1:
+        raise ValueError(f"{name} requires a nonincreasing signature of exponents >= 1, got {sig}")
+
+
 def canonical(sig: tuple[int, ...]) -> FactoredInt:
     """The representative of a nonincreasing prime signature: the first
     primes, largest exponent on 2.  Built and validated once per signature:
@@ -314,9 +321,7 @@ def canonical(sig: tuple[int, ...]) -> FactoredInt:
     :class:`ValueError`."""
     fi = _CANONICAL.get(sig)
     if fi is None:
-        if list(sig) != sorted(sig, reverse=True) or min(sig, default=1) < 1:
-            raise ValueError(
-                f"canonical requires exponents >= 1 in a nonincreasing signature, got {sig}")
+        _check_signature("canonical", sig)
         factors = tuple(zip(first_primes(len(sig)), sig))
         fi = _CANONICAL[sig] = FactoredInt(prod(p**e for p, e in factors), factors)
     return fi
@@ -351,9 +356,7 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     table = _TABLES.get(sig)
     if table is not None:
         return table
-    if list(sig) != sorted(sig, reverse=True) or min(sig, default=1) < 1:
-        raise ValueError(
-            f"reduction_table requires a nonincreasing signature of exponents >= 1, got {sig}")
+    _check_signature("reduction_table", sig)
     rows = [()]
     for i in range(1, max(sig, default=0) + 1):
         # each sorted tail with its first exponent, 0 for the empty tail of

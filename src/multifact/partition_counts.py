@@ -13,11 +13,13 @@ the last also summed over k by :func:`counting._k_sum`) at the primorial
 canonical((1,) * n), so a wrong route fails them; this module keeps no copy
 of those sums.  Its memos are made by :func:`counting.cache`.  Those of
 :func:`p_kl` and :func:`r_l` key on the tuple of their arguments.  That of
-:func:`r_lj` holds one row per (l, j), a list with row[n] = r_{l,j}(n), or
-None where no state is stored: a b-file session stores over a million r_lj
-states, and a list slot costs 8 bytes where a dict entry cost about 48 and a
-key tuple more.  A cold r_lj(1300, 3, 1) keeps 1,260,145 states at 52 MB
-peak RSS; with dict rows it took 71 MB, with one key tuple per state more.
+:func:`r_lj` holds one row per (l, j), a list with row[n - j*l] =
+r_{l,j}(n), or None where no state is stored: a b-file session stores over a
+million r_lj states, and a list slot costs 8 bytes where a dict entry cost
+about 48 and a key tuple more.  A row starts at n = j*l, where r_{l,j} stops
+being 0, so its length follows the states stored, not n.  A cold
+r_lj(1300, 3, 1) keeps 1,260,145 states at 35 MB peak RSS; with rows indexed
+from n = 0 it took 52 MB, with dict rows 71 MB.
 """
 
 from collections import Counter
@@ -156,30 +158,35 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     would add a descent in n to the stack.  Memo hits are read inline, and
     the chain value r_{l,j+1}(n) is always the first sub-state asked for.
 
-    The memo maps (l, j) to a row, a list with row[n] = r_{l,j}(n), or None
-    where no state is stored; a read past the row's end is None too, and a
-    write pads the row with None up to n (below n = j*l every slot stays
-    None).  A call looks up the three rows it reads once each: its own, the
-    chain row (l, j+1) and the row (l-1, j+1) of its inner sum.  Every call
-    below this one has a larger j, so the calls this one makes write only
-    their own state to those rows (the chain call n, each inner-sum call its
-    m), and this call reads none of those states again.  A row that is
-    missing when it is looked up thus holds none of the states this call
-    reads: it is read as empty, and only the own row is created, by the
-    first call that looks it up.
+    The memo maps (l, j) to a row, a list with row[n - j*l] = r_{l,j}(n), or
+    None where no state is stored; a read past the row's end is None too,
+    and a write pads the row with None up to its index.  The row starts at
+    n = j*l, below which r_{l,j} is 0 and unstored, so its length is bounded
+    by the states the recursion can reach, not by n: r_lj(10**9, 1, 10**9)
+    stores one slot.  A read whose index would be negative is never made,
+    since a negative list index wraps silently.  A call looks up the three
+    rows it reads once each: its own, the chain row (l, j+1) and the row
+    (l-1, j+1) of its inner sum.  Every call below this one has a larger j,
+    so the calls this one makes write only their own state to those rows
+    (the chain call n, each inner-sum call its m), and this call reads none
+    of those states again.  A row that is missing when it is looked up thus
+    holds none of the states this call reads: it is read as empty, and only
+    the own row is created, by the first call that looks it up.
     """
     if j < 1:
         raise ValueError(f"r_lj requires j >= 1, got {j}")
-    if l <= 0 or j * l > n:
+    k = n - j * l  # the index of n in the own row
+    if l <= 0 or k < 0:
         return 1 if n == l == 0 else 0
     row = _R_LJ.get((l, j))
     if row is None:
         row = _R_LJ[l, j] = []
-    hit = row[n] if n < len(row) else None
+    hit = row[k] if k < len(row) else None
     if hit is not None:
         return hit
     chain = _R_LJ.get((l, j + 1), ())
-    total = chain[n] if n < len(chain) else None
+    kc = k - l  # the index of n in the chain row, negative where it is 0
+    total = chain[kc] if 0 <= kc < len(chain) else None
     if total is None:
         total = r_lj(n, l, j + 1)
     if l == 1:
@@ -187,20 +194,23 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
             total += 1
     else:
         lower = _R_LJ.get((l - 1, j + 1), ())
-        m = n - j
-        lo = (l - 1) * (j + 1)  # r_{l-1,j+1} is 0 below
-        whole = 0 if j * l > m else row[m] if m < len(row) else None
-        tail = 0 if (j + 1) * l > m else chain[m] if m < len(chain) else None
+        # the inner sum reads m = n - j, n - 2j, ... down to the lower row's
+        # start (l-1)(j+1), walked as indexes at = m - (l-1)(j+1) into it
+        base = (l - 1) * (j + 1)
+        top = n - j - base
+        stop = 0
+        whole = 0 if k < j else row[k - j] if k - j < len(row) else None
+        tail = 0 if kc < j else chain[kc - j] if kc - j < len(chain) else None
         if whole is not None and tail is not None:
             total += whole - tail  # the terms i >= 2
-            lo = max(lo, m)  # leaves the term i = 1
-        for m in range(n - j, lo - 1, -j):
-            sub = lower[m] if m < len(lower) else None
+            stop = max(0, top)  # leaves the term i = 1
+        for at in range(top, stop - 1, -j):
+            sub = lower[at] if at < len(lower) else None
             if sub is None:
-                sub = r_lj(m, l - 1, j + 1)
+                sub = r_lj(at + base, l - 1, j + 1)
             total += sub
-    row.extend([None] * (n + 1 - len(row)))  # empty unless n is past the row
-    row[n] = total
+    row.extend([None] * (k + 1 - len(row)))  # empty unless k is past the row
+    row[k] = total
     return total
 
 

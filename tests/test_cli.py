@@ -436,7 +436,7 @@ def test_verify_detection_map(monkeypatch):
 @pytest.mark.parametrize("function, right, wrong", [
     ("p_kl", "sub = p_kl(n - i * d, k - i, lp)", "sub = p_kl(n + i * d, k - i, lp)"),
     ("r_l", "sub = r_l(n - i * d, lp)", "sub = r_l(n + i * d, lp)"),
-    ("r_lj", "sub = r_lj(m, l - 1, j + 1)", "sub = r_lj(m, l - 1, j + 2)"),
+    ("r_lj", "sub = r_lj(at + base, l - 1, j + 1)", "sub = r_lj(at + base, l - 1, j + 2)"),
 ])
 def test_verify_fails_a_mutant_of_a_recursion_miss_path(capsys, monkeypatch,
                                                          function, right, wrong):

@@ -651,12 +651,12 @@ def test_canonical_builds_a_sorted_signature_and_refuses_any_other():
     fi = canonical((40,))  # 2**40 with no factoring
     assert fi.value == 2**40 and fi.factors == ((2, 40),)
     assert canonical((2, 1)).value == 12 and canonical(factorize(75).signature) is canonical((2, 1))
-    with pytest.raises(ValueError, match=re.escape("nonincreasing signature, got (1, 2)")):
+    with pytest.raises(ValueError, match=re.escape("nonincreasing signature of exponents >= 1, got (1, 2)")):
         canonical((1, 2))
     assert (1, 2) not in counting._CANONICAL
     # an exponent below 1 is refused by canonical itself, not by FactoredInt
     for sig in (3, 0), (0,), (2, -1):
-        message = f"canonical requires exponents >= 1 in a nonincreasing signature, got {sig}"
+        message = f"canonical requires a nonincreasing signature of exponents >= 1, got {sig}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             canonical(sig)
         assert sig not in counting._CANONICAL

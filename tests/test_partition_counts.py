@@ -342,8 +342,8 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
         for k, l in ((3, 2), (4, 2)):
             partition_counts.p_kl(n, k, l)
             top_level["p_kl"] += 1
-    # r_lj's memo holds one row per (l, j), a list indexed by n, so its
-    # states are the rows' set slots, not their lengths
+    # r_lj's memo holds one row per (l, j), a list indexed by n - j*l, so
+    # its states are the rows' set slots, not their lengths
     states = {"p_kl": len(partition_counts._P_KL), "r_l": len(partition_counts._R_L),
               "r_lj": sum(value is not None
                           for row in partition_counts._R_LJ.values() for value in row)}
@@ -355,9 +355,9 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
 
 
 def test_r_lj_rows_store_the_states_of_the_unpruned_recursion(deep_stack):
-    """_R_LJ maps (l, j) to a row, a list with row[n] = r_{l,j}(n) or None
-    where no state is stored; a sweep stores the same states, with the same
-    values, as the unpruned recursion's (n, l, j) memo."""
+    """_R_LJ maps (l, j) to a row, a list with row[n - j*l] = r_{l,j}(n) or
+    None where no state is stored; a sweep stores the same states, with the
+    same values, as the unpruned recursion's (n, l, j) memo."""
     counting.clear_caches()
     references.clear_partition_memos()
     for n in range(1, 401):
@@ -365,13 +365,27 @@ def test_r_lj_rows_store_the_states_of_the_unpruned_recursion(deep_stack):
             assert r_lj(n, l, 1) == references.r_lj(n, l, 1)
     rows = partition_counts._R_LJ
     assert all(type(row) is list for row in rows.values())
-    # r_{l,j}(n) is 0 below n = j*l, and the guard returns it unstored
-    assert all(l >= 1 and j >= 1 and all(value is None for value in row[:j * l])
-               for (l, j), row in rows.items())
-    states = {(n, l, j): value for (l, j), row in rows.items()
-              for n, value in enumerate(row) if value is not None}
+    # r_{l,j}(n) is 0 below n = j*l, and the guard returns it unstored, so
+    # each row starts there and ends at its last stored state
+    assert all(l >= 1 and j >= 1 and row and row[-1] is not None for (l, j), row in rows.items())
+    states = {(j * l + at, l, j): value for (l, j), row in rows.items()
+              for at, value in enumerate(row) if value is not None}
     assert len(states) == 146_001
     assert states == references._REF_R_LJ
-    assert rows[2, 1][400] == 8_244 and rows[3, 1][400] == 2_067_383
+    assert rows[2, 1][400 - 2] == 8_244 and rows[3, 1][400 - 3] == 2_067_383
     counting.clear_caches()
     references.clear_partition_memos()
+
+
+def test_r_lj_rows_grow_with_the_states_not_with_n():
+    # a huge n with j near n/l makes a short chain, and each row it touches
+    # holds a few slots from its start n = j*l on
+    counting.clear_caches()
+    assert r_lj(10**9, 1, 10**9) == 1
+    assert partition_counts._R_LJ == {(1, 10**9): [1]}
+    n = 10**9
+    assert r_lj(n, 1, n - 5) == 1  # only the part n itself
+    assert r_lj(n, 2, n // 2 - 3) == 3  # (n/2 + 3 - t) + (n/2 - 3 + t), t = 0..2
+    # 58 slots over 16 rows; rows indexed from n = 0 would pad each to 10**9
+    assert sum(map(len, partition_counts._R_LJ.values())) <= 100
+    counting.clear_caches()
