@@ -13,7 +13,6 @@ from .arith import (
     FactoredInt,
     IntegrityError,
     factorize,
-    prime_signature,
 )
 from .counting import (
     big_F,
@@ -31,11 +30,6 @@ from .counting import (
 )
 from .oracle import enumerate_factorizations, enumerate_partitions, profile
 from .partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
-from .partitions import (
-    compositions_of,
-    euler_transform,
-    mu_beta,
-)
 
 __version__ = "0.1.0"
 
@@ -49,10 +43,8 @@ __all__ = [
     "big_G",
     "canonical",
     "check_identity",
-    "compositions_of",
     "enumerate_factorizations",
     "enumerate_partitions",
-    "euler_transform",
     "f_k_kappa",
     "f_k_rec",
     "f_kl",
@@ -63,9 +55,7 @@ __all__ = [
     "g_k_rec",
     "g_total",
     "h_l",
-    "mu_beta",
     "p_kl",
-    "prime_signature",
     "profile",
     "r_l",
     "r_lj",

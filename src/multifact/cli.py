@@ -9,7 +9,8 @@ one enumeration of n, its factorizations or its partitions (r_lj's, those
 into parts >= j), through the one read table ``_ORACLE_READS``; both count
 by (parts, distinct values), so p_kl reads as f_kl does and r_l and r_lj as
 h_l does.  ``verify`` reads every value it compares from these three tables,
-``_RELATIONS`` or ``check_identity``, at every n from 1 and every index from
+``_RELATIONS`` (among them f as the sum of h_l over l, and f_k as the sum of
+f_kl over l) or ``check_identity``, at every n from 1 and every index from
 0 in both suites, each suite from cold memos with n walked downward; it
 leaves out a route over its budget as ``compute --all-methods`` does, and in
 the oracle suite a side of n whose enumeration is over its budget.  The
@@ -284,10 +285,19 @@ def _partition_grid(n: int):
             yield "p_kl", k, l
 
 
-# the values the routes suite checks beside a partition function's own
-# routes, each read from the route tables at call time: r_l by the r_lj
-# recursion at j = 1, and r_l, p_kl by the h_l, f_kl recursions at 2**n
+# the values the routes suite checks beside a function's own routes, each
+# read from the route tables at call time and given the side's own n, factored
+# or not: f as the sum of h_l over l, f_k as the sum of f_kl over l, r_l by
+# the r_lj recursion at j = 1, and r_l, p_kl by the h_l, f_kl recursions at 2**n
 _RELATIONS = {
+    "f": {
+        "h_l-sum": lambda fi, k, l: sum(_FACTOR_ROUTES[("h_l", "recursion")](fi, None, i)
+                                        for i in range(fi.big_omega + 2)),
+    },
+    "f_k": {
+        "f_kl-sum": lambda fi, k, l: sum(_FACTOR_ROUTES[("f_kl", "recursion")](fi, k, i)
+                                         for i in range(k + 1)),
+    },
     "r_l": {
         "parts-floor-recursion":
             lambda n, k, l: _PARTITION_ROUTES[("r_lj", "recursion")](n, k, l, 1),
@@ -303,7 +313,7 @@ _RELATIONS = {
 
 def _checks(suite: str, n: int):
     """Yield one suite's checks at n: each identity up to its own largest n,
-    the factorization side at every n and the partition side up to n = 40,
+    the partition side up to n = 40 and the factorization side at every n,
     the oracle suite leaving out a side whose enumeration is over budget."""
     if suite == "identities":
         for identity, (_, _, k_indexed, top) in partition_counts._IDENTITY_TABLE.items():
@@ -314,13 +324,16 @@ def _checks(suite: str, n: int):
                 yield identity, n, k, None, {"lhs": rep.lhs, "rhs": rep.rhs}
         return
     fi = factorize(n)
-    sides = [(_factor_grid(fi), lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
-              oracle.profile)]  # (grid, route(key, k, l), oracle enumeration)
+    # (grid, the side's own n, route(key, k, l), oracle enumeration); the
+    # partition side goes first, so a wrong h_l or f_kl row is first reported
+    # at the r_l or p_kl relation that reads it at 2**n, not at the f or f_k sum
+    sides = [(_factor_grid(fi), fi, lambda key, k, l: _FACTOR_ROUTES[key](fi, k, l),
+              oracle.profile)]
     if n <= 40:
-        sides.append((_partition_grid(n),
-                      lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
-                      oracle.partition_profile))
-    for grid, route, enumerate_n in sides:
+        sides.insert(0, (_partition_grid(n), n,
+                         lambda key, k, l: _PARTITION_ROUTES[key](n, k, l, None),
+                         oracle.partition_profile))
+    for grid, arg, route, enumerate_n in sides:
         try:
             prof = enumerate_n(n) if suite == "oracle" else None
         except OracleLimitError:
@@ -336,7 +349,7 @@ def _checks(suite: str, n: int):
                 if len(methods) + len(relations) < 2:
                     continue
                 values, _ = _within_budget(methods, lambda m: route((function, m), k, l))
-                values.update((label, rel(n, k, l)) for label, rel in relations.items())
+                values.update((label, rel(arg, k, l)) for label, rel in relations.items())
                 if len(values) < 2:
                     continue
             yield function, n, k, l, values

@@ -12,13 +12,13 @@ The divisor and kappa recursions share one piece of plumbing, the reduction
 table of a signature (:func:`reduction_table`): one row per power i, which
 groups the divisor powers d**i of n by the signature of n / d**i, with the
 group's size and its sum of kappa_pi(d) for the prime pi that carries n's
-largest exponent.  Per power i it lists the other primes' exponent vectors
-of n / d**i once, each sorted, and loops the first prime's exponent outside
-them; a divisor's vector needs a sort of its own only where that exponent is
-below the first of the others, and each group's rest takes one lookup.  That
-rest, n / d**i, is passed on as the canonical representative of its
-signature (:func:`canonical`: the first primes, largest exponent on 2), so
-the recursions never build or factor the integer n / d**i.  Each recursion
+largest exponent.  Per power i it lists the other primes' exponents in
+n / d**i once, sorted without zeros, and loops the first prime's exponent
+outside them, so a divisor's key, the signature of n / d**i, needs a sort
+only where that exponent is nonzero and below the first of the others.  Each
+group's rest, n / d**i, is the canonical representative of that key
+(:func:`canonical`: the first primes, largest exponent on 2), so the
+recursions never build or factor the integer n / d**i.  Each recursion
 walks the rows of the powers i it needs and does the work that depends on i
 alone once per row: the sign, the index k - i, the j bounds and the signed
 binomials C(i, j).  A group then costs one memo read and one multiply-add
@@ -131,7 +131,6 @@ _GK_KAP = cache()
 _FKL = cache()
 _HL = cache()
 _CANONICAL = cache()
-_RESTS = cache()  # a reduction-table key, zeros last, to its canonical rest
 _TABLES = cache()
 
 
@@ -338,17 +337,18 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     group and weight the sum of c[0] over them, which is the group's total of
     kappa_pi(d) when pi carries sig[0], the largest exponent.
 
-    For each power i the exponent vectors of the other primes in n / d**i,
-    the tails, are listed once by :func:`itertools.product`, each sorted
-    nonincreasing; the first prime's exponent sig[0] - c[0] * i, the head,
-    runs outside them, so c[0] is its position.  Each pair is keyed by its
-    exponent vector sorted nonincreasing, zeros last: the head followed by
-    the tail when the head is at least the tail's first exponent, else one
-    sort.  Each key keeps its [count, weight]; the key of c = 0 is sig itself
-    and is dropped.  A key's rest comes from one lookup in `_RESTS`, shared by
-    every table.  A row's groups are unsorted, except that the unit's group,
-    which a row has when i divides every exponent, comes last: its key is
-    the last pair visited.  The unit's table is the one empty row.
+    For each power i the exponents of the other primes in n / d**i, the
+    tails, are listed once by :func:`itertools.product`, each sorted
+    nonincreasing without its zeros; the first prime's exponent
+    sig[0] - c[0] * i, the head, runs outside them, so c[0] is its position.
+    Each pair is keyed by the signature of n / d**i: the nonzero head, then
+    the tail, when the head is 0 or at least the tail's first exponent, else
+    one sort.  Each key keeps its [count, weight]; the key of c = 0 is sig
+    and is dropped.  A key's rest is :func:`canonical`'s, read from its cache
+    `_CANONICAL`, which every table shares.  A row's groups are unsorted, but
+    the unit's group, key (), which a row has when i divides every exponent,
+    comes last: its key is the last pair visited.  The unit's table is the
+    one empty row.
 
     A signature that is not nonincreasing, or has an exponent below 1, raises
     :class:`ValueError` before any work.
@@ -359,18 +359,18 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
     _check_signature("reduction_table", sig)
     rows = [()]
     for i in range(1, max(sig, default=0) + 1):
-        # each sorted tail with its first exponent, 0 for the empty tail of
-        # one prime; the key is the head followed by the tail when the head
-        # is at least that exponent
+        # each tail without its zeros, sorted, with its first exponent, 0 for
+        # an empty tail; the key is the head followed by the tail when the
+        # head is 0 or at least that exponent
         tails = []
         for tail in product(*(range(e, -1, -i) for e in sig[1:])):
-            tail = tuple(sorted(tail, reverse=True))
+            tail = tuple(sorted(filter(None, tail), reverse=True))
             tails.append((tail[0] if tail else 0, tail))
         groups: dict = {}
         for c0, h in enumerate(range(sig[0], -1, -i)):
-            head = (h,)
+            head = (h,) if h else ()
             for lead, tail in tails:
-                key = head + tail if h >= lead else tuple(sorted(head + tail, reverse=True))
+                key = head + tail if h >= lead or not h else tuple(sorted(head + tail, reverse=True))
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [1, c0]
@@ -380,9 +380,7 @@ def reduction_table(sig: tuple[int, ...]) -> tuple:
         del groups[sig]
         row = []
         for key, (count, weight) in groups.items():
-            rest = _RESTS.get(key)
-            if rest is None:
-                rest = _RESTS[key] = canonical(key[:len(key) - key.count(0)])
+            rest = canonical(key)
             row.append((rest, rest.big_omega, count, weight))
         rows.append(tuple(row))
     table = _TABLES[sig] = tuple(rows)

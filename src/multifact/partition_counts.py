@@ -15,11 +15,10 @@ of those sums.  Its memos are made by :func:`counting.cache`.  Those of
 :func:`p_kl` and :func:`r_l` key on the tuple of their arguments.  That of
 :func:`r_lj` holds one row per (l, j), a list with row[n - j*l] =
 r_{l,j}(n), or None where no state is stored: a b-file session stores over a
-million r_lj states, and a list slot costs 8 bytes where a dict entry cost
+million r_lj states, and a list slot costs 8 bytes where a dict entry costs
 about 48 and a key tuple more.  A row starts at n = j*l, where r_{l,j} stops
 being 0, so its length follows the states stored, not n.  A cold
-r_lj(1300, 3, 1) keeps 1,260,145 states at 35 MB peak RSS; with rows indexed
-from n = 0 it took 52 MB, with dict rows 71 MB.
+r_lj(1300, 3, 1) keeps 1,260,145 states at 35 MB peak RSS.
 """
 
 from collections import Counter

@@ -400,7 +400,9 @@ DETECTED_BY = {
     **{key: {"oracle", "routes"} for key in [
         ("f", "recursion"), ("g", "recursion"), ("f_k", "recursion"), ("g_k", "recursion"),
         ("F_k", "partition-sum"), ("G_k", "partition-sum"),
-        ("p_kl", "recursion"), ("r_l", "recursion")]},
+        ("p_kl", "recursion"), ("r_l", "recursion"),
+        # the one route of each meets f or f_k through its sum over l
+        ("h_l", "recursion"), ("f_kl", "recursion")]},
     **{key: {"routes"} for key in [
         ("f", "partition-sum"), ("f", "kappa-recursion"), ("f", "fedorov"),
         ("g", "partition-sum"), ("g", "kappa-recursion"),
@@ -408,9 +410,6 @@ DETECTED_BY = {
         ("g_k", "partition-sum"), ("g_k", "kappa-recursion"),
         ("F_k", "fedorov"), ("F_k", "recursion"), ("F_k", "kappa-recursion"),
         ("G_k", "recursion"), ("r_lj", "recursion")]},
-    # the one route of each has no second route or relation to meet
-    ("h_l", "recursion"): {"oracle"},
-    ("f_kl", "recursion"): {"oracle"},
     # no suite checks these
     ("stirling2", "recursion"): set(),
     ("bell", "recursion"): set(),
@@ -771,6 +770,18 @@ def test_stirling_and_bell_refuse_n_above_their_cap(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {argv[1]} requires n <= {cli.STIRLING_MAX_N}\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("compute", "f_k", "36"), "error: f_k requires --k"),
+    (("compute", "f", "36", "--k", "2"), "error: f does not take --k"),
+    (("compute", "r_lj", "5", "--l", "1"), "error: r_lj requires --j"),
+    (("compute", "p_kl", "-1", "--k", "1", "--l", "1"), "error: p_kl requires n >= 0"),
+    (("bfile", "f", "--max", "1"), "error: --max must be >= 2"),
+    (("bench", "f", "36", "--repeat", "0"), "error: --repeat must be >= 1"),
+])
+def test_usage_errors_print_their_one_line(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_zero_indices_are_accepted(capsys):

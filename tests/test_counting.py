@@ -640,7 +640,7 @@ def test_clear_caches_drops_the_tables():
     memos = [value for module in (counting, pc)
              for name, value in vars(module).items()
              if isinstance(value, dict) and not name.startswith("__") and name != "_IDENTITY_TABLE"]
-    assert len(memos) == 16 and all(memos)
+    assert len(memos) == 15 and all(memos)
     assert sorted(map(id, counting._CACHES)) == sorted(map(id, memos))
     counting.clear_caches()
     assert not any(memos)
