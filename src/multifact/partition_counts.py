@@ -13,12 +13,13 @@ the last also summed over k by :func:`counting._k_sum`) at the primorial
 canonical((1,) * n), so a wrong route fails them; this module keeps no copy
 of those sums.  Its memos are made by :func:`counting.cache`.  Those of
 :func:`p_kl` and :func:`r_l` key on the tuple of their arguments.  That of
-:func:`r_lj` holds one row per (l, j), a list with row[n - j*l] =
-r_{l,j}(n), or None where no state is stored: a b-file session stores over a
-million r_lj states, and a list slot costs 8 bytes where a dict entry costs
-about 48 and a key tuple more.  A row starts at n = j*l, where r_{l,j} stops
-being 0, so its length follows the states stored, not n.  A cold
-r_lj(1300, 3, 1) keeps 1,260,145 states at 35 MB peak RSS.
+:func:`r_lj` holds one dict of rows per l, keyed by j, each row a list
+indexed by n - j*l, with row[n - j*l] = r_{l,j}(n), or None where no state
+is stored: a b-file session stores over a million r_lj states, and a list
+slot costs 8 bytes where a dict entry costs about 48 and a key tuple more.
+A row starts at n = j*l, where r_{l,j} stops being 0, so its length follows
+the states stored, not n.  A cold r_lj(1300, 3, 1) keeps 1,260,145 states at
+35 MB peak RSS.
 """
 
 from collections import Counter
@@ -44,14 +45,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Result of evaluating both sides of one identity; passed iff lhs == rhs."""
+    """Result of evaluating both sides of one identity."""
 
     identity: str
     n: int
     k: int | None
     lhs: BigCount
     rhs: BigCount
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 _P_KL = cache()
@@ -152,38 +156,48 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
     r_{l,j+1}(n-j) (or they are 0 because j*l > n-j), the same split at n - j
     telescopes the sum to
     r_{l-1,j+1}(n-j) + r_{l,j}(n-j) - r_{l,j+1}(n-j),
-    which is O(1) work.  Only earlier calls fill those two entries, as when
-    ``bfile`` walks n upward; they are never computed just for this, which
-    would add a descent in n to the stack.  Memo hits are read inline, and
-    the chain value r_{l,j+1}(n) is always the first sub-state asked for.
+    which is one memo read or one call, and nothing when n - j is below the
+    lower row's start (l-1)(j+1).  Only earlier calls fill those two
+    entries, as when ``bfile`` walks n upward; they are never computed just
+    for this, which would add a descent in n to the stack.  Memo hits are
+    read inline, and the chain value r_{l,j+1}(n) is always the first
+    sub-state asked for.
 
-    The memo maps (l, j) to a row, a list with row[n - j*l] = r_{l,j}(n), or
-    None where no state is stored; a read past the row's end is None too,
-    and a write pads the row with None up to its index.  The row starts at
+    The memo holds one dict of rows per l, keyed by j, each row a list with
+    row[n - j*l] = r_{l,j}(n), or None where no state is stored; a read past
+    the row's end is None too.  A state at the row's end is appended, and
+    one past it pads the row with None up to its index.  The row starts at
     n = j*l, below which r_{l,j} is 0 and unstored, so its length is bounded
     by the states the recursion can reach, not by n: r_lj(10**9, 1, 10**9)
     stores one slot.  A read whose index would be negative is never made,
-    since a negative list index wraps silently.  A call looks up the three
-    rows it reads once each: its own, the chain row (l, j+1) and the row
-    (l-1, j+1) of its inner sum.  Every call below this one has a larger j,
-    so the calls this one makes write only their own state to those rows
-    (the chain call n, each inner-sum call its m), and this call reads none
-    of those states again.  A row that is missing when it is looked up thus
-    holds none of the states this call reads: it is read as empty, and only
-    the own row is created, by the first call that looks it up.
+    since a negative list index wraps silently.  A call reads three rows:
+    its own and the chain row j+1, both through one lookup of l, and the
+    row j+1 of its inner sum, through one lookup of l-1.  Every call below
+    this one has a larger j, so the calls this one makes write only their
+    own state to the last two rows (the chain call n, each inner-sum call
+    its m), this call reads none of those states again, and its own row
+    keeps its length until this call writes to it.  A row that is missing
+    when it is looked up thus holds none of the states this call reads: it
+    is read as empty, and only the own row is created, by the first call
+    that looks it up.
     """
     if j < 1:
         raise ValueError(f"r_lj requires j >= 1, got {j}")
     k = n - j * l  # the index of n in the own row
     if l <= 0 or k < 0:
         return 1 if n == l == 0 else 0
-    row = _R_LJ.get((l, j))
+    rows = _R_LJ.get(l)
+    if rows is None:
+        rows = _R_LJ[l] = {}
+    row = rows.get(j)
     if row is None:
-        row = _R_LJ[l, j] = []
-    hit = row[k] if k < len(row) else None
-    if hit is not None:
-        return hit
-    chain = _R_LJ.get((l, j + 1), ())
+        row = rows[j] = []
+    size = len(row)
+    if k < size:
+        hit = row[k]
+        if hit is not None:
+            return hit
+    chain = rows.get(j + 1, ())
     kc = k - l  # the index of n in the chain row, negative where it is 0
     total = chain[kc] if 0 <= kc < len(chain) else None
     if total is None:
@@ -192,24 +206,33 @@ def r_lj(n: int, l: int, j: int) -> BigCount:
         if n % j == 0:
             total += 1
     else:
-        lower = _R_LJ.get((l - 1, j + 1), ())
+        lower = _R_LJ.get(l - 1)
+        lower = lower.get(j + 1, ()) if lower else ()
         # the inner sum reads m = n - j, n - 2j, ... down to the lower row's
         # start (l-1)(j+1), walked as indexes at = m - (l-1)(j+1) into it
         base = (l - 1) * (j + 1)
         top = n - j - base
-        stop = 0
-        whole = 0 if k < j else row[k - j] if k - j < len(row) else None
+        whole = 0 if k < j else row[k - j] if k - j < size else None
         tail = 0 if kc < j else chain[kc - j] if kc - j < len(chain) else None
-        if whole is not None and tail is not None:
+        if whole is None or tail is None:
+            for at in range(top, -1, -j):
+                sub = lower[at] if at < len(lower) else None
+                if sub is None:
+                    sub = r_lj(at + base, l - 1, j + 1)
+                total += sub
+        else:
             total += whole - tail  # the terms i >= 2
-            stop = max(0, top)  # leaves the term i = 1
-        for at in range(top, stop - 1, -j):
-            sub = lower[at] if at < len(lower) else None
-            if sub is None:
-                sub = r_lj(at + base, l - 1, j + 1)
-            total += sub
-    row.extend([None] * (k + 1 - len(row)))  # empty unless k is past the row
-    row[k] = total
+            if top >= 0:  # the term i = 1
+                sub = lower[top] if top < len(lower) else None
+                if sub is None:
+                    sub = r_lj(n - j, l - 1, j + 1)
+                total += sub
+    if k < size:
+        row[k] = total
+    else:
+        if k > size:
+            row.extend([None] * (k - size))
+        row.append(total)
     return total
 
 
@@ -304,5 +327,4 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
         k = None
     elif k is None or not 1 <= k <= n:
         raise ValueError(f"{identity} requires 1 <= k <= n, got k={k}, n={n}")
-    left, right = lhs(n, k), rhs(n, k)
-    return IdentityReport(identity, n, k, left, right, left == right)
+    return IdentityReport(identity, n, k, lhs(n, k), rhs(n, k))

@@ -1,5 +1,6 @@
 """Tests for partition-side counts, Stirling/Bell numbers, and identities."""
 
+import random
 import re
 import sys
 from collections import Counter
@@ -342,11 +343,11 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
         for k, l in ((3, 2), (4, 2)):
             partition_counts.p_kl(n, k, l)
             top_level["p_kl"] += 1
-    # r_lj's memo holds one row per (l, j), a list indexed by n - j*l, so
-    # its states are the rows' set slots, not their lengths
+    # r_lj's memo holds one dict of rows per l, each row a list indexed by
+    # n - j*l, so its states are the rows' set slots, not their lengths
     states = {"p_kl": len(partition_counts._P_KL), "r_l": len(partition_counts._R_L),
-              "r_lj": sum(value is not None
-                          for row in partition_counts._R_LJ.values() for value in row)}
+              "r_lj": sum(value is not None for rows in partition_counts._R_LJ.values()
+                          for row in rows.values() for value in row)}
     for name, entries in states.items():
         # the unpruned recursions make 1,320,035 / 1,300,624 / 1,603,906
         # calls here for 146,001 / 893 / 1,488 entries
@@ -355,15 +356,16 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
 
 
 def test_r_lj_rows_store_the_states_of_the_unpruned_recursion(deep_stack):
-    """_R_LJ maps (l, j) to a row, a list with row[n - j*l] = r_{l,j}(n) or
-    None where no state is stored; a sweep stores the same states, with the
-    same values, as the unpruned recursion's (n, l, j) memo."""
+    """_R_LJ maps l to a dict of rows keyed by j, each row a list with
+    row[n - j*l] = r_{l,j}(n) or None where no state is stored; a sweep
+    stores the same states, with the same values, as the unpruned
+    recursion's (n, l, j) memo."""
     counting.clear_caches()
     references.clear_partition_memos()
     for n in range(1, 401):
         for l in (2, 3):
             assert r_lj(n, l, 1) == references.r_lj(n, l, 1)
-    rows = partition_counts._R_LJ
+    rows = {(l, j): row for l, by_j in partition_counts._R_LJ.items() for j, row in by_j.items()}
     assert all(type(row) is list for row in rows.values())
     # r_{l,j}(n) is 0 below n = j*l, and the guard returns it unstored, so
     # each row starts there and ends at its last stored state
@@ -382,10 +384,68 @@ def test_r_lj_rows_grow_with_the_states_not_with_n():
     # holds a few slots from its start n = j*l on
     counting.clear_caches()
     assert r_lj(10**9, 1, 10**9) == 1
-    assert partition_counts._R_LJ == {(1, 10**9): [1]}
+    assert partition_counts._R_LJ == {1: {10**9: [1]}}
     n = 10**9
     assert r_lj(n, 1, n - 5) == 1  # only the part n itself
     assert r_lj(n, 2, n // 2 - 3) == 3  # (n/2 + 3 - t) + (n/2 - 3 + t), t = 0..2
     # 58 slots over 16 rows; rows indexed from n = 0 would pad each to 10**9
-    assert sum(map(len, partition_counts._R_LJ.values())) <= 100
+    assert sum(len(row) for rows in partition_counts._R_LJ.values() for row in rows.values()) <= 100
     counting.clear_caches()
+
+
+def test_r_lj_takes_one_frame_per_level_of_its_chain(monkeypatch):
+    """Each level of the j-chain adds one r_lj frame and nothing else: the
+    frames per level set which deep queries exhaust the interpreter stack,
+    and so which r_lj ops of the sequence benchmark raise RecursionError."""
+    depths = []
+
+    def spy(n, l, j, _r_lj=partition_counts.r_lj):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.append((j, depth))
+        return _r_lj(n, l, j)
+
+    monkeypatch.setattr(partition_counts, "r_lj", spy)
+    counting.clear_caches()
+    assert partition_counts.r_lj(60, 1, 1) == 12  # one per divisor of 60
+    # j = 61 is the chain's last step, the guard's 0 at n - j*l < 0
+    assert [j for j, _ in depths] == list(range(1, 62))
+    # each call sits below the spy and one r_lj frame of its caller
+    assert all(inner - outer == 2 for (_, outer), (_, inner) in zip(depths, depths[1:]))
+    counting.clear_caches()
+
+
+def test_r_lj_rows_take_states_in_any_order(monkeypatch):
+    """Queries in a shuffled order write past a row's end, padding it with
+    None, and into its None slots, where an upward sweep only appends; every
+    stored state still equals the unpruned recursion's, and every memo hit,
+    the chain state at its row's start included, is read without a call."""
+    calls = Counter()
+
+    def counted(*args, _r_lj=partition_counts.r_lj):
+        calls["r_lj"] += 1
+        return _r_lj(*args)
+
+    monkeypatch.setattr(partition_counts, "r_lj", counted)
+    queries = [(n, l, j) for n in range(121) for l in range(5) for j in range(1, 6)]
+    random.Random(2024).shuffle(queries)
+    counting.clear_caches()
+    references.clear_partition_memos()
+    writes = Counter()
+    for n, l, j in queries:
+        row, k = partition_counts._R_LJ.get(l, {}).get(j, []), n - j * l
+        if 0 <= k and l >= 1 and (k >= len(row) or row[k] is None):
+            writes["pad" if k > len(row) else "append" if k == len(row) else "fill"] += 1
+        assert partition_counts.r_lj(n, l, j) == references.r_lj(n, l, j), (n, l, j)
+    assert min(writes["pad"], writes["append"], writes["fill"]) > 0, writes
+    assert calls["r_lj"] == 17_850
+    for l, by_j in partition_counts._R_LJ.items():
+        for j, row in by_j.items():
+            # the row starts at n = j*l and ends at a stored state
+            assert l >= 1 and j >= 1 and row[-1] is not None, (l, j)
+            for at, value in enumerate(row):
+                if value is not None:
+                    assert value == references.r_lj(j * l + at, l, j), (j * l + at, l, j)
+    counting.clear_caches()
+    references.clear_partition_memos()
