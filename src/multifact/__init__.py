@@ -29,7 +29,7 @@ from .counting import (
     h_l,
 )
 from .oracle import enumerate_factorizations, enumerate_partitions, profile
-from .partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
+from .partition_counts import bell, p_kl, r_l, r_lj, stirling2
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "big_F",
     "big_G",
     "canonical",
-    "check_identity",
     "enumerate_factorizations",
     "enumerate_partitions",
     "f_k_kappa",

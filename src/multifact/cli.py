@@ -10,13 +10,16 @@ into parts >= j), through the one read table ``_ORACLE_READS``; both count
 by (parts, distinct values), so p_kl reads as f_kl does and r_l and r_lj as
 h_l does.  ``verify`` reads every value it compares from these three tables,
 ``_RELATIONS`` (among them f as the sum of h_l over l, and f_k as the sum of
-f_kl over l) or ``check_identity``, at every n from 1 and every index from
-0 in both suites, each suite from cold memos with n walked downward; it
-leaves out a route over its budget as ``compute --all-methods`` does, and in
-the oracle suite a side of n whose enumeration is over its budget.  The
-function lists, each function's methods in order (the first is its default)
-and the ``--method`` choices derive from the route tables; ``NEEDS`` holds
-each function's indices.
+f_kl over l) or ``_IDENTITIES``, the paper's relations at a squarefree n,
+where nu_beta(1) = beta_1 turns the partition sum into sum_beta
+beta_1**n / z_beta: Stirling and Bell numbers against the factor rows at the
+n-th primorial p_1...p_n.  Every suite starts from cold memos and walks n
+downward.  The routes and oracle suites check every n from 1 and every index
+from 0; the first leaves out a route over its budget as
+``compute --all-methods`` does, the second a side of n whose enumeration is
+over its budget.  The function lists, each function's methods in order (the
+first is its default) and the ``--method`` choices derive from the route
+tables; ``NEEDS`` holds each function's indices.
 
 Exit codes: 0 success, 1 verification or internal integrity failure, 2 usage
 error.  All stdout is deterministic for fixed arguments, except the timing
@@ -27,11 +30,13 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
+from dataclasses import dataclass
+from math import comb, factorial
 
-from . import counting, oracle, partition_counts
-from .arith import FactoredInt, IntegrityError, factorize
+from . import counting, oracle, partition_counts, partitions
+from .arith import BigCount, FactoredInt, IntegrityError, factorize
 from .oracle import OracleLimitError
-from .partition_counts import check_identity
 
 # reject stirling2 and bell past this n: the Stirling row takes O(n**2)
 # big-int steps to build; bfile bell --max 2500 takes 6.5 s on a 2-vCPU VM
@@ -288,7 +293,8 @@ def _partition_grid(n: int):
 # the values the routes suite checks beside a function's own routes, each
 # read from the route tables at call time and given the side's own n, factored
 # or not: f as the sum of h_l over l, f_k as the sum of f_kl over l, r_l by
-# the r_lj recursion at j = 1, and r_l, p_kl by the h_l, f_kl recursions at 2**n
+# the r_lj recursion at j = 1 and as the sum of p_kl over k, and r_l, p_kl by
+# the h_l, f_kl recursions at 2**n
 _RELATIONS = {
     "f": {
         "h_l-sum": lambda fi, k, l: sum(_FACTOR_ROUTES[("h_l", "recursion")](fi, None, i)
@@ -301,6 +307,8 @@ _RELATIONS = {
     "r_l": {
         "parts-floor-recursion":
             lambda n, k, l: _PARTITION_ROUTES[("r_lj", "recursion")](n, k, l, 1),
+        "p_kl-sum": lambda n, k, l: sum(_PARTITION_ROUTES[("p_kl", "recursion")](n, i, l, None)
+                                        for i in range(n + 1)),
         "prime-power":
             lambda n, k, l: _FACTOR_ROUTES[("h_l", "recursion")](counting.canonical((n,)), k, l),
     },
@@ -311,12 +319,104 @@ _RELATIONS = {
 }
 
 
+def _at_primorial(key, n: int, k: int):
+    """The factor row `key` at the n-th primorial canonical((1,) * n)."""
+    return _FACTOR_ROUTES[key](counting.canonical((1,) * n), k, None)
+
+
+def _stirling(n: int, k: int):
+    return _PARTITION_ROUTES[("stirling2", "recursion")](n, k, None, None)
+
+
+def _bell(n: int, k):
+    return _PARTITION_ROUTES[("bell", "recursion")](n, None, None, None)
+
+
+def _composition_aggregate(n: int) -> int:
+    """The multiplicity vectors beta of the compositions of n whose weights
+    n! / prod(prefix sums) sum to the class size n! / z_beta.  It reads no
+    partitions, so a vector missing on either side fails the identity."""
+    n_fact = factorial(n)
+    sums = Counter()
+    for comp in partitions.compositions_of(n):
+        sums[partitions.multiplicity_vector(comp)] += n_fact // partitions.prefix_product(comp)
+    return sum(1 for b, s in sums.items() if s == n_fact // partitions.centralizer_order(b))
+
+
+# the paper's relations at a squarefree n, checked by the identities suite:
+# each identity as (lhs(n, k), rhs(n, k), whether k is an index, the largest n
+# that verify checks it at), in the order verify runs them.  Every side but
+# composition-aggregate's reads a row of the route tables at call time
+_IDENTITIES = {
+    "bell-partition-sum": (_bell, lambda n, k: _at_primorial(("F_k", "partition-sum"), n, n),
+                           False, 20),
+    "stirling-partial-sum": (lambda n, k: sum(_stirling(n, i) for i in range(1, k + 1)),
+                             lambda n, k: _at_primorial(("F_k", "partition-sum"), n, k), True, 20),
+    "choose2-plus-one": (lambda n, k: comb(n, 2) + 1,
+                         lambda n, k: _at_primorial(("G_k", "partition-sum"), n, n), False, 20),
+    "stirling-adjacent-sum": (lambda n, k: _stirling(n, k) + _stirling(n, k - 1),
+                              lambda n, k: _at_primorial(("G_k", "partition-sum"), n, k), True, 20),
+    "composition-aggregate": (lambda n, k: _composition_aggregate(n),
+                              lambda n, k: sum(1 for _ in oracle.enumerate_partitions(n)),
+                              False, 12),
+    "primorial-stirling": (lambda n, k: _at_primorial(("f_k", "recursion"), n, k), _stirling,
+                           True, 10),
+    "primorial-bell": (lambda n, k: _at_primorial(("F_k", "recursion"), n, n), _bell, False, 10),
+}
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Result of evaluating both sides of one identity."""
+
+    identity: str
+    n: int
+    k: int | None
+    lhs: BigCount
+    rhs: BigCount
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
+    """Evaluate both sides of one named identity with exact arithmetic.
+
+    With P = canonical((1,) * n), the product of the first n primes, F_k and
+    G_k by their partition-sum rows, f_k and F_k by their recursion rows, and
+    S and B by the stirling2 and bell rows:
+
+    - ``bell-partition-sum``: B_n  ==  F_n(P)
+    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  F_k(P)
+    - ``choose2-plus-one``: C(n, 2) + 1  ==  G_n(P)
+    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  G_k(P)
+    - ``composition-aggregate``: per multiplicity vector beta of n, the weights
+      n! / prod(prefix sums) of its compositions sum to the class size
+      n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
+      :func:`oracle.enumerate_partitions`
+    - ``primorial-stirling``: f_k(P)  ==  S(n, k)
+    - ``primorial-bell``: F_n(P) by the recursion  ==  B_n
+
+    ``bell-partition-sum`` and ``primorial-bell`` thus check B_n by two
+    different routes.  k-indexed identities require 1 <= k <= n.
+    """
+    if identity not in _IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}")
+    lhs, rhs, k_indexed, _ = _IDENTITIES[identity]
+    if not k_indexed:
+        k = None
+    elif k is None or not 1 <= k <= n:
+        raise ValueError(f"{identity} requires 1 <= k <= n, got k={k}, n={n}")
+    return IdentityReport(identity, n, k, lhs(n, k), rhs(n, k))
+
+
 def _checks(suite: str, n: int):
     """Yield one suite's checks at n: each identity up to its own largest n,
     the partition side up to n = 40 and the factorization side at every n,
     the oracle suite leaving out a side whose enumeration is over budget."""
     if suite == "identities":
-        for identity, (_, _, k_indexed, top) in partition_counts._IDENTITY_TABLE.items():
+        for identity, (_, _, k_indexed, top) in _IDENTITIES.items():
             if n > top:
                 continue
             for k in range(1, n + 1) if k_indexed else (None,):

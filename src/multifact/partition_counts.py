@@ -1,61 +1,27 @@
-"""Partition-side counts and identity checkers.
+"""Partition-side counts: partitions of n classified by part count and
+distinct part values (the additive shadow of the factorization counts,
+reached by evaluating them at prime powers), Stirling numbers of the second
+kind and Bell numbers.  The identities that tie the last two to the
+factorization counts of the n-th primorial live beside the relations in
+:mod:`multifact.cli`.
 
-Partitions of n classified by distinct part values (the additive shadow of the
-factorization counts, reached by evaluating them at prime powers), Stirling
-numbers of the second kind, Bell numbers, and exact identities tying these to
-the factorization counts of the n-th primorial p_1...p_n.
-
-The identities are the paper's relations at a squarefree n, where
-nu_beta(1) = beta_1 turns the partition sum into sum_beta beta_1**n / z_beta.
-Their right-hand sides are read from the shipped routes of
-:mod:`multifact.counting` (:func:`big_F`, :func:`big_G`, :func:`f_k_rec`,
-the last also summed over k by :func:`counting._k_sum`) at the primorial
-canonical((1,) * n), so a wrong route fails them; this module keeps no copy
-of those sums.  Its memos are made by :func:`counting.cache`.  Those of
-:func:`p_kl` and :func:`r_l` key on the tuple of their arguments.  That of
-:func:`r_lj` holds one dict of rows per l, keyed by j, each row a list
-indexed by n - j*l, with row[n - j*l] = r_{l,j}(n), or None where no state
-is stored: a b-file session stores over a million r_lj states, and a list
-slot costs 8 bytes where a dict entry costs about 48 and a key tuple more.
-A row starts at n = j*l, where r_{l,j} stops being 0, so its length follows
-the states stored, not n.  A cold r_lj(1300, 3, 1) keeps 1,260,145 states at
-35 MB peak RSS.
+Its memos are made by :func:`counting.cache`.  Those of :func:`p_kl` and
+:func:`r_l` key on the tuple of their arguments.  That of :func:`r_lj` holds
+one dict of rows per l, keyed by j, each row a list indexed by n - j*l, with
+row[n - j*l] = r_{l,j}(n), or None where no state is stored: a b-file
+session stores over a million r_lj states, and a list slot costs 8 bytes
+where a dict entry costs about 48 and a key tuple more.  A row starts at
+n = j*l, where r_{l,j} stops being 0, so its length follows the states
+stored, not n.  A cold r_lj(1300, 3, 1) keeps 1,260,145 states at 35 MB peak
+RSS.
 """
 
-from collections import Counter
-from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .arith import BigCount, settle
-from .counting import _k_sum, big_F, big_G, cache, canonical, f_k_rec
-from .oracle import enumerate_partitions
-from .partitions import centralizer_order, compositions_of, multiplicity_vector, prefix_product
+from .counting import cache
 
-__all__ = [
-    "IDENTITIES",
-    "IdentityReport",
-    "bell",
-    "check_identity",
-    "p_kl",
-    "r_l",
-    "r_lj",
-    "stirling2",
-]
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Result of evaluating both sides of one identity."""
-
-    identity: str
-    n: int
-    k: int | None
-    lhs: BigCount
-    rhs: BigCount
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
+__all__ = ["bell", "p_kl", "r_l", "r_lj", "stirling2"]
 
 
 _P_KL = cache()
@@ -262,69 +228,3 @@ def _stirling_row_at(n: int) -> list[int]:
 def bell(n: int) -> BigCount:
     """Bell number: total set partitions of n labeled items; 0 for n < 0."""
     return sum(_stirling_row_at(n)) if n >= 0 else 0
-
-
-def _composition_aggregate(n: int) -> int:
-    """The multiplicity vectors beta of the compositions of n whose weights
-    n! / prod(prefix sums) sum to the class size n! / z_beta.  It reads no
-    partitions, so a vector missing on either side fails the identity."""
-    n_fact = factorial(n)
-    sums = Counter()
-    for comp in compositions_of(n):
-        sums[multiplicity_vector(comp)] += n_fact // prefix_product(comp)
-    return sum(1 for b, s in sums.items() if s == n_fact // centralizer_order(b))
-
-
-# each identity: (lhs(n, k), rhs(n, k), whether k is an index, the largest n
-# that verify checks it at); verify runs them in this order
-_IDENTITY_TABLE = {
-    "bell-partition-sum": (lambda n, k: bell(n),
-                           lambda n, k: big_F(canonical((1,) * n), n), False, 20),
-    "stirling-partial-sum": (lambda n, k: sum(stirling2(n, i) for i in range(1, k + 1)),
-                             lambda n, k: big_F(canonical((1,) * n), k), True, 20),
-    "choose2-plus-one": (lambda n, k: comb(n, 2) + 1,
-                         lambda n, k: big_G(canonical((1,) * n), n), False, 20),
-    "stirling-adjacent-sum": (lambda n, k: stirling2(n, k) + stirling2(n, k - 1),
-                              lambda n, k: big_G(canonical((1,) * n), k), True, 20),
-    "composition-aggregate": (lambda n, k: _composition_aggregate(n),
-                              lambda n, k: sum(1 for _ in enumerate_partitions(n)), False, 12),
-    "primorial-stirling": (lambda n, k: f_k_rec(canonical((1,) * n), k),
-                           lambda n, k: stirling2(n, k), True, 10),
-    "primorial-bell": (lambda n, k: _k_sum(f_k_rec, canonical((1,) * n), n),
-                       lambda n, k: bell(n), False, 10),
-}
-
-IDENTITIES = tuple(_IDENTITY_TABLE)
-
-
-def check_identity(identity: str, n: int, k: int | None = None) -> IdentityReport:
-    """Evaluate both sides of one named identity with exact arithmetic.
-
-    With P = canonical((1,) * n), the product of the first n primes:
-
-    - ``bell-partition-sum``: B_n  ==  big_F(P, n)
-    - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  big_F(P, k)
-    - ``choose2-plus-one``: C(n, 2) + 1  ==  big_G(P, n)
-    - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  big_G(P, k)
-    - ``composition-aggregate``: per multiplicity vector beta of n, the weights
-      n! / prod(prefix sums) of its compositions sum to the class size
-      n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
-      :func:`oracle.enumerate_partitions`
-    - ``primorial-stirling``: f_k_rec(P, k)  ==  S(n, k)
-    - ``primorial-bell``: sum_{k<=n} f_k_rec(P, k)  ==  B_n, through _k_sum
-
-    The first four read the partition-sum route, the last two the divisor
-    recursion, so ``bell-partition-sum`` and ``primorial-bell`` check B_n by
-    two different routes.  Every side reads the routes by their module names
-    at call time.
-
-    k-indexed identities require 1 <= k <= n.
-    """
-    if identity not in _IDENTITY_TABLE:
-        raise ValueError(f"unknown identity {identity!r}")
-    lhs, rhs, k_indexed, _ = _IDENTITY_TABLE[identity]
-    if not k_indexed:
-        k = None
-    elif k is None or not 1 <= k <= n:
-        raise ValueError(f"{identity} requires 1 <= k <= n, got k={k}, n={n}")
-    return IdentityReport(identity, n, k, lhs(n, k), rhs(n, k))

@@ -1,7 +1,8 @@
 """Mutation sweep: how many single-token mutants of the recursion modules
-`verify` kills.
+and of the CLI that checks them `verify` kills.
 
-Each mutant changes one token of `counting.py` or `partition_counts.py`:
+Each mutant changes one token of `counting.py`, `partition_counts.py` or
+`cli.py`, whose relation and identity tables `verify` reads:
 `+` <-> `-`, `*` -> `+`, `<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`, or an int
 constant plus 1.  The sites are found with :mod:`ast`, and each mutant is
 written, by :func:`ast.unparse`, into a temporary copy of `src`, never into
@@ -29,7 +30,7 @@ from itertools import islice
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ("counting.py", "partition_counts.py")
+MODULES = ("counting.py", "partition_counts.py", "cli.py")
 JOBS = 2
 TIMEOUT_S = 20
 

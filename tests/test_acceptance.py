@@ -15,6 +15,7 @@ from math import factorial
 
 from multifact import cli, counting, oracle
 from multifact.arith import IntegrityError, factorize
+from multifact.cli import check_identity
 from multifact.counting import (
     big_F,
     big_G,
@@ -31,7 +32,7 @@ from multifact.counting import (
     h_l,
 )
 from multifact.oracle import enumerate_partitions, profile
-from multifact.partition_counts import bell, check_identity, p_kl, r_l, r_lj, stirling2
+from multifact.partition_counts import bell, p_kl, r_l, r_lj, stirling2
 from multifact.partitions import (
     centralizer_order,
     compositions_of,

@@ -256,14 +256,15 @@ def test_verify_reports_counterexample_on_failure(capsys, monkeypatch):
 @pytest.mark.parametrize("table, key, function", [
     ("_PARTITION_ROUTES", ("r_l", "recursion"), "r_l"),
     ("_PARTITION_ROUTES", ("r_lj", "recursion"), "r_l"),
-    ("_PARTITION_ROUTES", ("p_kl", "recursion"), "p_kl"),
+    ("_PARTITION_ROUTES", ("p_kl", "recursion"), "r_l"),
     ("_FACTOR_ROUTES", ("h_l", "recursion"), "r_l"),
     ("_FACTOR_ROUTES", ("f_kl", "recursion"), "p_kl"),
 ])
 def test_verify_routes_reads_the_partition_side_from_the_route_tables(
         capsys, monkeypatch, table, key, function):
-    # r_l and p_kl by their recursions, r_l by r_lj at j = 1, and both by the
-    # factorization recursions at 2**n: a wrong table entry must fail verify
+    # r_l and p_kl by their recursions, r_l by r_lj at j = 1 and as the sum of
+    # p_kl over k, and both by the factorization recursions at 2**n: a wrong
+    # table entry must fail verify, a wrong p_kl first at the r_l it sums to
     routes = getattr(cli, table)
     right = routes[key]
     monkeypatch.setitem(routes, key, lambda *args: right(*args) + 1)
@@ -272,22 +273,27 @@ def test_verify_routes_reads_the_partition_side_from_the_route_tables(
     assert err.startswith(f"first counterexample: {function} n=")
 
 
-@pytest.mark.parametrize("route, identity", [
-    ("big_F", "bell-partition-sum"),
-    ("big_G", "choose2-plus-one"),
-    ("f_k_rec", "primorial-stirling"),
-    ("_k_sum", "primorial-bell"),
-])
-def test_verify_identities_read_the_shipped_routes(capsys, monkeypatch, route, identity):
-    # one value off on the signature of 2*3*5*7 must fail the identities;
-    # _k_sum takes the k-part route it sums before n
-    right = getattr(partition_counts, route)
+# each id names the route the row is built on, then the identity
+@pytest.mark.parametrize("table, key, identity", [
+    ("_FACTOR_ROUTES", ("F_k", "partition-sum"), "bell-partition-sum"),
+    ("_FACTOR_ROUTES", ("G_k", "partition-sum"), "choose2-plus-one"),
+    ("_FACTOR_ROUTES", ("f_k", "recursion"), "primorial-stirling"),
+    ("_FACTOR_ROUTES", ("F_k", "recursion"), "primorial-bell"),
+    ("_PARTITION_ROUTES", ("stirling2", "recursion"), "stirling-partial-sum"),
+    ("_PARTITION_ROUTES", ("bell", "recursion"), "bell-partition-sum"),
+], ids=["big_F-bell-partition-sum", "big_G-choose2-plus-one", "f_k_rec-primorial-stirling",
+        "_k_sum-primorial-bell", "stirling2-stirling-partial-sum", "bell-bell-partition-sum"])
+def test_verify_identities_read_the_shipped_routes(capsys, monkeypatch, table, key, identity):
+    # one value off at n = 4, on the signature of 2*3*5*7 for a factor row,
+    # must fail the identities
+    routes = getattr(cli, table)
+    right = routes[key]
 
-    def off_by_one(*args):
-        fi = args[route == "_k_sum"]
-        return right(*args) + (fi.signature == (1, 1, 1, 1))
+    def off_by_one(x, *args):
+        at_four = x.signature == (1, 1, 1, 1) if table == "_FACTOR_ROUTES" else x == 4
+        return right(x, *args) + at_four
 
-    monkeypatch.setattr(partition_counts, route, off_by_one)
+    monkeypatch.setitem(routes, key, off_by_one)
     code, out, err = run(capsys, "verify", "--max", "20", "--suite", "identities")
     assert code == 1
     assert err.startswith(f"first counterexample: {identity} n=4 ")
@@ -395,7 +401,8 @@ def test_verify_oracle_leaves_out_a_side_over_its_budget(capsys, monkeypatch):
 
 # the suites that catch each non-oracle row of the route tables when it adds
 # 1 to every value at one n, n = 36 for a factor row and n = 12 for a
-# partition row; identities read partition_counts directly, not the rows
+# partition row; the identities read the rows at the n-th primorial, which
+# 36 is not, so of these they catch only a Stirling or Bell row
 DETECTED_BY = {
     **{key: {"oracle", "routes"} for key in [
         ("f", "recursion"), ("g", "recursion"), ("f_k", "recursion"), ("g_k", "recursion"),
@@ -410,9 +417,8 @@ DETECTED_BY = {
         ("g_k", "partition-sum"), ("g_k", "kappa-recursion"),
         ("F_k", "fedorov"), ("F_k", "recursion"), ("F_k", "kappa-recursion"),
         ("G_k", "recursion"), ("r_lj", "recursion")]},
-    # no suite checks these
-    ("stirling2", "recursion"): set(),
-    ("bell", "recursion"): set(),
+    ("stirling2", "recursion"): {"identities"},
+    ("bell", "recursion"): {"identities"},
 }
 
 

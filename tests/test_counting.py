@@ -636,10 +636,10 @@ def test_clear_caches_drops_the_tables():
             row(fi, 2, 2)
     pc = partition_counts
     pc.p_kl(10, 3, 2), pc.r_l(10, 2), pc.r_lj(10, 2, 1), pc.bell(40)
-    assert pc.check_identity("primorial-stirling", 6, 3).passed
+    assert cli.check_identity("primorial-stirling", 6, 3).passed
     memos = [value for module in (counting, pc)
              for name, value in vars(module).items()
-             if isinstance(value, dict) and not name.startswith("__") and name != "_IDENTITY_TABLE"]
+             if isinstance(value, dict) and not name.startswith("__")]
     assert len(memos) == 15 and all(memos)
     assert sorted(map(id, counting._CACHES)) == sorted(map(id, memos))
     counting.clear_caches()

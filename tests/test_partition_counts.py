@@ -9,18 +9,11 @@ from math import comb, factorial
 import pytest
 import references
 
-from multifact import cli, counting, oracle, partition_counts
+from multifact import cli, counting, oracle, partition_counts, partitions
 from multifact.arith import IntegrityError
+from multifact.cli import check_identity
 from multifact.counting import canonical
-from multifact.partition_counts import (
-    IDENTITIES,
-    bell,
-    check_identity,
-    p_kl,
-    r_l,
-    r_lj,
-    stirling2,
-)
+from multifact.partition_counts import bell, p_kl, r_l, r_lj, stirling2
 
 
 def test_p_kl_values():
@@ -163,6 +156,14 @@ def test_primorial_evaluations():
         assert counting.g_total(P) == bell(n)
 
 
+def test_stirling_row_is_kept_when_asked_again():
+    # a kept row that already reaches n is read, not rebuilt from row 0
+    counting.clear_caches()
+    row = partition_counts._stirling_row_at(40)
+    assert partition_counts._stirling_row_at(40) is row
+    counting.clear_caches()
+
+
 def test_check_identity_examples():
     rep = check_identity("choose2-plus-one", 4)
     assert (rep.lhs, rep.rhs, rep.passed) == (7, 7, True)
@@ -187,20 +188,20 @@ def test_check_identity_all_pass_small():
 
 @pytest.mark.parametrize("sabotage", ["drop a composition", "z off by one", "drop a partition"])
 def test_composition_aggregate_fails_on_a_broken_side(monkeypatch, sabotage):
-    def drop_the_second(name):
+    def drop_the_second(module, name):
         # the second composition, (1, ..., 1, 2), shares its multiplicity
         # vector with (1, ..., 2, 1), so that class's sum falls short
-        real = getattr(partition_counts, name)
-        monkeypatch.setattr(partition_counts, name,
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda n: (x for i, x in enumerate(real(n)) if i != 1))
 
     if sabotage == "drop a composition":
-        drop_the_second("compositions_of")
+        drop_the_second(partitions, "compositions_of")
     elif sabotage == "drop a partition":
-        drop_the_second("enumerate_partitions")
+        drop_the_second(oracle, "enumerate_partitions")
     else:
-        real = partition_counts.centralizer_order
-        monkeypatch.setattr(partition_counts, "centralizer_order", lambda beta: real(beta) + 1)
+        real = partitions.centralizer_order
+        monkeypatch.setattr(partitions, "centralizer_order", lambda beta: real(beta) + 1)
     for n in range(3, 11):
         assert not check_identity("composition-aggregate", n).passed, n
 
@@ -246,7 +247,7 @@ def test_check_identity_validation():
 
 def test_identity_report_fields():
     rep = check_identity("primorial-stirling", 6, 3)
-    assert rep.identity in IDENTITIES
+    assert rep.identity in cli._IDENTITIES
     assert rep.n == 6 and rep.k == 3
     assert rep.passed == (rep.lhs == rep.rhs)
     assert rep.lhs == stirling2(6, 3)
