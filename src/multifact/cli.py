@@ -28,9 +28,9 @@ columns of ``bench``.
 
 import argparse
 import json
+import os
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -333,14 +333,12 @@ def _bell(n: int, k):
 
 
 def _composition_aggregate(n: int) -> int:
-    """The multiplicity vectors beta of the compositions of n whose weights
-    n! / prod(prefix sums) sum to the class size n! / z_beta.  It reads no
+    """The beta in fedorov's table :func:`partitions.composition_weights`
+    whose weight U(beta) is the class size n! / z_beta.  It reads no
     partitions, so a vector missing on either side fails the identity."""
     n_fact = factorial(n)
-    sums = Counter()
-    for comp in partitions.compositions_of(n):
-        sums[partitions.multiplicity_vector(comp)] += n_fact // partitions.prefix_product(comp)
-    return sum(1 for b, s in sums.items() if s == n_fact // partitions.centralizer_order(b))
+    return sum(1 for b, u in partitions.composition_weights(n).items()
+               if u == n_fact // partitions.centralizer_order(b))
 
 
 # the paper's relations at a squarefree n, checked by the identities suite:
@@ -391,9 +389,9 @@ def check_identity(identity: str, n: int, k: int | None = None) -> IdentityRepor
     - ``stirling-partial-sum``: sum_{i<=k} S(n, i)  ==  F_k(P)
     - ``choose2-plus-one``: C(n, 2) + 1  ==  G_n(P)
     - ``stirling-adjacent-sum``: S(n, k) + S(n, k-1)  ==  G_k(P)
-    - ``composition-aggregate``: per multiplicity vector beta of n, the weights
-      n! / prod(prefix sums) of its compositions sum to the class size
-      n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
+    - ``composition-aggregate``: fedorov's weight U(beta) of each multiplicity
+      vector beta of n (:func:`partitions.composition_weights`) is the class
+      size n! / z_beta; lhs counts the vectors that match, rhs = p(n) from
       :func:`oracle.enumerate_partitions`
     - ``primorial-stirling``: f_k(P)  ==  S(n, k)
     - ``primorial-bell``: F_n(P) by the recursion  ==  B_n
@@ -593,7 +591,9 @@ def main(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a pipe that closed early fails here, not at exit
+        return code
     except (UsageError, OracleLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -605,6 +605,11 @@ def main(argv=None) -> int:
         n = f"n={args.n}" if hasattr(args, "n") else f"n<={args.max}"
         print(f"error: {getattr(args, 'function', args.command)} {n}: recursion "
               "too deep for the interpreter stack", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # quiet the interpreter's last flush; 2, not 0, so a cut verify never passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(digit_limit)

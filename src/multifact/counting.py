@@ -40,9 +40,9 @@ Omega(n) + 1.  It keeps no table sized by p(k) and never calls
 :func:`partitions.euler_transform`, the Euler recurrence that gives the
 composition sum (:func:`fedorov_F`) its nu_beta through
 :func:`partitions.mu_beta`, so the two formula routes of F_k compute nu_beta
-by different algorithms.  The composition sum still visits all 2**(k-1)
-compositions, but builds each multiplicity vector and its mu_beta once per
-partition of k.
+by different algorithms.  The composition sum reads its weights, one per
+partition of k, from :func:`partitions.composition_weights`, which still
+walks all 2**(k-1) compositions, and builds each mu_beta once per partition.
 
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
@@ -78,13 +78,8 @@ from .arith import (
     kappa,
     settle,
 )
-from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError, _check_partition_n
-from .partitions import (
-    compositions_of,
-    mu_beta,
-    multiplicity_vector,
-    prefix_product,
-)
+from .oracle import _check_partition_n
+from .partitions import composition_weights, mu_beta
 
 __all__ = [
     "big_F",
@@ -271,36 +266,18 @@ big_G = _partition_sum("big_G", _G_SUM, True, """Factorizations of n into
 
 
 def fedorov_F(n: FactoredInt, k: int) -> BigCount:
-    """big_F by the composition-sum route: sum of H(alpha) * mu_beta(n) over
-    all 2**(k-1) compositions alpha of k.
-
-    H(alpha) is 1 over the product of the prefix sums of alpha; each term is
-    summed as the integer k! * H(alpha), and the total is divided once by k!
-    through :func:`arith.settle`.  mu_beta(n) is cached per partition of k,
-    keyed by the composition's sorted parts, so the multiplicity vector and
-    mu_beta are built once per partition, p(k) times, and each composition
-    costs a sort and a prefix product.  A k past the oracle's budget of
-    compositions (k > 20) raises :class:`OracleLimitError` before any work.
+    """big_F by the composition-sum route: the sum of U(beta) * mu_beta(n)
+    over the table :func:`partitions.composition_weights`, divided once by k!
+    through :func:`arith.settle`; a k > 20 raises :class:`OracleLimitError`.
     """
     if k <= 0:
         return 1 if k == 0 and n.value == 1 else 0
-    if k - 1 >= DEFAULT_MAX_FACTORIZATIONS.bit_length():  # 2**(k-1) > budget
-        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} compositions of {k}")
     key = (n.signature, k)
     hit = _FED.get(key)
     if hit is not None:
         return hit
-    k_fact = factorial(k)
-    mus: dict = {}  # mu_beta(n) per partition of k, as the sorted parts
-    total = 0
-    for comp in compositions_of(k):
-        parts = tuple(sorted(comp))
-        m = mus.get(parts)
-        if m is None:
-            m = mus[parts] = mu_beta(multiplicity_vector(comp), n)
-        if m:
-            total += k_fact // prefix_product(comp) * m
-    return settle(_FED, key, total, k_fact, "fedorov_F")
+    total = sum(weight * mu_beta(beta, n) for beta, weight in composition_weights(k).items())
+    return settle(_FED, key, total, factorial(k), "fedorov_F")
 
 
 # --------------------------------------------------------------------------

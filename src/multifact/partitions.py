@@ -1,9 +1,9 @@
 """Partition and composition combinatorics of the part-count index k.
 
-Provides the iterator over compositions, the weights attached to partitions
-and compositions (as the integer denominators z_beta and prefix products that
-the counting routes divide k! by), and the Euler transform of a multiplicity
-vector together with its multiplicative extension to factored integers.
+Provides the iterator over compositions, the integer weights of partitions
+and compositions (z_beta and the prefix products the counting routes divide
+k! by), their sums per partition of k (:func:`composition_weights`), and the
+Euler transform of a multiplicity vector, extended multiplicatively to n.
 """
 
 from itertools import accumulate
@@ -11,9 +11,11 @@ from math import factorial, prod
 from operator import mul
 
 from .arith import BigCount, FactoredInt, IntegrityError
+from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError
 
 __all__ = [
     "centralizer_order",
+    "composition_weights",
     "compositions_of",
     "euler_transform",
     "mu_beta",
@@ -85,11 +87,9 @@ def mu_beta(beta, fi: FactoredInt) -> BigCount:
 
     The unit 1 gives the empty product, 1.
     """
-    if not fi.factors:
-        return 1
-    nu = euler_transform(beta, fi.signature[0])
+    nu = euler_transform(beta, fi.signature[0]) if fi.signature else ()
     result = 1
-    for _, e in fi.factors:
+    for e in fi.signature:
         result *= nu[e - 1]
     return result
 
@@ -120,3 +120,21 @@ def prefix_product(comp) -> BigCount:
     """
     return prod(accumulate(comp))
 
+
+def composition_weights(k: int) -> dict[tuple[int, ...], BigCount]:
+    """{beta: U(beta)} over the multiplicity vectors beta of the partitions
+    of k: U(beta) sums k! / prod(prefix sums) over the compositions of k with
+    the parts of beta, so the values sum to k!.  A k past the oracle's budget
+    of compositions (k > 20) raises :class:`OracleLimitError` before any work.
+    """
+    if k - 1 >= DEFAULT_MAX_FACTORIZATIONS.bit_length():  # 2**(k-1) > budget
+        raise OracleLimitError(f"more than {DEFAULT_MAX_FACTORIZATIONS} compositions of {k}")
+    k_fact = factorial(k)
+    sums: dict = {}  # sorted parts -> [running sum], so each is hashed once
+    for comp in compositions_of(k):
+        parts = tuple(sorted(comp))
+        acc = sums.get(parts)
+        if acc is None:
+            acc = sums[parts] = [0]
+        acc[0] += k_fact // prefix_product(comp)
+    return {multiplicity_vector(parts): acc[0] for parts, acc in sums.items()}

@@ -1,20 +1,24 @@
-"""Mutation sweep: how many single-token mutants of the recursion modules
-and of the CLI that checks them `verify` kills.
+"""Mutation sweep: how many single-token mutants of the recursion modules,
+of the composition weights and of the CLI that checks them `verify` kills.
 
-Each mutant changes one token of `counting.py`, `partition_counts.py` or
-`cli.py`, whose relation and identity tables `verify` reads:
-`+` <-> `-`, `*` -> `+`, `<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`, or an int
-constant plus 1.  The sites are found with :mod:`ast`, and each mutant is
-written, by :func:`ast.unparse`, into a temporary copy of `src`, never into
-the checkout.  Each mutant runs `multifact.cli verify --max 40` in a fresh
-process, at most two at once: a nonzero exit kills it, a run past
-TIMEOUT_S is stopped and counted as hung, which kills it too, and a clean
-exit lets it survive.
+Each mutant changes one token of `counting.py`, `partition_counts.py`,
+`partitions.py` or `cli.py`, whose relation and identity tables `verify`
+reads: `+` <-> `-`, `*` -> `+`, `<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`, or
+an int constant plus 1.  The sites are found with :mod:`ast`, and each mutant
+is written, by :func:`ast.unparse`, into a temporary copy of `src`, never into
+the checkout.  The unmutated `multifact.cli verify --max 40` runs once first;
+then each mutant runs it in a fresh process, at most two at once.  A nonzero
+exit, or a stdout that differs from the unmutated run's (a check count that
+moved), kills it; a run past TIMEOUT_S is stopped and counted as hung, which
+kills it too; the same output with exit 0 lets it survive.
 
     python tests/mutation_sweep.py
 
-prints one line per survivor, then the killed, hung and survived counts per
-module.  The file is not named test_*.py, so pytest does not collect it.
+prints one line per survivor and per hung mutant, then the killed, hung and
+survived counts per module, and exits 1 when a module has more survivors
+than its ceiling in SURVIVED_AT_MOST.  A slower machine can only turn a
+survivor into a hang, so the ceiling does not depend on the machine.  The
+file is not named test_*.py, so pytest does not collect it.
 """
 
 import ast
@@ -30,7 +34,11 @@ from itertools import islice
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ("counting.py", "partition_counts.py", "cli.py")
+MODULES = ("counting.py", "partition_counts.py", "partitions.py", "cli.py")
+# the survivors per module that the sweep accepts; lower a ceiling when tests
+# or verify kill more, and raise one only with a note on why each new
+# survivor is equivalent
+SURVIVED_AT_MOST = {"counting.py": 20, "partition_counts.py": 52, "partitions.py": 7, "cli.py": 54}
 JOBS = 2
 TIMEOUT_S = 20
 
@@ -79,23 +87,31 @@ def mutants(source: str):
         yield node.lineno, node.col_offset, label, ast.unparse(tree)
 
 
-def run_mutant(copies, module, source):
+def run_verify(copy):
+    """The exit code and stdout of `verify --max 40` on a copy of src, or None
+    for a run past TIMEOUT_S."""
+    env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, "verify", "--max", "40"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode, done.stdout
+
+
+def run_mutant(copies, module, source, expected):
     """'killed', 'hung' or 'survived' for `source` in place of `module` in
-    one of the temporary copies of src."""
+    one of the temporary copies of src, against the unmutated run `expected`."""
     copy = copies.get()
     path = copy / "multifact" / module
     original = path.read_text()
     try:
         path.write_text(source)
-        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
-        try:
-            done = subprocess.run(
-                [sys.executable, "-c", RUN_CLI, "verify", "--max", "40"],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
+        run = run_verify(copy)
+        if run is None:
             return "hung"
-        return "killed" if done.returncode else "survived"
+        return "survived" if run == expected else "killed"
     finally:
         path.write_text(original)
         copies.put(copy)
@@ -109,21 +125,30 @@ def main() -> None:
             copy = Path(tmp) / str(i)
             shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             copies.put(copy)
+        expected = run_verify(Path(tmp) / "0")
+        if expected is None or expected[0]:
+            sys.exit(f"the unmutated verify --max 40 did not pass: {expected}")
         with ThreadPoolExecutor(JOBS) as pool:
-            runs = [(module, line, col, label, pool.submit(run_mutant, copies, module, source))
+            runs = [(module, line, col, label,
+                     pool.submit(run_mutant, copies, module, source, expected))
                     for module in MODULES
                     for line, col, label, source in mutants((SRC / "multifact" / module).read_text())]
             counts = {module: {"killed": 0, "hung": 0, "survived": 0} for module in MODULES}
             for module, line, col, label, future in runs:
                 outcome = future.result()
                 counts[module][outcome] += 1
-                if outcome == "survived":
-                    print(f"survived {module}:{line}:{col} {label}")
+                if outcome != "killed":
+                    print(f"{outcome} {module}:{line}:{col} {label}")
     for module, c in counts.items():
         print(f"{module}: {sum(c.values())} mutants, {c['killed']} killed, "
               f"{c['hung']} hung, {c['survived']} survived")
     print(f"{sum(sum(c.values()) for c in counts.values())} mutants in "
           f"{time.perf_counter() - start:.0f} s")
+    over = [f"{module} {c['survived']} > {SURVIVED_AT_MOST[module]}"
+            for module, c in counts.items() if c["survived"] > SURVIVED_AT_MOST[module]]
+    if over:
+        print("more survivors than the ceiling:", ", ".join(over))
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -788,6 +790,30 @@ def test_stirling_and_bell_refuse_n_above_their_cap(capsys, argv):
 ])
 def test_usage_errors_print_their_one_line(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # as under `| head -1`: the pipe fills and closes while bfile still writes
+    ("bfile f --max 100000", 1),
+    # as under `| true`: verify's few lines reach a closed pipe at the last flush
+    ("verify --max 60", 0),
+])
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_one_line(argv, lines_read):
+    # exit 0 would let a cut verify pass; stdout keeps the buffering of a pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "multifact.cli", *argv.split()], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    # bfile writes its "offset" line to stderr before the first value
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: stdout closed before the output was written"]
 
 
 def test_zero_indices_are_accepted(capsys):

@@ -273,9 +273,9 @@ def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
     # the composition (1, 2) weighs 3! / (1 * 3) = 2; halving it leaves
     # remainder 5 in the sum 3 + 2 + 1 over (1, 1, 1), (1, 2), (2, 1)
     counting.clear_caches()
-    real = counting.prefix_product
+    real = partitions.prefix_product
     monkeypatch.setattr(
-        counting, "prefix_product", lambda comp: 6 if comp == (1, 2) else real(comp)
+        partitions, "prefix_product", lambda comp: 6 if comp == (1, 2) else real(comp)
     )
     with pytest.raises(IntegrityError,
                        match=r"^fedorov_F\(\(1,\), 3\): sum 5 not divisible by 6$"):
@@ -284,8 +284,8 @@ def test_fedorov_F_integrity_check_fires_on_a_corrupted_weight(monkeypatch):
 
 @pytest.mark.parametrize("sig, k", [((12,), 13), ((2, 2, 1, 1), 12), ((1,), 16)])
 def test_fedorov_F_builds_each_multiplicity_vector_once(monkeypatch, sig, k):
-    # mu_beta is cached per partition of k, so of the 2**(k-1) compositions
-    # only the first of each partition builds its multiplicity vector
+    # the composition weights are summed per partition of k, so of the
+    # 2**(k-1) compositions only one per partition builds a multiplicity vector
     fi = canonical(sig)
     expected = walk_partition_sum(fi, k, signed=False)
     calls = []
@@ -295,9 +295,9 @@ def test_fedorov_F_builds_each_multiplicity_vector_once(monkeypatch, sig, k):
         return multiplicity_vector(comp)
 
     counting.clear_caches()
-    monkeypatch.setattr(counting, "multiplicity_vector", counted)
+    monkeypatch.setattr(partitions, "multiplicity_vector", counted)
     assert fedorov_F(fi, k) == expected
-    assert 0 < len(calls) <= PARTITION_COUNTS[k]
+    assert 0 < len(calls) == PARTITION_COUNTS[k]
 
 
 def plant_off_by_one_entry(monkeypatch, i, rest, count=1, weight=1):

@@ -269,10 +269,27 @@ def test_aggregate_fedorov_small():
 
 def test_aggregate_fedorov_equals_h_weight():
     # the compositions with part multiplicities beta weigh k! / prod(prefix
-    # sums) each, and together the class size k! / z_beta
-    for k in range(1, 10):
-        sums = _composition_sums(k)
+    # sums) each, and together the class size k! / z_beta; the weights
+    # 1 / prod(prefix sums) of all compositions of k sum to 1, so the table
+    # sums to k!
+    for k in range(0, 17):
+        table = partitions.composition_weights(k)
+        assert table == _composition_sums(k), k
         betas = [multiplicity_vector(p) for p in oracle.enumerate_partitions(k)]
-        assert sorted(sums) == sorted(betas)
+        assert sorted(table) == sorted(betas)
+        assert sum(table.values()) == factorial(k)
         for beta in betas:
-            assert sums[beta] == factorial(k) // centralizer_order(beta), (k, beta)
+            assert table[beta] * centralizer_order(beta) == factorial(k), (k, beta)
+
+
+@pytest.mark.parametrize("k", [21, 10**30])
+def test_composition_weights_refuse_past_the_budget_at_once(k, within_a_second):
+    with pytest.raises(oracle.OracleLimitError,
+                       match=f"^more than {oracle.DEFAULT_MAX_FACTORIZATIONS} compositions of {k}$"):
+        partitions.composition_weights(k)
+
+
+def test_composition_weights_answer_at_the_last_k_within_the_budget():
+    # 2**19 compositions of 20, in p(20) = 627 groups
+    table = partitions.composition_weights(20)
+    assert len(table) == PARTITION_COUNTS[20] and sum(table.values()) == factorial(20)
