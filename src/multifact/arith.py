@@ -224,10 +224,8 @@ def factorize(n: int) -> FactoredInt:
             p = g
         if g % p == 0:
             g //= p
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
+            e = kappa(p, rest)
+            rest //= p**e
             factors.append((p, e))
     if rest > 1:
         factors += sorted(Counter(_large_prime_factors(rest)).items())

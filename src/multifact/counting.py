@@ -24,8 +24,10 @@ alone once per row: the sign, the index k - i, the j bounds and the signed
 binomials C(i, j).  A group then costs one memo read and one multiply-add
 per index it feeds, and the index-0 case at i = k reads only the row's last
 group, the unit's.  The kappa routes anchor every call at that prime pi,
-which is 2 on every recursive call.  The routes share no formula: each
-applies its own weights and its own exact division.
+so each divides by kappa_pi(n) = n.signature[0].  The routes share no
+formula: each applies its own weights and its own exact division.  Every
+route reads n only through n.signature and n.big_omega; the unit is the n
+with Omega(n) = 0.
 
 The partition sum walks the partitions of k once per memo miss
 (:func:`_colored_classes`), carrying each class size and the colored
@@ -42,7 +44,8 @@ composition sum (:func:`fedorov_F`) its nu_beta through
 :func:`partitions.mu_beta`, so the two formula routes of F_k compute nu_beta
 by different algorithms.  The composition sum reads its weights, one per
 partition of k, from :func:`partitions.composition_weights`, which still
-walks all 2**(k-1) compositions, and builds each mu_beta once per partition.
+walks all 2**(k-1) compositions, once per k: the table is kept in its own
+memo.  It builds each mu_beta once per partition.
 
 The sign twins, f_k/g_k in each recursion and F_k/G_k in the partition sum,
 are built by one factory per route with a sign flag.  Each twin keeps its own
@@ -71,13 +74,7 @@ from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
 
-from .arith import (
-    BigCount,
-    FactoredInt,
-    first_primes,
-    kappa,
-    settle,
-)
+from .arith import BigCount, FactoredInt, first_primes, settle
 from .oracle import _check_partition_n
 from .partitions import composition_weights, mu_beta
 
@@ -119,6 +116,7 @@ def clear_caches() -> None:
 _F_SUM = cache()
 _G_SUM = cache()
 _FED = cache()
+_WEIGHTS = cache()  # k -> composition_weights(k), which depends on k alone
 _FK_REC = cache()
 _GK_REC = cache()
 _FK_KAP = cache()
@@ -266,17 +264,21 @@ big_G = _partition_sum("big_G", _G_SUM, True, """Factorizations of n into
 
 
 def fedorov_F(n: FactoredInt, k: int) -> BigCount:
-    """big_F by the composition-sum route: the sum of U(beta) * mu_beta(n)
-    over the table :func:`partitions.composition_weights`, divided once by k!
-    through :func:`arith.settle`; a k > 20 raises :class:`OracleLimitError`.
+    """big_F by the composition-sum route: the sum of U(beta) * mu_beta at
+    n's exponents over the table :func:`partitions.composition_weights`, read
+    once per k into `_WEIGHTS`, divided once by k! through
+    :func:`arith.settle`; a k > 20 raises :class:`OracleLimitError`.
     """
     if k <= 0:
-        return 1 if k == 0 and n.value == 1 else 0
+        return 1 if k == 0 and not n.big_omega else 0
     key = (n.signature, k)
     hit = _FED.get(key)
     if hit is not None:
         return hit
-    total = sum(weight * mu_beta(beta, n) for beta, weight in composition_weights(k).items())
+    weights = _WEIGHTS.get(k)
+    if weights is None:
+        weights = _WEIGHTS[k] = composition_weights(k)
+    total = sum(weight * mu_beta(beta, n.signature) for beta, weight in weights.items())
     return settle(_FED, key, total, factorial(k), "fedorov_F")
 
 
@@ -378,7 +380,7 @@ def _divisor_recursion(name: str, memo: dict, signed: bool, doc: str):
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if not 0 < k <= n.big_omega:
-            return 1 if k == 0 and n.value == 1 else 0
+            return 1 if k == 0 and not n.big_omega else 0
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
@@ -421,17 +423,10 @@ g_k_rec = _divisor_recursion("g_k_rec", _GK_REC, True, """Factorizations into
 # prime-exponent (kappa) recursions
 #
 # These replace the 1/k division by a division by kappa_pi(n), the exponent of
-# a prime pi in n.  Any prime dividing n is valid; every call anchors at the
-# prime that carries n's largest exponent, so the reduction table's one
-# weight per entry is the sum of kappa_pi(d) the call needs.  On the
-# canonical representatives of the recursive calls that prime is 2.
-
-def _anchor(n: FactoredInt) -> int:
-    """kappa_pi(n) for the anchor pi: the first prime of n that carries n's
-    largest exponent."""
-    top = n.signature[0]
-    return kappa(next(p for p, e in n.factors if e == top), n.value)
-
+# a prime pi in n.  Any prime dividing n is valid; every call anchors at a
+# prime that carries n's largest exponent, so kappa_pi(n) is n.signature[0]
+# and the reduction table's one weight per entry, the sum of c[0], is the
+# sum of kappa_pi(d) the call needs.  No route reads n itself.
 
 def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
     """The kappa recursion `name`, memoized in `memo`:
@@ -443,12 +438,11 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
 
     def route(n: FactoredInt, k: int) -> BigCount:
         if not 0 < k <= n.big_omega:
-            return 1 if k == 0 and n.value == 1 else 0
+            return 1 if k == 0 and not n.big_omega else 0
         key = (n.signature, k)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        kap_n = _anchor(n)
         recurse = globals()[name]
         rows = reduction_table(n.signature)
         total = 0
@@ -466,7 +460,7 @@ def _kappa_recursion(name: str, memo: dict, signed: bool, doc: str):
             _, rest_omega, _, kap_d = rows[k][-1]
             if not rest_omega:
                 total += -kap_d if signed and not k & 1 else kap_d
-        return settle(memo, key, total, kap_n, name)
+        return settle(memo, key, total, n.signature[0], name)
 
     route.__name__ = route.__qualname__ = name
     route.__doc__ = doc
@@ -492,12 +486,11 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
     f_{k,l}(n) = [k == l == 0 and n == 1].
     """
     if not 0 < l <= k <= n.big_omega:
-        return 1 if k == l == 0 and n.value == 1 else 0
+        return 1 if k == l == 0 and not n.big_omega else 0
     key = (n.signature, k, l)
     hit = _FKL.get(key)
     if hit is not None:
         return hit
-    kap_n = _anchor(n)
     rows = reduction_table(n.signature)
     total = 0
     for i in range(1, min(k, len(rows))):
@@ -522,19 +515,18 @@ def f_kl(n: FactoredInt, k: int, l: int) -> BigCount:
         _, rest_omega, _, kap_d = rows[k][-1]
         if not rest_omega:
             total += (comb(k, l) if l & 1 else -comb(k, l)) * kap_d
-    return settle(_FKL, key, total, kap_n, "f_kl")
+    return settle(_FKL, key, total, n.signature[0], "f_kl")
 
 
 def h_l(n: FactoredInt, l: int) -> BigCount:
     """Factorizations with exactly l different part values >= 2, same recursion
     shape as :func:`f_kl` without the part-count index."""
     if not 0 < l <= n.big_omega:
-        return 1 if l == 0 and n.value == 1 else 0
+        return 1 if l == 0 and not n.big_omega else 0
     key = (n.signature, l)
     hit = _HL.get(key)
     if hit is not None:
         return hit
-    kap_n = _anchor(n)
     rows = reduction_table(n.signature)
     total = 0
     for i in range(1, len(rows)):
@@ -556,7 +548,7 @@ def h_l(n: FactoredInt, l: int) -> BigCount:
             _, rest_omega, _, kap_d = rows[i][-1]
             if not rest_omega:
                 total += (comb(i, l) if l & 1 else -comb(i, l)) * kap_d
-    return settle(_HL, key, total, kap_n, "h_l")
+    return settle(_HL, key, total, n.signature[0], "h_l")
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Partition and composition combinatorics of the part-count index k.
 
 Provides the iterator over compositions, the integer weights of partitions
-and compositions (z_beta and the prefix products the counting routes divide
-k! by), their sums per partition of k (:func:`composition_weights`), and the
-Euler transform of a multiplicity vector, extended multiplicatively to n.
+and compositions (z_beta and the prefix products), the sums of k! over the
+prefix products per partition of k (:func:`composition_weights`, the table
+the composition sum and the composition-aggregate identity read; the
+identity divides k! by z_beta), and the Euler transform of a multiplicity
+vector, extended multiplicatively over the exponents of a prime signature.
 """
 
 from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
-from .arith import BigCount, FactoredInt, IntegrityError
+from .arith import BigCount, IntegrityError
 from .oracle import DEFAULT_MAX_FACTORIZATIONS, OracleLimitError
 
 __all__ = [
@@ -82,14 +84,15 @@ def euler_transform(beta, m_max: int) -> list[BigCount]:
     return nu
 
 
-def mu_beta(beta, fi: FactoredInt) -> BigCount:
-    """Multiplicative extension: product of nu_beta at the prime exponents of fi.
+def mu_beta(beta, sig: tuple[int, ...]) -> BigCount:
+    """Multiplicative extension: product of nu_beta at the exponents of a
+    nonincreasing prime signature `sig`.
 
-    The unit 1 gives the empty product, 1.
+    The unit's signature () gives the empty product, 1.
     """
-    nu = euler_transform(beta, fi.signature[0]) if fi.signature else ()
+    nu = euler_transform(beta, sig[0]) if sig else ()
     result = 1
-    for e in fi.signature:
+    for e in sig:
         result *= nu[e - 1]
     return result
 

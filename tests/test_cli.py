@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,8 @@ def test_compute_partition_functions(capsys):
     assert run(capsys, "compute", "r_lj", "7", "--l", "2", "--j", "2")[1] == "3\n"
     assert run(capsys, "compute", "stirling2", "4", "--k", "2")[1] == "7\n"
     assert run(capsys, "compute", "bell", "4")[1] == "15\n"
+    # n = 0 is the partition side's unit: p_{0,0}(0) = 1
+    assert run(capsys, "compute", "p_kl", "0", "--k", "0", "--l", "0") == (0, "1\n", "")
 
 
 def test_compute_method_override(capsys):
@@ -242,10 +245,17 @@ def test_verify_check_counts_are_pinned(capsys):
         "identities: 537/537 pass\n"
         "oracle: 9352/9352 pass\n"
     )
+    # --max 1 is the least accepted bound, and 200 the default
+    assert run(capsys, "verify", "--max", "1") == (
+        0, "routes: 26/26 pass\nidentities: 7/7 pass\noracle: 34/34 pass\n", "")
+    assert run(capsys, "verify") == (
+        0, "routes: 11564/11564 pass\nidentities: 537/537 pass\noracle: 16302/16302 pass\n", "")
 
 
 def test_verify_reports_counterexample_on_failure(capsys, monkeypatch):
     # sabotage one route to confirm failures surface with exit code 1
+    code, unpatched, _ = run(capsys, "verify", "--max", "10", "--suite", "routes")
+    assert code == 0
     monkeypatch.setitem(
         cli._FACTOR_ROUTES, ("f_k", "kappa-recursion"), lambda fi, k, l: 999
     )
@@ -253,6 +263,12 @@ def test_verify_reports_counterexample_on_failure(capsys, monkeypatch):
     assert code == 1
     assert "first counterexample" in err
     assert "f_k" in err
+    # the same checks run, and the pass count drops by the failing ones
+    checks = int(unpatched.split("/")[1].split()[0])
+    failing = sum(len(set(check[4].values())) > 1
+                  for n in range(1, 11) for check in cli._checks("routes", n))
+    assert failing > 0
+    assert out == f"routes: {checks - failing}/{checks} pass\n"
 
 
 @pytest.mark.parametrize("table, key, function", [
@@ -538,13 +554,28 @@ def test_route_tables_are_pinned():
 
 
 def test_bench_single_repeat(capsys):
+    start = time.perf_counter()
     code, out, _ = run(capsys, "bench", "f", "36", "--repeat", "1")
+    wall = time.perf_counter() - start
     assert code == 0
     lines = out.strip().splitlines()
     # header plus one row per applicable method
     assert len(lines) == 1 + len(cli.METHODS_FOR["f"])
     for line in lines[1:]:
         assert line.split()[1] == "9"
+        best, mean = map(float, line.split()[2:])
+        assert 0 <= best <= mean < wall
+
+
+def test_bench_repeats_each_method_three_times_by_default(capsys, monkeypatch):
+    methods = []
+    evaluate = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate",
+                        lambda function, method, *query: methods.append(method)
+                        or evaluate(function, method, *query))
+    code, out, _ = run(capsys, "bench", "f", "36")
+    assert code == 0
+    assert methods == [m for m in cli.METHODS_FOR["f"] for _ in range(3)]
 
 
 def test_bench_selected_methods(capsys):
@@ -778,6 +809,14 @@ def test_stirling_and_bell_refuse_n_above_their_cap(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {argv[1]} requires n <= {cli.STIRLING_MAX_N}\n"
+
+
+def test_stirling_and_bell_admit_n_up_to_2500():
+    # checked on the query alone: compute stirling2 2500 --k 2500 takes seconds
+    for function, k in (("stirling2", 2500), ("bell", None)):
+        assert cli._validate_query(function, 2500, k, None, None, None) is None
+        with pytest.raises(cli.UsageError, match=f"^{function} requires n <= 2500$"):
+            cli._validate_query(function, 2501, k, None, None, None)
 
 
 @pytest.mark.parametrize("argv, line", [

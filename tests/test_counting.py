@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, inf, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -300,6 +301,25 @@ def test_fedorov_F_builds_each_multiplicity_vector_once(monkeypatch, sig, k):
     assert 0 < len(calls) == PARTITION_COUNTS[k]
 
 
+def test_fedorov_F_walks_the_compositions_of_k_once_for_every_signature(monkeypatch):
+    # the composition weights depend on k alone, so one table per k serves
+    # every signature fedorov_F is asked at that k
+    counting.clear_caches()
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return partitions.composition_weights(k)
+
+    monkeypatch.setattr(counting, "composition_weights", counted)
+    sigs = [(12,), (6, 2), (4, 4), (3, 2, 1), (2, 2, 2), (5, 1), (2, 1, 1, 1),
+            (8,), (1, 1), (7, 3, 1), (1,)]
+    for sig in sigs:
+        assert fedorov_F(canonical(sig), 9) == big_F(canonical(sig), 9), sig
+    assert calls == [9]
+    counting.clear_caches()
+
+
 def plant_off_by_one_entry(monkeypatch, i, rest, count=1, weight=1):
     """Add `count` to the count and `weight` to the weight of the group of
     rest signature `rest` in row i of the reduction table of p**2, after
@@ -376,15 +396,13 @@ def test_kappa_recursions():
     assert f_k_kappa(factorize(8), 2) == 1  # (2, 4)
 
 
-def test_kappa_routes_anchor_at_the_prime_of_the_largest_exponent(monkeypatch):
+def test_kappa_routes_give_the_oracle_values_wherever_the_largest_exponent_stands():
     # 600 = 2^3 * 3 * 5^2, 1350 = 2 * 3^3 * 5^2 and 540 = 2^2 * 3^3 * 5 share
-    # one signature and one reduction table; each top-level call divides by
-    # the exponent of the prime that carries the largest exponent, wherever
-    # that prime stands, and every recursive call divides by the exponent of 2
-    anchors = []
-    monkeypatch.setattr(counting, "kappa", lambda p, n: anchors.append((p, n)) or kappa(p, n))
+    # one signature and one reduction table; each call divides by the
+    # exponent of a prime that carries the largest exponent, signature[0],
+    # wherever that prime stands
     read = cli._ORACLE_READS
-    for n, top in ((600, 2), (1350, 3), (540, 3)):
+    for n in (600, 1350, 540):
         fi = factorize(n)
         assert fi.signature == (3, 2, 1)
         prof = oracle.profile(n)
@@ -396,7 +414,6 @@ def test_kappa_routes_anchor_at_the_prime_of_the_largest_exponent(monkeypatch):
             [read["h_l"](prof, None, l) for l in range(om + 2)],
         )
         counting.clear_caches()
-        anchors.clear()
         values = (
             [f_k_kappa(fi, k) for k in range(om + 2)],
             [g_k_kappa(fi, k) for k in range(om + 2)],
@@ -404,8 +421,26 @@ def test_kappa_routes_anchor_at_the_prime_of_the_largest_exponent(monkeypatch):
             [h_l(fi, l) for l in range(om + 2)],
         )
         assert values == expected, n
-        assert {p for p, m in anchors if m == n} == {top}, n
-        assert {p for p, m in anchors if m != n} == {2}, n
+    counting.clear_caches()
+
+
+BASE_ROUTES = (big_F, big_G, fedorov_F, f_k_rec, g_k_rec, f_k_kappa, g_k_kappa, f_kl, h_l)
+
+
+@pytest.mark.parametrize("n", [1, 2, 36, 600, 1350, 2**6 * 3**4 * 5**2, 720720])
+def test_base_routes_read_n_only_through_its_signature(n):
+    # a stand-in with only the signature and Omega gets the real n's value
+    # from every base route, cold, at every index up to Omega + 1
+    fi = factorize(n)
+    stand_in = SimpleNamespace(signature=fi.signature, big_omega=fi.big_omega)
+    for route in BASE_ROUTES:
+        indices = ([(k, l) for k in range(fi.big_omega + 2) for l in range(k + 1)]
+                   if route is f_kl else [(k,) for k in range(fi.big_omega + 2)])
+        for index in indices:
+            counting.clear_caches()
+            expected = route(fi, *index)
+            counting.clear_caches()
+            assert route(stand_in, *index) == expected, (route.__name__, n, index)
     counting.clear_caches()
 
 
@@ -583,6 +618,7 @@ def check_table(fi):
 
 def test_reduction_table_matches_the_reference_up_to_2000():
     counting.clear_caches()
+    assert reduction_table(()) == ((),)  # the unit's table is the one empty row
     for n in range(2, 2001):
         check_table(factorize(n))
 
@@ -640,7 +676,7 @@ def test_clear_caches_drops_the_tables():
     memos = [value for module in (counting, pc)
              for name, value in vars(module).items()
              if isinstance(value, dict) and not name.startswith("__")]
-    assert len(memos) == 15 and all(memos)
+    assert len(memos) == 16 and all(memos)
     assert sorted(map(id, counting._CACHES)) == sorted(map(id, memos))
     counting.clear_caches()
     assert not any(memos)

@@ -353,6 +353,11 @@ def test_recursions_call_themselves_only_for_missing_states(monkeypatch):
         # the unpruned recursions make 1,320,035 / 1,300,624 / 1,603,906
         # calls here for 146,001 / 893 / 1,488 entries
         assert calls[name] <= (entries + top_level[name]) * 1.1, name
+    # from cold caches at l = 4 every p_kl call is a miss: one call per entry
+    counting.clear_caches()
+    calls.clear()
+    partition_counts.p_kl(36, 12, 4)
+    assert calls["p_kl"] == len(partition_counts._P_KL) == 524
     counting.clear_caches()
 
 

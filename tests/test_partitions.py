@@ -203,9 +203,9 @@ def test_euler_transform_all_ones_counts_bounded_partitions():
 
 def test_mu_beta():
     fi36 = factorize(36)
-    assert mu_beta((1, 1), fi36) == 4
-    assert mu_beta((5, 2), factorize(1)) == 1
-    assert mu_beta((3,), factorize(97)) == 3
+    assert mu_beta((1, 1), fi36.signature) == 4
+    assert mu_beta((5, 2), factorize(1).signature) == 1
+    assert mu_beta((3,), factorize(97).signature) == 3
 
 
 def test_compositions_of_3_exact_order():
